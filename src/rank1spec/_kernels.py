@@ -1,12 +1,12 @@
-"""Hot numeric kernels with numba-compiled and pure-numpy twins.
+"""Array kernels of the solver: the base transform and one continuation stage.
 
-numba is optional. The compiled path is selected at import time when numba
-is importable; set the environment variable ``RANK1SPEC_NO_NUMBA=1`` to
-force the numpy fallback. The loop-form sources are also the plain-Python
-reference the tests compare the numpy kernels against.
-``benchmarks/bench_kernels.py`` times both paths on a realistic workload.
+Both work on every requested point at once. A base measure enters as
+discrete nodes and weights (`base_nodes`): its atoms as they are, and its
+gridded density as the trapezoid rule's nodes. Temporaries of shape
+(points x nodes) or (points x amplitude atoms) are built in point chunks
+of at most CHUNK_ELEMENTS elements, so large bases stay bounded in memory.
 
-Status codes returned by the fixed-point kernel:
+Status codes returned per point by `picard_solve`:
 
 ====  =========================================
 0     converged, residual <= tol
@@ -18,132 +18,128 @@ Status codes returned by the fixed-point kernel:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # numba is optional; the numpy twins run instead
-    HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA and os.environ.get("RANK1SPEC_NO_NUMBA", "0") not in ("1", "true", "yes")
+# numba is not used; kept because benchmark reports read this flag
+USE_NUMBA = False
 
 POLE_TOL = 1e-14
+CHUNK_ELEMENTS = 1 << 18
 
 
-# ---------------------------------------------------------------------------
-# loop-form implementations (numba-compatible source)
-# ---------------------------------------------------------------------------
-
-def _picard_loop(z, f_init, eta, tol, max_iter,
-                 tau, tau_w, c,
-                 n0_loc, n0_mass, n0_grid, n0_val):
-    # damped fixed-point iteration for f = f0(z + shift(f))
-    sgn = 1.0 if z.imag >= 0.0 else -1.0
-    f = f_init
-    if f.imag * sgn < 0.0:
-        f = np.conj(f)
-    n_tau = tau.shape[0]
-    n_atom = n0_loc.shape[0]
-    n_grid = n0_grid.shape[0]
-    for it in range(max_iter):
-        shift = 0.0 + 0.0j
-        for k in range(n_tau):
-            den = 1.0 + tau[k] * f
-            if abs(den) < POLE_TOL:
-                return f, it + 1, 2
-            shift += tau[k] * tau_w[k] / den
-        w = z - c * shift
-        g = 0.0 + 0.0j
-        for k in range(n_atom):
-            g += n0_mass[k] / (n0_loc[k] - w)
-        if n_grid > 1:
-            prev = n0_val[0] / (n0_grid[0] - w)
-            for j in range(1, n_grid):
-                cur = n0_val[j] / (n0_grid[j] - w)
-                g += 0.5 * (prev + cur) * (n0_grid[j] - n0_grid[j - 1])
-                prev = cur
-        if abs(f - g) <= tol:
-            if f.imag * sgn < -tol:
-                return f, it + 1, 3
-            return f, it + 1, 0
-        f = (1.0 - eta) * f + eta * g
-        if f.imag * sgn < 0.0:
-            f = np.conj(f)
-    return f, max_iter, 1
+def _chunks(points: int, width: int):
+    step = max(1, CHUNK_ELEMENTS // max(width, 1))
+    return [slice(i, i + step) for i in range(0, points, step)]
 
 
-def _stieltjes_loop(zs, atom_loc, atom_mass, grid, vals):
-    # sum_k m_k/(loc_k - z) + trapezoid integral of vals/(grid - z)
-    out = np.empty(zs.shape[0], dtype=np.complex128)
-    n_atom = atom_loc.shape[0]
-    n_grid = grid.shape[0]
-    for i in range(zs.shape[0]):
-        z = zs[i]
-        acc = 0.0 + 0.0j
-        for k in range(n_atom):
-            acc += atom_mass[k] / (atom_loc[k] - z)
-        if n_grid > 1:
-            prev = vals[0] / (grid[0] - z)
-            for j in range(1, n_grid):
-                cur = vals[j] / (grid[j] - z)
-                acc += 0.5 * (prev + cur) * (grid[j] - grid[j - 1])
-                prev = cur
-        out[i] = acc
-    return out
+def base_nodes(atom_loc, atom_mass, grid, vals):
+    """Nodes and weights whose sums give the base measure's transform.
+
+    The density part becomes the trapezoid rule on its grid, so
+    `sum weight/(node - z)` equals the atoms' sum plus the trapezoid
+    integral of vals/(grid - z).
+    """
+    if grid.shape[0] < 2:
+        return atom_loc, atom_mass
+    half = 0.5 * np.diff(grid)
+    weights = np.zeros_like(grid)
+    weights[:-1] += half
+    weights[1:] += half
+    return (np.concatenate([atom_loc, grid]),
+            np.concatenate([atom_mass, weights * vals]))
 
 
-# ---------------------------------------------------------------------------
-# vectorized numpy twins
-# ---------------------------------------------------------------------------
+def base_transform(w, loc, mass):
+    """f0(w) = sum mass/(loc - w) and f0'(w) = sum mass/(loc - w)^2."""
+    g = np.zeros(w.shape, dtype=np.complex128)
+    dg = np.zeros(w.shape, dtype=np.complex128)
+    if loc.size:
+        for part in _chunks(w.size, loc.size):
+            r = 1.0 / (loc - w[part, None])
+            rm = r * mass
+            g[part] = rm.sum(axis=1)
+            dg[part] = (rm * r).sum(axis=1)
+    return g, dg
 
-def _picard_numpy(z, f_init, eta, tol, max_iter,
-                  tau, tau_w, c,
-                  n0_loc, n0_mass, n0_grid, n0_val):
-    # f, g and w stay Python complex: the arrays hold one or two elements,
-    # so numpy's scalar and reduction wrappers would dominate each sweep
-    sgn = 1.0 if z.imag >= 0.0 else -1.0
-    f = complex(f_init)
-    if f.imag * sgn < 0.0:
-        f = f.conjugate()
+
+def shift_terms(f, tau, tau_w, c):
+    """Shift -c*sum(tau q/(1 + tau f)), its f-derivative, and the pole mask.
+
+    The derivative is c*sum(tau^2 q/(1 + tau f)^2). The pole mask marks
+    the points where some 1 + tau*f lies within POLE_TOL of zero; their
+    other entries are not meaningful.
+    """
+    shift = np.zeros(f.shape, dtype=np.complex128)
+    dshift = np.zeros(f.shape, dtype=np.complex128)
+    pole = np.zeros(f.shape, dtype=bool)
     tw = tau * tau_w
-    has_tau = tau.shape[0] > 0
-    has_atoms = n0_loc.shape[0] > 0
-    has_grid = n0_grid.shape[0] > 1
-    for it in range(int(max_iter)):
-        den = 1.0 + tau * f
-        if has_tau and abs(den).min() < POLE_TOL:
-            return f, it + 1, 2
-        w = z - c * complex((tw / den).sum())
-        g = complex((n0_mass / (n0_loc - w)).sum()) if has_atoms else 0.0 + 0.0j
-        if has_grid:
-            g += complex(np.trapezoid(n0_val / (n0_grid - w), n0_grid))
-        if abs(f - g) <= tol:
-            if f.imag * sgn < -tol:
-                return f, it + 1, 3
-            return f, it + 1, 0
-        f = (1.0 - eta) * f + eta * g
-        if f.imag * sgn < 0.0:
-            f = f.conjugate()
-    return f, int(max_iter), 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for part in _chunks(f.size, tau.size):
+            den = 1.0 + f[part, None] * tau
+            pole[part] = (np.abs(den) < POLE_TOL).any(axis=1)
+            inv = 1.0 / den
+            inv_tw = inv * tw
+            shift[part] = -c * inv_tw.sum(axis=1)
+            dshift[part] = c * (inv_tw * inv * tau).sum(axis=1)
+    return shift, dshift, pole
 
 
-def _stieltjes_numpy(zs, atom_loc, atom_mass, grid, vals):
-    out = np.zeros(zs.shape[0], dtype=np.complex128)
-    if atom_loc.size:
-        out += np.sum(atom_mass[None, :] / (atom_loc[None, :] - zs[:, None]), axis=1)
-    if grid.shape[0] > 1:
-        integrand = vals[None, :] / (grid[None, :] - zs[:, None])
-        out += np.trapezoid(integrand, grid, axis=1)
-    return out
+def stieltjes_many(zs, atom_loc, atom_mass, grid, vals):
+    """sum_k m_k/(loc_k - z) + trapezoid integral of vals/(grid - z)."""
+    return base_transform(zs, *base_nodes(atom_loc, atom_mass, grid, vals))[0]
 
 
-if USE_NUMBA:
-    picard_solve = njit(cache=True)(_picard_loop)
-    stieltjes_many = njit(cache=True)(_stieltjes_loop)
-else:
-    picard_solve = _picard_numpy
-    stieltjes_many = _stieltjes_numpy
+def picard_solve(z, f, damping, tol, max_iter, tau, tau_w, c, loc, mass):
+    """Solve f = f0(z + shift(f)) at every point of the array `z` at once.
+
+    Each update is the Newton step f <- f - r/(1 - f0'(w) shift'(f)) with
+    r = f - f0(w), w = z + shift(f). Where that step is not finite or
+    leaves the half-plane Im f * Im z >= 0, the point takes the damped
+    Picard step f <- (1 - damping) f + damping f0(w) instead, reflected
+    into the half-plane. A point stops at the first residual evaluation
+    with |r| <= tol, or at a pole, and counts every evaluation it made.
+
+    The base measure comes as `base_nodes` output. The name is older than
+    the Newton step and stays because profiling wraps it.
+
+    Returns (f, updates, iters, status): the final values, the point
+    updates of the whole call as a Python int, and the per-point counts
+    and status codes (see the module docstring).
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    f = np.asarray(f, dtype=np.complex128)
+    sgn = np.where(z.imag >= 0.0, 1.0, -1.0)
+    f = np.where(f.imag * sgn < 0.0, f.conj(), f)
+    iters = np.full(z.shape, int(max_iter), dtype=np.int64)
+    status = np.ones(z.shape, dtype=np.int8)
+    idx = np.arange(z.size)
+    za, fa, sa = z, f, sgn
+    for it in range(1, int(max_iter) + 1):
+        if not idx.size:
+            break
+        shift, dshift, pole = shift_terms(fa, tau, tau_w, c)
+        # a point at a pole has no meaningful w; it stops below
+        with np.errstate(invalid="ignore"):
+            g, dg = base_transform(za + shift, loc, mass)
+        r = fa - g
+        conv = ~pole & (np.abs(r) <= tol)
+        stop = pole | conv
+        if stop.any():
+            ends = idx[stop]
+            iters[ends] = it
+            f[ends] = fa[stop]
+            status[ends] = np.where(
+                pole[stop], 2, np.where(fa[stop].imag * sa[stop] < -tol, 3, 0))
+            go = ~stop
+            idx, za, fa, sa = idx[go], za[go], fa[go], sa[go]
+            r, g, dg, dshift = r[go], g[go], dg[go], dshift[go]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = fa - r / (1.0 - dg * dshift)
+        off = ~np.isfinite(step) | (step.imag * sa < 0.0)
+        if off.any():
+            picard = (1.0 - damping) * fa[off] + damping * g[off]
+            step[off] = np.where(picard.imag * sa[off] < 0.0,
+                                 picard.conj(), picard)
+        fa = step
+    f[idx] = fa
+    return f, int(iters.sum()), iters, status

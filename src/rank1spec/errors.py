@@ -24,10 +24,11 @@ class PoleHit(Rank1SpecError):
 
 
 class NonConvergence(Rank1SpecError):
-    """Damped fixed-point iteration exhausted max_iter.
+    """A point used max_iter updates at one continuation stage unconverged.
 
-    Carries the grid location and smoothing height at which the solve
-    failed so callers can report the failing (lambda, eps) pair.
+    The updates are Newton steps with damped Picard fallbacks. Carries the
+    grid location and smoothing height of the first failing grid point so
+    callers can report the failing (lambda, eps) pair.
     """
 
     def __init__(self, message: str, lam: float | None = None, eps: float | None = None):

@@ -7,10 +7,12 @@ with isotropic vectors Y_a. The limit's Stieltjes transform f solves
     f(z) = f0(z + shift(f(z))),
     shift(f) = -c * sum_k tau_k w_k / (1 + tau_k f),
 
-where f0 is the transform of the limiting spectrum of H0. The solver runs
-a damped Picard iteration inside the Stieltjes class (Im f * Im z >= 0)
-with continuation from high in the upper half-plane down to the target
-smoothing height.
+where f0 is the transform of the limiting spectrum of H0. The solver
+runs continuation from high in the upper half-plane down to the target
+smoothing height, solving every grid point at once at each height. Each
+update is a Newton step on f - f0(z + shift(f)); where that step is not
+finite or leaves the Stieltjes class (Im f * Im z >= 0), the point takes
+a damped Picard step instead.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._kernels import picard_solve
+from ._kernels import base_nodes, picard_solve, shift_terms
 from .errors import (BranchViolation, MassDeficit, NonConvergence, PoleHit,
                      RealAxisEvaluation)
 from .measures import AmplitudeLaw, SpectralMeasure, stieltjes_of_measure
@@ -65,8 +67,11 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Damped-Picard controls.
+    """Solver controls.
 
+    max_iter bounds the updates of each point at each continuation stage.
+    damping is the weight of the damped Picard step a point takes when
+    its Newton step is not finite or leaves the Stieltjes class.
     eps_start = None resolves to 1 + 2*max|tau|^2, high enough that the
     fixed-point map is a strong contraction at the first continuation
     stage regardless of the amplitude law.
@@ -119,31 +124,38 @@ def mpe_shift(f: complex, model: ModelSpec) -> complex:
 
     Raises PoleHit when any denominator comes within 1e-14 of zero.
     """
-    tau = model.sigma.tau_values
-    den = 1.0 + tau * f
-    bad = np.abs(den) < 1e-14
-    if np.any(bad):
-        raise PoleHit(f"1 + tau*f vanished at tau={tau[np.argmax(bad)]}")
-    return complex(-model.c * np.sum(tau * model.sigma.weights / den))
+    shift, _, pole = shift_terms(np.array([complex(f)]),
+                                 model.sigma.tau_values, model.sigma.weights,
+                                 float(model.c))
+    if pole[0]:
+        raise PoleHit(f"1 + tau*f vanished at f={complex(f):.6g}")
+    return complex(shift[0])
 
 
-def _solve_point(z: complex, c: float, sigma: AmplitudeLaw,
-                 n0: SpectralMeasure, opts: SolverOptions,
-                 f_init: complex) -> tuple[complex, int]:
-    f, iters, status = picard_solve(
-        complex(z), complex(f_init), opts.damping, opts.tol, int(opts.max_iter),
-        sigma.tau_values, sigma.weights, float(c),
-        n0.atom_locations, n0.atom_masses, n0.grid, n0.values)
-    if status == 1:
-        raise NonConvergence(
-            f"no fixed point within {opts.max_iter} iterations at "
-            f"lambda={z.real:.6g}, eps={z.imag:.6g}",
-            lam=float(z.real), eps=float(z.imag))
-    if status == 2:
-        raise PoleHit(f"1 + tau*f vanished during iteration at z={z:.6g}")
-    if status == 3:
-        raise BranchViolation(f"fixed point left the Stieltjes class at z={z:.6g}")
-    return complex(f), int(iters)
+def _solve_stage(z: np.ndarray, f: np.ndarray, c: float, sigma: AmplitudeLaw,
+                 nodes: tuple, opts: SolverOptions):
+    """One continuation stage at every point of `z`; raises at the first
+    point that fails."""
+    f, _, iters, status = picard_solve(
+        z, f, opts.damping, opts.tol, int(opts.max_iter),
+        sigma.tau_values, sigma.weights, float(c), *nodes)
+    failed = np.flatnonzero(status)
+    if failed.size:
+        k = failed[0]
+        zk = complex(z[k])
+        if status[k] == 1:
+            raise NonConvergence(
+                f"no fixed point within {opts.max_iter} updates at "
+                f"lambda={zk.real:.6g}, eps={zk.imag:.6g}",
+                lam=zk.real, eps=zk.imag)
+        if status[k] == 2:
+            raise PoleHit(f"1 + tau*f vanished during iteration at z={zk:.6g}")
+        raise BranchViolation(f"fixed point left the Stieltjes class at z={zk:.6g}")
+    return f, iters
+
+
+def _nodes(n0: SpectralMeasure) -> tuple:
+    return base_nodes(n0.atom_locations, n0.atom_masses, n0.grid, n0.values)
 
 
 def solve_mpe_at(z: complex, model: ModelSpec,
@@ -175,8 +187,9 @@ def solve_mpe_at(z: complex, model: ModelSpec,
     sigma = _effective_sigma(model, opts)
     if f_init is None:
         f_init = stieltjes_of_measure(model.n0, z)
-    f, _ = _solve_point(z, model.c, sigma, model.n0, opts, f_init)
-    return f
+    f, _ = _solve_stage(np.array([z]), np.array([complex(f_init)]), model.c,
+                        sigma, _nodes(model.n0), opts)
+    return complex(f[0])
 
 
 def solve_mpe_grid(lambdas, model: ModelSpec,
@@ -184,33 +197,26 @@ def solve_mpe_grid(lambdas, model: ModelSpec,
                    return_iterations: bool = False):
     """Solve along a real grid with smoothing-height continuation.
 
-    For each grid point the equation is solved at lambda + i*eps down a
-    geometric eps ladder (eps_start -> eps_final), warm-starting each
-    stage from the previous one and each new grid point from its
-    neighbor's final value.
+    Every grid point starts from f0(lambda + i*eps_start) and is solved
+    at lambda + i*eps down a geometric eps ladder (eps_start ->
+    eps_final), one array solve per stage, each stage starting from the
+    previous one's values.
 
     Returns the complex f(lambda + i*eps_final) array, plus the per-point
-    iteration totals when `return_iterations` is set.
+    update totals over all stages when `return_iterations` is set.
     """
     opts = opts or SolverOptions()
     lambdas = np.asarray(lambdas, dtype=float)
     sigma = _effective_sigma(model, opts)
     schedule = opts.eps_schedule(sigma)
-    out = np.empty(lambdas.size, dtype=complex)
-    iterations = np.zeros(lambdas.size, dtype=np.int64)
-    f_carry: complex | None = None
-    for i, lam in enumerate(lambdas.ravel()):
-        z0 = complex(lam, schedule[0])
-        f = stieltjes_of_measure(model.n0, z0) if f_carry is None else f_carry
-        total = 0
-        for eps in schedule:
-            z = complex(lam, eps)
-            f, iters = _solve_point(z, model.c, sigma, model.n0, opts, f)
-            total += iters
-        out[i] = f
-        iterations[i] = total
-        f_carry = f
-    out = out.reshape(lambdas.shape)
+    nodes = _nodes(model.n0)
+    lam = lambdas.ravel()
+    f = stieltjes_of_measure(model.n0, lam + 1j * schedule[0])
+    iterations = np.zeros(lam.size, dtype=np.int64)
+    for eps in schedule:
+        f, iters = _solve_stage(lam + 1j * eps, f, model.c, sigma, nodes, opts)
+        iterations += iters
+    out = f.reshape(lambdas.shape)
     iterations = iterations.reshape(lambdas.shape)
     if return_iterations:
         return out, iterations

@@ -165,6 +165,14 @@ def test_grid_solver_matches_pointwise():
         assert abs(f - direct) < 1e-8
 
 
+def test_grid_solver_matches_oracle_on_fine_grid():
+    # the convergence study's limit: 3000 points down to eps = 1e-5
+    grid = np.linspace(0.02, 3.2, 3000)
+    vals = solve_mpe_grid(grid, mp_model(0.5), SolverOptions(eps_final=1e-5))
+    oracle = np.array([mp_stieltjes_oracle(lam + 1e-5j, 0.5) for lam in grid])
+    assert np.max(np.abs(vals - oracle)) < 1e-8
+
+
 # ---------------------------------------------------------------------------
 # options / continuation ladder
 # ---------------------------------------------------------------------------
