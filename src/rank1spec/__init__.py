@@ -11,11 +11,10 @@ from .ensemble import (EnsembleConfig, H0Diagonal, H0File, H0Zero,
                        eigenvalues_sym, gram_counting_relation, gram_matrix,
                        parse_h0, read_spectrum_csv, resolve_h0,
                        resolvent_trace_stream, write_spectrum_csv)
-from .errors import (BranchViolation, EmptySpectrum, H0Mismatch,
-                     InvalidDimension, InvalidP, MassDeficit,
-                     NearSingularDenominator, NoConvergence, NonConvergence,
-                     PoleHit, Rank1SpecError, RealAxisEvaluation,
-                     ShapeMismatch, UnsupportedOrder)
+from .errors import (EmptySpectrum, H0Mismatch, InvalidDimension, InvalidP,
+                     MassDeficit, NearSingularDenominator, NoConvergence,
+                     NonConvergence, PoleHit, Rank1SpecError,
+                     RealAxisEvaluation, ShapeMismatch, UnsupportedOrder)
 from .measures import (AmplitudeLaw, EmpiricalSpectrum, SpectralMeasure, cdf,
                        cdf_left, invert_stieltjes, ks_distance,
                        load_measure_json, moment, read_density_csv,
@@ -34,7 +33,7 @@ from .verify import (ConvergenceReport, QuadFormReport, TailReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudeLaw", "BranchViolation", "ConvergenceReport", "EmpiricalSpectrum",
+    "AmplitudeLaw", "ConvergenceReport", "EmpiricalSpectrum",
     "EnsembleConfig", "EmptySpectrum", "H0Diagonal", "H0File", "H0Mismatch",
     "H0Zero", "InvalidDimension", "InvalidP", "IsotropyReport", "MassDeficit",
     "ModelSpec", "NearSingularDenominator", "NoConvergence", "NonConvergence",

@@ -12,7 +12,6 @@ Status codes returned per point by `picard_solve`:
 0     converged, residual <= tol
 1     max_iter exhausted
 2     denominator 1 + tau*f within 1e-14 of zero
-3     converged but branch constraint violated
 ====  =========================================
 """
 
@@ -128,8 +127,7 @@ def picard_solve(z, f, damping, tol, max_iter, tau, tau_w, c, loc, mass):
             ends = idx[stop]
             iters[ends] = it
             f[ends] = fa[stop]
-            status[ends] = np.where(
-                pole[stop], 2, np.where(fa[stop].imag * sa[stop] < -tol, 3, 0))
+            status[ends] = np.where(pole[stop], 2, 0)
             go = ~stop
             idx, za, fa, sa = idx[go], za[go], fa[go], sa[go]
             r, g, dg, dshift = r[go], g[go], dg[go], dshift[go]

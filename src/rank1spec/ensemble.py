@@ -4,6 +4,12 @@ eigensolves, counting measures, and the streamed rank-one resolvent.
 Stream keying (so different routines see the same draws): vector alpha
 of trial t uses stream_id = t * 2^32 + alpha, its amplitude uses
 stream_id = t * 2^32 + 2^31 + alpha, all under the ensemble seed.
+
+`build_matrix` keeps a trial's factors (H0, V, tau) and assembles the
+dense n x n matrix only when `.array` is read. With H0 = 0 and k < n
+nonzero amplitudes of one sign s, `eigenvalues_sym` solves the k x k
+Gram side instead: the nonzero eigenvalues of V T V^T are those of
+s W^H W with W = V |T|^(1/2), and the other n - k are exactly zero.
 """
 
 from __future__ import annotations
@@ -115,9 +121,16 @@ class EnsembleConfig:
 
 
 class SymMatrix:
-    """Dense symmetric (hermitian) matrix with validated symmetry."""
+    """Symmetric (hermitian) matrix, dense or kept as its factors.
 
-    __slots__ = ("array",)
+    `SymMatrix(array)` validates the symmetry of a dense array. Matrices
+    made by `assemble_matrix` and `build_matrix` are symmetric by
+    construction and skip that O(n^2) check; those of `build_matrix`
+    keep H0 (None for a zero base), the vectors V and the amplitudes
+    tau, and assemble `.array` on first read.
+    """
+
+    __slots__ = ("_array", "h0", "vectors", "taus")
 
     def __init__(self, array):
         arr = np.asarray(array)
@@ -125,14 +138,31 @@ class SymMatrix:
             raise ValueError("matrix must be square")
         if np.max(np.abs(arr - arr.conj().T), initial=0.0) > HERMITIAN_TOL:
             raise ValueError(f"matrix not hermitian within {HERMITIAN_TOL}")
-        self.array = arr
+        self._array = arr
+        self.h0 = self.vectors = self.taus = None
+
+    @classmethod
+    def _trusted(cls, array=None, h0=None, vectors=None, taus=None):
+        obj = cls.__new__(cls)
+        obj._array, obj.h0, obj.vectors, obj.taus = array, h0, vectors, taus
+        return obj
+
+    @property
+    def array(self) -> np.ndarray:
+        if self._array is None:
+            h0 = self.h0 if self.h0 is not None else np.zeros((self.n, self.n))
+            self._array = assemble_matrix(h0, self.taus, self.vectors).array
+        return self._array
 
     @property
     def n(self) -> int:
-        return self.array.shape[0]
+        if self._array is not None:
+            return self._array.shape[0]
+        return self.vectors.shape[0]
 
     def __repr__(self) -> str:
-        return f"SymMatrix(n={self.n}, dtype={self.array.dtype})"
+        dtype = self._array.dtype if self._array is not None else self.vectors.dtype
+        return f"SymMatrix(n={self.n}, dtype={dtype})"
 
 
 def _vector_stream(config: EnsembleConfig, trial: int, alpha: int) -> RngStream:
@@ -144,14 +174,21 @@ def _tau_stream(config: EnsembleConfig, trial: int, alpha: int) -> RngStream:
 
 
 def _draw_components(config: EnsembleConfig, trial: int):
-    """Vectors (n, m) and amplitudes (m,) under the documented keying."""
+    """Vectors (n, m) and amplitudes (m,) under the documented keying.
+
+    A law with a single atom fills the amplitudes directly: every draw
+    would return that atom.
+    """
     dtype = complex if config.law.is_complex else float
     vectors = np.empty((config.n, config.m), dtype=dtype)
-    taus = np.empty(config.m)
+    single = config.sigma.tau_values.size == 1
+    taus = np.full(config.m, config.sigma.tau_values[0])
     for alpha in range(config.m):
         vectors[:, alpha] = sample_vector(config.law, config.n,
                                           _vector_stream(config, trial, alpha))
-        taus[alpha] = sample_tau(config.sigma, _tau_stream(config, trial, alpha))
+        if not single:
+            taus[alpha] = sample_tau(config.sigma,
+                                     _tau_stream(config, trial, alpha))
     return vectors, taus
 
 
@@ -163,27 +200,60 @@ def assemble_matrix(h0: np.ndarray, taus, vectors) -> SymMatrix:
     if taus.size:
         h = h + (vectors * taus[None, :]) @ vectors.conj().T
     h = 0.5 * (h + h.conj().T)
-    return SymMatrix(h)
+    return SymMatrix._trusted(array=h)
 
 
 def build_matrix(config: EnsembleConfig, trial: int = 0) -> SymMatrix:
-    """Realize H = H0 + sum_a tau_a (Y_a x Y_a) for one trial."""
-    h0 = resolve_h0(config.h0, config.n)
+    """Realize H = H0 + sum_a tau_a (Y_a x Y_a) for one trial, as factors."""
+    h0 = None if isinstance(config.h0, H0Zero) else resolve_h0(config.h0, config.n)
     vectors, taus = _draw_components(config, trial)
-    return assemble_matrix(h0, taus, vectors)
+    return SymMatrix._trusted(h0=h0, vectors=vectors, taus=taus)
+
+
+def _gram_factor(matrix: SymMatrix):
+    """(W, s) with H = s W W^H and W of k < n columns, or None.
+
+    Needs a zero base and nonzero amplitudes of one sign; columns with
+    zero amplitude are dropped.
+    """
+    if matrix.vectors is None or matrix.h0 is not None:
+        return None
+    taus = matrix.taus
+    keep = taus != 0.0
+    kept = taus[keep]
+    if kept.size >= matrix.n:
+        return None
+    if np.all(kept > 0.0):
+        sign = 1.0
+    elif np.all(kept < 0.0):
+        sign = -1.0
+    else:
+        return None
+    return matrix.vectors[:, keep] * np.sqrt(np.abs(kept)), sign
 
 
 def eigenvalues_sym(matrix) -> EmpiricalSpectrum:
     """Eigenvalues of a symmetric/hermitian matrix, ascending.
 
     Householder tridiagonalization plus a backward-stable QL/QR-family
-    iteration via LAPACK (numpy.linalg.eigvalsh).
+    iteration via LAPACK (numpy.linalg.eigvalsh). A factored matrix from
+    `build_matrix` with H0 = 0 whose k < n nonzero amplitudes share one
+    sign s is solved on the Gram side: s * eigvalsh(W^H W) with
+    W = V |tau|^(1/2), padded with n - k exact zeros. Every other input,
+    plain arrays included, is solved densely.
     """
-    arr = matrix.array if isinstance(matrix, SymMatrix) else np.asarray(matrix)
+    gram = _gram_factor(matrix) if isinstance(matrix, SymMatrix) else None
+    if gram is not None:
+        w, sign = gram
+        arr = w.conj().T @ w
+    else:
+        arr = matrix.array if isinstance(matrix, SymMatrix) else np.asarray(matrix)
     try:
         ev = np.linalg.eigvalsh(arr)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"dense eigensolve failed: {exc}") from exc
+    if gram is not None:
+        ev = np.concatenate([sign * ev, np.zeros(matrix.n - ev.size)])
     return EmpiricalSpectrum(ev)
 
 

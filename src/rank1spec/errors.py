@@ -37,10 +37,6 @@ class NonConvergence(Rank1SpecError):
         self.eps = eps
 
 
-class BranchViolation(Rank1SpecError):
-    """A converged fixed point left the Im f * Im z >= 0 half-plane."""
-
-
 class MassDeficit(Rank1SpecError):
     """Recovered measure carries less than 90% of unit mass."""
 

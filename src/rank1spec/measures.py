@@ -288,45 +288,40 @@ def invert_stieltjes(f, grid, eps: float) -> SpectralMeasure:
     return SpectralMeasure(grid=grid, values=density, validate_mass=False)
 
 
-def _cdf_scalar(measure: SpectralMeasure, x: float, left: bool) -> float:
+def _cdf(measure: SpectralMeasure, x, left: bool):
+    """F(x-) if `left` else F(x), in one pass over every point of `x`.
+
+    Atoms enter through their cumulative masses; the piecewise-linear
+    density through its cumulative trapezoid up to the grid node below
+    x plus the partial segment from that node to x.
+    """
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
     locs, masses = measure.atom_locations, measure.atom_masses
-    if left:
-        total = float(masses[locs < x].sum())
-    else:
-        total = float(masses[locs <= x].sum())
+    cum_atoms = np.concatenate(([0.0], np.cumsum(masses)))
+    total = cum_atoms[np.searchsorted(locs, flat, side="left" if left else "right")]
     g, v = measure.grid, measure.values
-    if g.size > 1 and x > g[0]:
-        if x >= g[-1]:
-            total += float(np.trapezoid(v, g))
-        else:
-            j = int(np.searchsorted(g, x, side="right")) - 1
-            if j > 0:
-                total += float(np.trapezoid(v[:j + 1], g[:j + 1]))
-            # partial segment [g[j], x] of the piecewise-linear density
-            t = (x - g[j]) / (g[j + 1] - g[j])
-            vx = v[j] + t * (v[j + 1] - v[j])
-            total += 0.5 * (v[j] + vx) * (x - g[j])
-    return total
+    if g.size > 1:
+        cum = np.concatenate(([0.0], np.cumsum(0.5 * (v[:-1] + v[1:]) * np.diff(g))))
+        total[flat >= g[-1]] += cum[-1]
+        inside = (flat > g[0]) & (flat < g[-1])
+        xi = flat[inside]
+        j = np.searchsorted(g, xi, side="right") - 1
+        t = (xi - g[j]) / (g[j + 1] - g[j])
+        vx = v[j] + t * (v[j + 1] - v[j])
+        part = total[inside] + cum[j]
+        total[inside] = part + 0.5 * (v[j] + vx) * (xi - g[j])
+    return float(total[0]) if xs.ndim == 0 else total.reshape(xs.shape)
 
 
 def cdf(measure: SpectralMeasure, x):
     """Right-continuous distribution function of the measure."""
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    out = np.array([_cdf_scalar(measure, float(p), left=False)
-                    for p in np.atleast_1d(xs).ravel()])
-    out = out.reshape(np.atleast_1d(xs).shape)
-    return float(out[0]) if scalar else out
+    return _cdf(measure, x, left=False)
 
 
 def cdf_left(measure: SpectralMeasure, x):
     """Left limit F(x-) of the distribution function."""
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    out = np.array([_cdf_scalar(measure, float(p), left=True)
-                    for p in np.atleast_1d(xs).ravel()])
-    out = out.reshape(np.atleast_1d(xs).shape)
-    return float(out[0]) if scalar else out
+    return _cdf(measure, x, left=True)
 
 
 def ks_distance(spectrum: EmpiricalSpectrum, measure: SpectralMeasure) -> float:

@@ -25,8 +25,7 @@ from typing import Callable
 import numpy as np
 
 from ._kernels import base_nodes, picard_solve, shift_terms
-from .errors import (BranchViolation, MassDeficit, NonConvergence, PoleHit,
-                     RealAxisEvaluation)
+from .errors import MassDeficit, NonConvergence, PoleHit, RealAxisEvaluation
 from .measures import AmplitudeLaw, SpectralMeasure, stieltjes_of_measure
 
 LIMIT_PROBABILITY_TOL = 5e-3
@@ -148,9 +147,7 @@ def _solve_stage(z: np.ndarray, f: np.ndarray, c: float, sigma: AmplitudeLaw,
                 f"no fixed point within {opts.max_iter} updates at "
                 f"lambda={zk.real:.6g}, eps={zk.imag:.6g}",
                 lam=zk.real, eps=zk.imag)
-        if status[k] == 2:
-            raise PoleHit(f"1 + tau*f vanished during iteration at z={zk:.6g}")
-        raise BranchViolation(f"fixed point left the Stieltjes class at z={zk:.6g}")
+        raise PoleHit(f"1 + tau*f vanished during iteration at z={zk:.6g}")
     return f, iters
 
 
@@ -178,7 +175,7 @@ def solve_mpe_at(z: complex, model: ModelSpec,
 
     Raises
     ------
-    NonConvergence, PoleHit, BranchViolation, RealAxisEvaluation
+    NonConvergence, PoleHit, RealAxisEvaluation
     """
     opts = opts or SolverOptions()
     z = complex(z)

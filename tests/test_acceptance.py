@@ -188,7 +188,7 @@ def test_criterion_09_gram_duality(criterion):
                       "Gram companion agree to 1e-8 at n=300, m=150"):
         cfg = EnsembleConfig(n=300, m=150, law=VectorLaw.parse("gauss"),
                              sigma=UNIT_SIGMA, h0=H0Zero(), seed=3)
-        full = eigenvalues_sym(build_matrix(cfg, trial=0))
+        full = eigenvalues_sym(build_matrix(cfg, trial=0).array)
         gram = eigenvalues_sym(gram_matrix(cfg, trial=0))
         assert gram_counting_relation(gram, full, 300, 150) <= 1e-8
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from rank1spec.ensemble import (EnsembleConfig, H0Diagonal, H0File, H0Zero,
-                                SymMatrix, _rank1_trace_update,
+                                SymMatrix, _draw_components, _gram_factor,
+                                _rank1_trace_update, _tau_stream,
                                 assemble_matrix, build_matrix,
                                 counting_measure, eigenvalues_sym,
                                 gram_counting_relation, gram_matrix, parse_h0,
@@ -13,7 +14,7 @@ from rank1spec.ensemble import (EnsembleConfig, H0Diagonal, H0File, H0Zero,
 from rank1spec.errors import (H0Mismatch, NearSingularDenominator,
                               ShapeMismatch)
 from rank1spec.measures import AmplitudeLaw, EmpiricalSpectrum
-from rank1spec.samplers import VectorLaw
+from rank1spec.samplers import VectorLaw, sample_tau
 
 UNIT_SIGMA = AmplitudeLaw([(1.0, 1.0)])
 
@@ -150,6 +151,62 @@ def test_interlacing_under_positive_update():
 
 
 # ---------------------------------------------------------------------------
+# factored matrices and the Gram-side eigensolve
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cfg", [
+    sphere_config(60, 24, seed=1),
+    sphere_config(50, 20, seed=2, law="gauss",
+                  sigma=AmplitudeLaw([(-2.0, 0.5), (-0.5, 0.5)])),
+    sphere_config(40, 40, seed=3, law="cube",
+                  sigma=AmplitudeLaw([(0.0, 0.5), (1.5, 0.5)])),
+    sphere_config(30, 12, seed=4, law="cgauss"),
+], ids=["sphere-unit", "all-negative", "zero-atom", "cgauss"])
+def test_gram_side_matches_dense_eigensolve(cfg):
+    H = build_matrix(cfg, trial=0)
+    w, _ = _gram_factor(H)
+    assert w.shape[1] < cfg.n
+    got = eigenvalues_sym(H).eigenvalues
+    dense = np.linalg.eigvalsh(H.array)
+    assert got.size == cfg.n
+    assert np.max(np.abs(got - dense)) <= 1e-12 * np.linalg.norm(H.array, 2)
+    # the padded eigenvalues are exact zeros
+    assert np.count_nonzero(got == 0.0) >= cfg.n - w.shape[1]
+
+
+@pytest.mark.parametrize("cfg", [
+    sphere_config(20, 20, seed=1),
+    sphere_config(20, 30, seed=1, law="gauss"),
+    sphere_config(30, 10, seed=2, sigma=AmplitudeLaw([(-1.0, 0.5), (1.0, 0.5)])),
+    sphere_config(30, 10, seed=2, h0=parse_h0("diag:" + ",".join(["0"] * 30))),
+], ids=["m-equals-n", "m-above-n", "mixed-signs", "explicit-zero-base"])
+def test_dense_path_outside_gram_conditions(cfg):
+    H = build_matrix(cfg, trial=0)
+    assert _gram_factor(H) is None
+    assert np.array_equal(eigenvalues_sym(H).eigenvalues,
+                          np.linalg.eigvalsh(H.array))
+
+
+@pytest.mark.parametrize("cfg", [
+    sphere_config(16, 6, seed=5),
+    sphere_config(16, 6, seed=5, law="cgauss",
+                  sigma=AmplitudeLaw([(-1.0, 0.5), (2.0, 0.5)])),
+    sphere_config(16, 6, seed=5, h0=parse_h0("diag:" + ",".join(["1.5"] * 16))),
+], ids=["zero-base", "cgauss-signed", "diag-base"])
+def test_factored_array_equals_assembled(cfg):
+    vectors, taus = _draw_components(cfg, 2)
+    want = assemble_matrix(resolve_h0(cfg.h0, cfg.n), taus, vectors).array
+    assert np.array_equal(build_matrix(cfg, trial=2).array, want)
+
+
+def test_single_atom_law_fills_draws_unchanged():
+    cfg = sphere_config(8, 5, seed=9, sigma=AmplitudeLaw([(-0.5, 1.0)]))
+    _, taus = _draw_components(cfg, 3)
+    drawn = [sample_tau(cfg.sigma, _tau_stream(cfg, 3, a)) for a in range(5)]
+    assert taus.tolist() == drawn
+
+
+# ---------------------------------------------------------------------------
 # eigensolver cross-checks
 # ---------------------------------------------------------------------------
 
@@ -232,14 +289,14 @@ def test_gram_single_direction_unit_norm():
 
 def test_gram_counting_relation_clean():
     cfg = sphere_config(60, 30, seed=1, law="gauss")
-    full = eigenvalues_sym(build_matrix(cfg))
+    full = eigenvalues_sym(build_matrix(cfg).array)
     gram = eigenvalues_sym(gram_matrix(cfg))
     assert gram_counting_relation(gram, full, 60, 30) < 1e-12
 
 
 def test_gram_counting_relation_detects_corruption():
     cfg = sphere_config(30, 10, seed=1, law="gauss")
-    full = eigenvalues_sym(build_matrix(cfg))
+    full = eigenvalues_sym(build_matrix(cfg).array)
     gram = eigenvalues_sym(gram_matrix(cfg))
     bad = gram.eigenvalues.copy()
     bad[3] += 0.1
@@ -248,14 +305,14 @@ def test_gram_counting_relation_detects_corruption():
 
 def test_gram_square_case_multisets_agree():
     cfg = sphere_config(40, 40, seed=2, law="gauss")
-    fe = eigenvalues_sym(build_matrix(cfg)).eigenvalues
+    fe = eigenvalues_sym(build_matrix(cfg).array).eigenvalues
     ge = eigenvalues_sym(gram_matrix(cfg)).eigenvalues
     assert np.max(np.abs(np.sort(fe) - np.sort(ge))) < 1e-8
 
 
 def test_gram_relation_validates_shapes():
     cfg = sphere_config(20, 10)
-    full = eigenvalues_sym(build_matrix(cfg))
+    full = eigenvalues_sym(build_matrix(cfg).array)
     gram = eigenvalues_sym(gram_matrix(cfg))
     with pytest.raises(ShapeMismatch):
         gram_counting_relation(gram, full, 10, 20)   # needs n >= m

@@ -196,6 +196,55 @@ def test_cdf_quarter_circle_total():
     assert cdf(m, 4.0) == pytest.approx(1.0, abs=1e-3)
 
 
+def _loop_cdf(measure, x, left):
+    """Plain-loop reference: atoms one by one, then whole trapezoid
+    segments, then the partial segment that holds x."""
+    atoms = 0.0
+    for loc, mass in zip(measure.atom_locations, measure.atom_masses):
+        if loc < x or (not left and loc == x):
+            atoms += mass
+    g, v = measure.grid, measure.values
+    whole, partial = 0.0, 0.0
+    for i in range(g.size - 1):
+        a, b = g[i], g[i + 1]
+        if x >= b:
+            whole += 0.5 * (v[i] + v[i + 1]) * (b - a)
+        elif x > a:
+            vx = v[i] + (x - a) / (b - a) * (v[i + 1] - v[i])
+            partial = 0.5 * (v[i] + vx) * (x - a)
+    return atoms + whole + partial if g.size > 1 else atoms
+
+
+def _cdf_probe_points(measure):
+    g = measure.grid
+    inner = np.linspace(g[0], g[-1], 37)[1:-1] + 1e-3 if g.size else []
+    return np.concatenate([measure.atom_locations, g[:1], g[-1:], g[::7],
+                           inner, [-50.0, 50.0, -np.inf, np.inf]])
+
+
+@pytest.mark.parametrize("measure", [
+    SpectralMeasure(atoms=[(0.0, 0.25), (0.75, 0.1)],
+                    grid=np.linspace(0.0, 1.5, 61),
+                    values=0.5 + 0.3 * np.sin(np.linspace(0.0, 9.0, 61)),
+                    validate_mass=False),
+    SpectralMeasure(atoms=[(-2.0, 0.125), (-1.0, 0.5), (3.0, 0.375)]),
+    SpectralMeasure(grid=[-1.0, 0.5, 0.75, 2.0], values=[0.2, 0.0, 0.6, 0.1]),
+], ids=["atoms-and-density", "atoms-only", "density-only"])
+def test_vectorized_cdf_matches_loop_reference(measure):
+    xs = _cdf_probe_points(measure)
+    for fn, left in ((cdf, False), (cdf_left, True)):
+        got = fn(measure, xs)
+        want = np.array([_loop_cdf(measure, float(x), left) for x in xs])
+        assert got.shape == xs.shape
+        assert np.max(np.abs(got - want)) <= 1e-15
+        for x in xs[:3]:
+            scalar = fn(measure, float(x))
+            assert isinstance(scalar, float)
+            assert abs(scalar - _loop_cdf(measure, float(x), left)) <= 1e-15
+    grid2d = xs[:6].reshape(2, 3)
+    assert np.array_equal(cdf(measure, grid2d), cdf(measure, xs[:6]).reshape(2, 3))
+
+
 def test_ks_two_points_vs_point_mass():
     spec = EmpiricalSpectrum(np.array([0.0, 1.0]))
     assert ks_distance(spec, delta0()) == pytest.approx(0.5, abs=1e-15)
