@@ -22,7 +22,7 @@ import numpy as np
 
 from .ensemble import (EnsembleConfig, build_matrix, eigenvalues_sym,
                        gram_counting_relation, gram_matrix, parse_h0,
-                       write_spectrum_csv)
+                       read_spectrum_csv, write_spectrum_csv)
 from .errors import NonConvergence, Rank1SpecError
 from .measures import (AmplitudeLaw, SpectralMeasure, save_measure_json,
                        write_density_csv)
@@ -75,12 +75,7 @@ def parse_measure_atoms(text: str) -> SpectralMeasure:
 
 
 def measure_from_spectrum_file(path: str) -> SpectralMeasure:
-    values = []
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                values.append(float(line))
-    values = np.sort(np.asarray(values))
+    values = read_spectrum_csv(path).eigenvalues
     locs, counts = np.unique(values, return_counts=True)
     atoms = [(float(l), float(c) / values.size) for l, c in zip(locs, counts)]
     return SpectralMeasure(atoms=atoms)
@@ -133,21 +128,6 @@ def write_histogram_csv(path: Path, edges: np.ndarray, mass: np.ndarray) -> None
         fh.write("bin_left,bin_right,mass\n")
         for left, right, m in zip(edges[:-1], edges[1:], mass):
             fh.write(f"{float(left)!r},{float(right)!r},{float(m)!r}\n")
-
-
-def read_histogram_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    lefts, rights, mass = [], [], []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "bin_left,bin_right,mass":
-            raise ValueError(f"unexpected histogram header {header!r}")
-        for line in fh:
-            a, b, m = line.split(",")
-            lefts.append(float(a))
-            rights.append(float(b))
-            mass.append(float(m))
-    edges = np.array(lefts + [rights[-1]])
-    return edges, np.array(mass)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +404,8 @@ def _apply_config(argv: list[str]) -> list[str]:
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        raise ValueError("--config needs a path")
     path = argv[i + 1]
     pre: list[str] = []
     for line in Path(path).read_text().splitlines():
@@ -444,10 +426,8 @@ def _apply_config(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    argv = _apply_config(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(_apply_config(argv))
         return args.func(args)
     except NonConvergence as exc:
         print(f"solver failed at lambda={exc.lam:.9g}, eps={exc.eps:.9g}",

@@ -14,7 +14,6 @@ s W^H W with W = V |T|^(1/2), and the other n - k are exactly zero.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Union
 
@@ -349,7 +348,7 @@ def gram_counting_relation(gram_spectrum: EmpiricalSpectrum,
 
 
 # ---------------------------------------------------------------------------
-# spectrum file round-trips
+# spectrum CSV files
 # ---------------------------------------------------------------------------
 
 def write_spectrum_csv(spectrum: EmpiricalSpectrum, path) -> None:
@@ -363,19 +362,3 @@ def read_spectrum_csv(path) -> EmpiricalSpectrum:
     with open(path) as fh:
         values = [float(line) for line in fh if line.strip()]
     return EmpiricalSpectrum(values)
-
-
-def write_spectrum_json(spectrum: EmpiricalSpectrum, path) -> None:
-    with open(path, "w") as fh:
-        json.dump({"n": spectrum.n,
-                   "eigenvalues": [float(v) for v in spectrum.eigenvalues]},
-                  fh, sort_keys=True)
-
-
-def read_spectrum_json(path) -> EmpiricalSpectrum:
-    with open(path) as fh:
-        data = json.load(fh)
-    spec = EmpiricalSpectrum(data["eigenvalues"])
-    if spec.n != data["n"]:
-        raise ShapeMismatch(f"{path}: n={data['n']} but {spec.n} eigenvalues")
-    return spec

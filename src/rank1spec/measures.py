@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -52,7 +51,7 @@ class SpectralMeasure:
         Tolerance for the probability assertion (|total - 1|).
     validate_mass : bool
         Enforce total mass <= 1 + 1e-6. Producers whose contracts allow a
-        quadrature overshoot (density inversion, limit solves) disable this
+        quadrature overshoot (density files, limit solves) disable this
         and apply their own mass checks.
     """
 
@@ -162,14 +161,6 @@ class AmplitudeLaw:
     def max_abs_tau(self) -> float:
         return float(np.max(np.abs(self.tau_values)))
 
-    @property
-    def mean_abs_tau(self) -> float:
-        return float(np.sum(np.abs(self.tau_values) * self.weights))
-
-    def has_atom_at(self, value: float, tol: float = 1e-12) -> bool:
-        return bool(np.any((np.abs(self.tau_values - value) <= tol)
-                           & (self.weights > 0)))
-
     def truncate(self, threshold: float) -> "AmplitudeLaw":
         """Send every amplitude with |tau| >= threshold to zero."""
         keep = np.abs(self.tau_values) < threshold
@@ -185,28 +176,9 @@ class AmplitudeLaw:
             atoms.append((0.0, moved))
         return AmplitudeLaw(atoms)
 
-    @classmethod
-    def from_density(cls, density: Callable[[float], float], lo: float,
-                     hi: float, nodes: int = 64) -> "AmplitudeLaw":
-        """Gauss-Legendre discretization of a continuous amplitude density."""
-        x, w = np.polynomial.legendre.leggauss(nodes)
-        taus = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        weights = 0.5 * (hi - lo) * w * np.array([density(t) for t in taus])
-        if np.any(weights < 0):
-            raise ValueError("density must be nonnegative on [lo, hi]")
-        total = weights.sum()
-        if total <= 0:
-            raise ValueError("density integrates to zero on [lo, hi]")
-        order = np.argsort(taus)
-        return cls(list(zip(taus[order], weights[order] / total)))
-
     def to_dict(self) -> dict:
         return {"atoms": [[float(t), float(w)] for t, w in
                           zip(self.tau_values, self.weights)]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AmplitudeLaw":
-        return cls(data["atoms"])
 
     def __repr__(self) -> str:
         return f"AmplitudeLaw({self.to_dict()['atoms']})"
@@ -260,32 +232,6 @@ def stieltjes_of_measure(measure: SpectralMeasure, z):
                          measure.grid, measure.values)
     out = out.reshape(zs.shape)
     return complex(out[0]) if scalar else out
-
-
-def invert_stieltjes(f, grid, eps: float) -> SpectralMeasure:
-    """Recover a smoothed density from a Stieltjes transform.
-
-    Parameters
-    ----------
-    f : callable
-        Evaluates the transform on the open upper half-plane.
-    grid : array-like
-        Strictly increasing abscissas for the recovered density.
-    eps : float
-        Smoothing height; the result samples Im f(l + i*eps) / pi.
-
-    Returns
-    -------
-    SpectralMeasure with density only (no atoms). Values are clipped at
-    zero to absorb roundoff from callables that brush the real axis.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    grid = np.asarray(grid, dtype=float)
-    z = grid + 1j * eps
-    vals = np.asarray([f(complex(p)) for p in z], dtype=complex)
-    density = np.maximum(vals.imag / math.pi, 0.0)
-    return SpectralMeasure(grid=grid, values=density, validate_mass=False)
 
 
 def _cdf(measure: SpectralMeasure, x, left: bool):

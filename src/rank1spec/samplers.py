@@ -76,9 +76,6 @@ class RngStream:
             bits.advance(self.counter)
         return np.random.Generator(bits)
 
-    def child(self, offset: int) -> "RngStream":
-        return RngStream(self.master_seed, self.stream_id + offset)
-
 
 RngLike = Union[RngStream, np.random.Generator]
 
@@ -127,11 +124,6 @@ def lp_ball_points(p: float, n: int, count: int, rng: RngLike) -> np.ndarray:
     w = gen.standard_exponential(count)
     radius = (gam.sum(axis=1) + w) ** (1.0 / p)
     return signs * gam ** (1.0 / p) / radius[:, None]
-
-
-def lp_ball_point(p: float, n: int, rng: RngLike) -> np.ndarray:
-    """Single uniform draw from the unit l_p ball."""
-    return lp_ball_points(p, n, 1, rng)[0]
 
 
 def sample_vectors(law: VectorLaw, n: int, count: int, rng: RngLike) -> np.ndarray:

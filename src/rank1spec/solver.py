@@ -17,14 +17,13 @@ a damped Picard step instead.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ._kernels import base_nodes, picard_solve, shift_terms
+from ._kernels import base_nodes, picard_solve
 from .errors import MassDeficit, NonConvergence, PoleHit, RealAxisEvaluation
 from .measures import AmplitudeLaw, SpectralMeasure, stieltjes_of_measure
 
@@ -45,23 +44,6 @@ class ModelSpec:
             raise ValueError("c must be nonnegative")
         if abs(self.n0.total_mass - 1.0) > 1e-6:
             raise ValueError("n0 must be a probability measure")
-
-    def to_dict(self) -> dict:
-        return {"c": float(self.c), "sigma": self.sigma.to_dict(),
-                "n0": self.n0.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelSpec":
-        return cls(c=float(data["c"]),
-                   sigma=AmplitudeLaw.from_dict(data["sigma"]),
-                   n0=SpectralMeasure.from_dict(data["n0"]))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelSpec":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -118,19 +100,6 @@ def _effective_sigma(model: ModelSpec, opts: SolverOptions) -> AmplitudeLaw:
     return model.sigma.truncate(opts.tau_truncation)
 
 
-def mpe_shift(f: complex, model: ModelSpec) -> complex:
-    """Additive shift -c * sum_k tau_k w_k / (1 + tau_k f).
-
-    Raises PoleHit when any denominator comes within 1e-14 of zero.
-    """
-    shift, _, pole = shift_terms(np.array([complex(f)]),
-                                 model.sigma.tau_values, model.sigma.weights,
-                                 float(model.c))
-    if pole[0]:
-        raise PoleHit(f"1 + tau*f vanished at f={complex(f):.6g}")
-    return complex(shift[0])
-
-
 def _solve_stage(z: np.ndarray, f: np.ndarray, c: float, sigma: AmplitudeLaw,
                  nodes: tuple, opts: SolverOptions):
     """One continuation stage at every point of `z`; raises at the first
@@ -156,17 +125,14 @@ def _nodes(n0: SpectralMeasure) -> tuple:
 
 
 def solve_mpe_at(z: complex, model: ModelSpec,
-                 opts: SolverOptions | None = None,
-                 f_init: complex | None = None) -> complex:
-    """Solve the fixed-point equation at a single off-axis point.
+                 opts: SolverOptions | None = None) -> complex:
+    """Solve the fixed-point equation at one off-axis point, from f0(z).
 
     Parameters
     ----------
     z : complex with Im z != 0
     model : ModelSpec
     opts : SolverOptions, optional
-    f_init : complex, optional
-        Warm start; defaults to f0(z).
 
     Returns
     -------
@@ -182,10 +148,9 @@ def solve_mpe_at(z: complex, model: ModelSpec,
     if z.imag == 0.0:
         raise RealAxisEvaluation("solver requires Im z != 0")
     sigma = _effective_sigma(model, opts)
-    if f_init is None:
-        f_init = stieltjes_of_measure(model.n0, z)
-    f, _ = _solve_stage(np.array([z]), np.array([complex(f_init)]), model.c,
-                        sigma, _nodes(model.n0), opts)
+    f0 = stieltjes_of_measure(model.n0, z)
+    f, _ = _solve_stage(np.array([z]), np.array([f0]), model.c, sigma,
+                        _nodes(model.n0), opts)
     return complex(f[0])
 
 

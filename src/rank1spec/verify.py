@@ -14,6 +14,7 @@ import numpy as np
 
 from .ensemble import EnsembleConfig, H0Zero, build_matrix, counting_measure, \
     eigenvalues_sym
+from .errors import RealAxisEvaluation
 from .measures import EmpiricalSpectrum, SpectralMeasure, ks_distance
 from .samplers import RngStream, VectorLaw, sample_vectors
 from .solver import ModelSpec, SolverOptions, limit_density
@@ -28,6 +29,9 @@ KS_LARGEST_N_THRESHOLD = 0.05
 EXACT_VARIANCE_FLOOR = 1e-20
 
 QUADFORM_SLOPE_BOUND = -0.2
+
+# A = I and A = diag(+-1)
+QUADFORM_MATRICES = ("identity", "alternating")
 
 
 @dataclass
@@ -65,14 +69,20 @@ def _variance_se(values: np.ndarray) -> float:
     return math.sqrt(max(inner, 0.0) / t)
 
 
+def _require_trials(trials: int) -> None:
+    if trials < 2:
+        raise ValueError(f"a variance needs at least 2 trials, got {trials}")
+
+
 def verify_counting_variance(config: EnsembleConfig, interval, trials: int) -> VarianceReport:
     """Var of the counting measure on (a, b] against the 4m/n^2 bound."""
+    _require_trials(trials)
     a, b = float(interval[0]), float(interval[1])
     counts = np.empty(trials)
     for t in range(trials):
         spec = eigenvalues_sym(build_matrix(config, trial=t))
         counts[t] = counting_measure(spec, a, b)
-    estimate = float(np.var(counts, ddof=1)) if trials > 1 else 0.0
+    estimate = float(np.var(counts, ddof=1))
     bound = 4.0 * config.m / config.n ** 2
     se = _variance_se(counts)
     return VarianceReport(
@@ -85,16 +95,19 @@ def verify_counting_variance(config: EnsembleConfig, interval, trials: int) -> V
 
 def verify_stieltjes_variance(config: EnsembleConfig, z: complex, trials: int) -> VarianceReport:
     """Var of g(z) = Tr(H - z)^(-1)/n against 4m/(n^2 |Im z|^2)."""
+    _require_trials(trials)
     z = complex(z)
+    if z.imag == 0.0:
+        raise RealAxisEvaluation("the variance bound needs Im z != 0")
     gs = np.empty(trials, dtype=complex)
     for t in range(trials):
         spec = eigenvalues_sym(build_matrix(config, trial=t))
         gs[t] = np.mean(1.0 / (spec.eigenvalues - z))
     centered = gs - gs.mean()
     sq = np.abs(centered) ** 2
-    estimate = float(sq.sum() / (trials - 1)) if trials > 1 else 0.0
+    estimate = float(sq.sum() / (trials - 1))
     bound = 4.0 * config.m / (config.n ** 2 * z.imag ** 2)
-    se = float(np.std(sq, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    se = float(np.std(sq, ddof=1) / math.sqrt(trials))
     return VarianceReport(
         kind="stieltjes-var",
         params={"n": config.n, "m": config.m, "law": config.law.encode(),
@@ -146,14 +159,12 @@ def _quadform_values(law: VectorLaw, n: int, samples: int,
     sq = np.abs(block) ** 2
     if matrix == "identity":
         return sq.sum(axis=1)
-    if matrix == "alternating":
-        signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-        return sq @ signs
-    raise ValueError(f"unknown test matrix {matrix!r}")
+    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    return sq @ signs
 
 
-def verify_quadratic_form(law: VectorLaw, dims, samples: int, master_seed: int,
-                          matrices=("identity", "alternating")) -> QuadFormReport:
+def verify_quadratic_form(law: VectorLaw, dims, samples: int,
+                          master_seed: int) -> QuadFormReport:
     """Decay of Var(A Y, Y) with dimension, for A = I and A = diag(+-1).
 
     Fits the least-squares slope of log variance against log n; the
@@ -165,7 +176,7 @@ def verify_quadratic_form(law: VectorLaw, dims, samples: int, master_seed: int,
     slopes: dict = {}
     exact: dict = {}
     passed = True
-    for j, matrix in enumerate(matrices):
+    for j, matrix in enumerate(QUADFORM_MATRICES):
         variances = []
         for i, n in enumerate(dims):
             rng = RngStream(master_seed, j * 1_000_000 + i).generator()

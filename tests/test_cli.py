@@ -150,8 +150,12 @@ def test_simulate_outputs(tmp_path):
     for t in range(4):
         spec = read_spectrum_csv(out / f"eigenvalues_{t:03d}.csv")
         assert spec.n == 80
-    edges, mass = cli.read_histogram_csv(out / "histogram.csv")
+    hist = np.loadtxt(out / "histogram.csv", delimiter=",", skiprows=1)
+    assert (out / "histogram.csv").read_text().startswith(
+        "bin_left,bin_right,mass\n")
+    mass = hist[:, 2]
     assert len(mass) == 20
+    assert np.array_equal(hist[1:, 0], hist[:-1, 1])    # contiguous bins
     assert abs(mass.sum() - 1.0) < 1e-9
     man = manifest(out)
     assert man["seed"] == 3
@@ -251,6 +255,25 @@ def test_verify_missing_size_flag_exits_2(tmp_path, capsys):
     assert "requires --n" in capsys.readouterr().err
 
 
+def test_verify_stieltjes_var_real_z_exits_2(tmp_path, capsys):
+    rc = run(["verify", "--check", "stieltjes-var", "--n", 40, "--m", 20,
+              "--trials", 5, "--z", "0.5,0", "--out", tmp_path / "v"])
+    assert rc == 2
+    assert "Im z" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check", ["counting-var", "stieltjes-var"])
+@pytest.mark.parametrize("trials", [0, 1])
+def test_verify_variance_without_trials_exits_2(tmp_path, capsys, check,
+                                                 trials):
+    out = tmp_path / "v"
+    rc = run(["verify", "--check", check, "--n", 40, "--m", 20,
+              "--trials", trials, "--out", out])
+    assert rc == 2
+    assert "at least 2 trials" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_verify_failure_exits_3(tmp_path, monkeypatch):
     from rank1spec.verify import VarianceReport
     failing = VarianceReport(kind="counting-var", params={}, estimate=1.0,
@@ -287,6 +310,11 @@ def test_config_file_comments_and_blanks(tmp_path):
     out = tmp_path / "s"
     assert run(["simulate", "--config", cfg, "--out", out]) == 0
     assert manifest(out)["seed"] == 9
+
+
+def test_config_flag_without_path_exits_2(capsys):
+    assert run(["density", "--config"]) == 2
+    assert "--config needs a path" in capsys.readouterr().err
 
 
 def test_reruns_byte_identical(tmp_path):

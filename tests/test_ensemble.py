@@ -7,10 +7,8 @@ from rank1spec.ensemble import (EnsembleConfig, H0Diagonal, H0File, H0Zero,
                                 assemble_matrix, build_matrix,
                                 counting_measure, eigenvalues_sym,
                                 gram_counting_relation, gram_matrix, parse_h0,
-                                read_h0_file, read_spectrum_csv,
-                                read_spectrum_json, resolve_h0,
-                                resolvent_trace_stream, write_spectrum_csv,
-                                write_spectrum_json)
+                                read_h0_file, read_spectrum_csv, resolve_h0,
+                                resolvent_trace_stream, write_spectrum_csv)
 from rank1spec.errors import (H0Mismatch, NearSingularDenominator,
                               ShapeMismatch)
 from rank1spec.measures import AmplitudeLaw, EmpiricalSpectrum
@@ -330,19 +328,3 @@ def test_spectrum_csv_roundtrip(tmp_path):
     write_spectrum_csv(spec, path)
     got = read_spectrum_csv(path)
     assert np.array_equal(got.eigenvalues, np.sort([0.5, -1.25, 3.75]))
-
-
-def test_spectrum_json_roundtrip(tmp_path):
-    spec = EmpiricalSpectrum(np.array([1.0, 2.0]))
-    path = tmp_path / "spec.json"
-    write_spectrum_json(spec, path)
-    got = read_spectrum_json(path)
-    assert got.n == 2
-    assert np.array_equal(got.eigenvalues, [1.0, 2.0])
-
-
-def test_spectrum_json_size_mismatch(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"n": 3, "eigenvalues": [1.0, 2.0]}')
-    with pytest.raises(ShapeMismatch):
-        read_spectrum_json(path)

@@ -6,12 +6,12 @@ import pytest
 from rank1spec.errors import (EmptySpectrum, RealAxisEvaluation,
                               UnsupportedOrder)
 from rank1spec.measures import (AmplitudeLaw, EmpiricalSpectrum,
-                                SpectralMeasure, cdf, cdf_left,
-                                invert_stieltjes, ks_distance,
+                                SpectralMeasure, cdf, cdf_left, ks_distance,
                                 load_measure_json, moment, read_density_csv,
                                 save_measure_json, stieltjes_of_measure,
                                 write_density_csv)
-from rank1spec.solver import mp_closed_form, mp_limit_measure
+from rank1spec.solver import (ModelSpec, SolverOptions, limit_density,
+                              mp_closed_form, mp_limit_measure)
 
 
 def delta0() -> SpectralMeasure:
@@ -141,29 +141,27 @@ def test_smoothing_kernel_peak_and_tail():
     assert dens[1] == pytest.approx(eps / (np.pi * (1 + eps * eps)), rel=1e-12)
 
 
-def test_invert_recovers_smoothed_point_mass():
-    eps = 1e-3
-    got = invert_stieltjes(lambda z: stieltjes_of_measure(delta0(), z),
-                           np.array([0.0]), eps)
-    assert got.values[0] == pytest.approx(1.0 / (np.pi * eps), rel=1e-12)
-    assert not got.atom_locations.size
+def mp_model(c: float) -> ModelSpec:
+    return ModelSpec(c=c, sigma=AmplitudeLaw([(1.0, 1.0)]), n0=delta0())
 
 
 def test_invert_error_halves_with_eps():
-    # first-order smoothing bias at an interior point of the bulk; the
-    # reference grid must be much finer than eps or discretization wins
-    ref = mp_limit_measure(1.0, np.linspace(1e-9, 4.0, 300_000))
-    lam = np.array([2.0])
+    # the limit density Im f(l + i eps)/pi has the first-order smoothing
+    # bias eps Re f'(l)/pi inside the bulk; at c = 1 Re f is constant
+    # there, so c = 0.5 is used
+    lam = np.array([1.5])
     errs = []
     for eps in (2e-3, 1e-3):
-        got = invert_stieltjes(lambda z: stieltjes_of_measure(ref, z), lam, eps)
-        errs.append(abs(got.values[0] - mp_closed_form(1.0, 2.0)))
+        got = limit_density(mp_model(0.5), lam, SolverOptions(eps_final=eps),
+                            require_mass=False)
+        errs.append(abs(got.values[0] - mp_closed_form(0.5, 1.5)))
     assert 1.7 <= errs[0] / errs[1] <= 2.3
 
 
 def test_invert_clips_negative_noise():
-    got = invert_stieltjes(lambda z: np.full(np.shape(z), -0.5 - 1e-3j),
-                           np.array([0.0, 1.0]), 1e-2)
+    grid = np.array([0.0, 1.0])
+    got = limit_density(mp_model(1.0), grid, require_mass=False,
+                        f_vals=np.full(grid.shape, -0.5 - 1e-3j))
     assert np.all(got.values >= 0.0)
 
 
@@ -321,34 +319,21 @@ def test_amplitude_weights_must_sum_to_one():
 def test_amplitude_stats():
     sig = AmplitudeLaw([(-2.0, 0.25), (0.5, 0.75)])
     assert sig.max_abs_tau == 2.0
-    assert sig.mean_abs_tau == pytest.approx(0.25 * 2.0 + 0.75 * 0.5, abs=1e-15)
-    assert sig.has_atom_at(0.5)
-    assert not sig.has_atom_at(0.0)
 
 
 def test_amplitude_truncation_moves_mass_to_zero():
     sig = AmplitudeLaw([(-3.0, 0.2), (1.0, 0.5), (4.0, 0.3)])
     cut = sig.truncate(2.0)
     assert cut.max_abs_tau == 1.0
-    assert cut.has_atom_at(0.0)
+    assert 0.0 in cut.tau_values
     idx = list(cut.tau_values).index(0.0)
     assert cut.weights[idx] == pytest.approx(0.5, abs=1e-15)
     assert sum(cut.weights) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_amplitude_from_density_quadrature():
-    # uniform amplitude density on [0, 1]: mean 1/2, second moment 1/3
-    sig = AmplitudeLaw.from_density(lambda t: np.ones_like(t), 0.0, 1.0, nodes=32)
-    assert sum(sig.weights) == pytest.approx(1.0, abs=1e-12)
-    mean = float(np.dot(sig.tau_values, sig.weights))
-    second = float(np.dot(np.asarray(sig.tau_values) ** 2, sig.weights))
-    assert mean == pytest.approx(0.5, abs=1e-12)
-    assert second == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-
 def test_amplitude_roundtrip():
     sig = AmplitudeLaw([(-1.0, 0.3), (2.0, 0.7)])
-    sig2 = AmplitudeLaw.from_dict(sig.to_dict())
+    sig2 = AmplitudeLaw(sig.to_dict()["atoms"])
     assert list(sig2.tau_values) == [-1.0, 2.0]
     assert list(sig2.weights) == [0.3, 0.7]
 

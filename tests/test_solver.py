@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
+from rank1spec import solver
+from rank1spec._kernels import shift_terms
 from rank1spec.errors import (MassDeficit, NonConvergence, PoleHit,
                               RealAxisEvaluation)
 from rank1spec.measures import AmplitudeLaw, SpectralMeasure, cdf, moment, \
     stieltjes_of_measure
 from rank1spec.solver import (ModelSpec, SolverOptions, limit_density,
                               mp_closed_form, mp_limit_measure,
-                              mp_stieltjes_oracle, mpe_shift,
-                              normalization_check, solve_mpe_at,
-                              solve_mpe_grid)
+                              mp_stieltjes_oracle, normalization_check,
+                              solve_mpe_at, solve_mpe_grid)
 
 
 def mp_model(c: float) -> ModelSpec:
@@ -29,37 +30,42 @@ def test_model_validation():
                   n0=SpectralMeasure(atoms=[(0.0, 0.5)]))
 
 
-def test_model_json_keys_roundtrip():
-    m = ModelSpec(c=0.5, sigma=AmplitudeLaw([(1.0, 1.0)]),
-                  n0=SpectralMeasure(atoms=[(0.0, 1.0)]))
-    d = m.to_dict()
-    assert set(d) == {"c", "sigma", "n0"}
-    assert d["c"] == 0.5
-    assert d["sigma"]["atoms"] == [[1.0, 1.0]]
-    assert d["n0"]["atoms"] == [[0.0, 1.0]]
-    m2 = ModelSpec.from_json(m.to_json())
-    assert m2.c == m.c
-    assert m2.sigma.tau_values == m.sigma.tau_values
-
-
 # ---------------------------------------------------------------------------
 # shift map
 # ---------------------------------------------------------------------------
 
+def shift(f, c: float):
+    """(shift, pole) of the unit amplitude law at the points `f`."""
+    value, _, pole = shift_terms(np.atleast_1d(np.asarray(f, dtype=complex)),
+                                 np.array([1.0]), np.array([1.0]), c)
+    return value, pole
+
+
 def test_shift_at_unit_point():
     # -c * tau/(1 + tau f) at f = i, tau = 1, c = 1: -1/(1+i) = -(1-i)/2
-    assert mpe_shift(1j, mp_model(1.0)) == pytest.approx(-0.5 + 0.5j, abs=1e-15)
+    value, pole = shift(1j, 1.0)
+    assert value[0] == pytest.approx(-0.5 + 0.5j, abs=1e-15)
+    assert not pole[0]
 
 
 def test_shift_pole_detected():
-    with pytest.raises(PoleHit):
-        mpe_shift(-1.0 + 0j, mp_model(1.0))
+    _, pole = shift([-1.0, 1j], 1.0)
+    assert pole.tolist() == [True, False]
 
 
 def test_shift_scales_with_c():
     f = 0.2 + 0.9j
-    assert mpe_shift(f, mp_model(2.0)) == pytest.approx(
-        2.0 * mpe_shift(f, mp_model(1.0)), abs=1e-15)
+    assert shift(f, 2.0)[0][0] == pytest.approx(2.0 * shift(f, 1.0)[0][0],
+                                                abs=1e-15)
+
+
+def test_solver_turns_pole_status_into_pole_hit():
+    # 1 + tau f vanishes at the start value f = -1 with tau = 1
+    model = mp_model(1.0)
+    with pytest.raises(PoleHit):
+        solver._solve_stage(np.array([1.0 + 0.1j]), np.array([-1.0 + 0j]),
+                            model.c, model.sigma, solver._nodes(model.n0),
+                            SolverOptions())
 
 
 # ---------------------------------------------------------------------------

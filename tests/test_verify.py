@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rank1spec.ensemble import EnsembleConfig, H0Diagonal, H0Zero
+from rank1spec.errors import RealAxisEvaluation
 from rank1spec.measures import AmplitudeLaw, SpectralMeasure
 from rank1spec.samplers import VectorLaw
 from rank1spec.solver import ModelSpec, SolverOptions
@@ -48,6 +49,19 @@ def test_stieltjes_variance_small_scale():
 def test_stieltjes_variance_bound_scales_with_height():
     rep = verify_stieltjes_variance(config(40, 20), 0.5j, trials=8)
     assert rep.bound == pytest.approx(4 * 20 / (40 ** 2 * 0.25), abs=1e-15)
+
+
+def test_stieltjes_variance_rejects_real_z():
+    with pytest.raises(RealAxisEvaluation):
+        verify_stieltjes_variance(config(40, 20), 0.5 + 0j, trials=5)
+
+
+@pytest.mark.parametrize("trials", [0, 1])
+def test_variance_checks_need_two_trials(trials):
+    with pytest.raises(ValueError, match="at least 2 trials"):
+        verify_counting_variance(config(40, 20), (0.25, 2.25), trials)
+    with pytest.raises(ValueError, match="at least 2 trials"):
+        verify_stieltjes_variance(config(40, 20), 1j, trials)
 
 
 def test_variance_se_gaussian_sanity():
