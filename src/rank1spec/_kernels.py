@@ -24,6 +24,8 @@ USE_NUMBA = False
 
 POLE_TOL = 1e-14
 CHUNK_ELEMENTS = 1 << 18
+# weight of f0(w) in the Picard step a point takes when Newton fails it
+DAMPING = 0.5
 
 
 def _chunks(points: int, width: int):
@@ -88,13 +90,13 @@ def stieltjes_many(zs, atom_loc, atom_mass, grid, vals):
     return base_transform(zs, *base_nodes(atom_loc, atom_mass, grid, vals))[0]
 
 
-def picard_solve(z, f, damping, tol, max_iter, tau, tau_w, c, loc, mass):
+def picard_solve(z, f, tol, max_iter, tau, tau_w, c, loc, mass):
     """Solve f = f0(z + shift(f)) at every point of the array `z` at once.
 
     Each update is the Newton step f <- f - r/(1 - f0'(w) shift'(f)) with
     r = f - f0(w), w = z + shift(f). Where that step is not finite or
     leaves the half-plane Im f * Im z >= 0, the point takes the damped
-    Picard step f <- (1 - damping) f + damping f0(w) instead, reflected
+    Picard step f <- (1 - DAMPING) f + DAMPING f0(w) instead, reflected
     into the half-plane. A point stops at the first residual evaluation
     with |r| <= tol, or at a pole, and counts every evaluation it made.
 
@@ -135,7 +137,7 @@ def picard_solve(z, f, damping, tol, max_iter, tau, tau_w, c, loc, mass):
             step = fa - r / (1.0 - dg * dshift)
         off = ~np.isfinite(step) | (step.imag * sa < 0.0)
         if off.any():
-            picard = (1.0 - damping) * fa[off] + damping * g[off]
+            picard = (1.0 - DAMPING) * fa[off] + DAMPING * g[off]
             step[off] = np.where(picard.imag * sa[off] < 0.0,
                                  picard.conj(), picard)
         fa = step

@@ -108,6 +108,13 @@ def _write_json(path: Path, data) -> None:
     path.write_text(json.dumps(data, sort_keys=True, indent=1) + "\n")
 
 
+def _output_dir(args) -> Path:
+    """The --out directory, made once a run has output to write."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
 def write_manifest(out_dir: Path, command: str, flags: dict, seed,
                    outputs: list[Path], diagnostics: dict | None = None) -> Path:
     manifest = {
@@ -144,28 +151,19 @@ def _model_from_args(args) -> ModelSpec:
 
 
 def _solver_options(args) -> SolverOptions:
-    return SolverOptions(damping=args.damping, tol=args.tol,
-                         max_iter=args.max_iter, eps_start=args.eps_start,
-                         eps_factor=args.eps_factor, eps_final=args.eps_final,
-                         tau_truncation=args.truncate)
+    return SolverOptions(tol=args.tol, max_iter=args.max_iter,
+                         eps_final=args.eps_final)
 
 
 def cmd_density(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model = _model_from_args(args)
     opts = _solver_options(args)
     grid = parse_grid(args.grid)
-    try:
-        f_vals, iterations = solve_mpe_grid(grid, model, opts,
-                                            return_iterations=True)
-    except NonConvergence as exc:
-        print(f"density solve failed at lambda={exc.lam:.9g}, eps={exc.eps:.9g}",
-              file=sys.stderr)
-        return 2
+    f_vals, iterations = solve_mpe_grid(grid, model, opts)
     # the grid may be a deliberate zoom window, so partial mass is fine
     measure = limit_density(model, grid, opts, require_mass=False,
                             f_vals=f_vals)
+    out_dir = _output_dir(args)
     density_path = out_dir / "density.csv"
     measure_path = out_dir / "measure.json"
     write_density_csv(measure, density_path)
@@ -183,22 +181,20 @@ def cmd_density(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = EnsembleConfig(n=args.n, m=args.m, law=VectorLaw.parse(args.law),
                             sigma=parse_sigma(args.sigma),
                             h0=parse_h0(args.h0), seed=args.seed)
+    spectra = [eigenvalues_sym(build_matrix(config, trial=trial))
+               for trial in range(args.trials)]
+    pooled = np.concatenate([s.eigenvalues for s in spectra])
+    counts, edges = np.histogram(pooled, bins=args.bins)
+    mass = counts / pooled.size
+    out_dir = _output_dir(args)
     outputs = []
-    pooled = []
-    for trial in range(args.trials):
-        spectrum = eigenvalues_sym(build_matrix(config, trial=trial))
+    for trial, spectrum in enumerate(spectra):
         path = out_dir / f"eigenvalues_{trial:03d}.csv"
         write_spectrum_csv(spectrum, path)
         outputs.append(path)
-        pooled.append(spectrum.eigenvalues)
-    pooled = np.concatenate(pooled)
-    counts, edges = np.histogram(pooled, bins=args.bins)
-    mass = counts / pooled.size
     hist_path = out_dir / "histogram.csv"
     write_histogram_csv(hist_path, edges, mass)
     outputs.append(hist_path)
@@ -207,21 +203,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.gram:
-        return _compare_gram(args, out_dir)
+        return _compare_gram(args)
     model = _model_from_args(args)
     opts = _solver_options(args)
     law = VectorLaw.parse(args.law)
     grid = parse_grid(args.grid)
-    try:
-        report = convergence_study(law, model, parse_int_list(args.dims),
-                                   args.seeds, args.seed, grid, opts)
-    except NonConvergence as exc:
-        print(f"limit solve failed at lambda={exc.lam:.9g}, eps={exc.eps:.9g}",
-              file=sys.stderr)
-        return 2
+    report = convergence_study(law, model, parse_int_list(args.dims),
+                               args.seeds, args.seed, grid, opts)
+    out_dir = _output_dir(args)
     json_path = out_dir / "convergence.json"
     csv_path = out_dir / "convergence.csv"
     _write_json(json_path, report.to_dict())
@@ -234,7 +224,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _compare_gram(args, out_dir: Path) -> int:
+def _compare_gram(args) -> int:
     config = EnsembleConfig(n=args.n, m=args.m, law=VectorLaw.parse(args.law),
                             sigma=parse_sigma(args.sigma),
                             h0=parse_h0(args.h0), seed=args.seed)
@@ -242,6 +232,7 @@ def _compare_gram(args, out_dir: Path) -> int:
     full = eigenvalues_sym(build_matrix(config, trial=0).array)
     gram = eigenvalues_sym(gram_matrix(config, trial=0))
     discrepancy = gram_counting_relation(gram, full, args.n, args.m)
+    out_dir = _output_dir(args)
     json_path = out_dir / "gram.json"
     _write_json(json_path, {"kind": "gram", "n": args.n, "m": args.m,
                             "discrepancy": discrepancy,
@@ -256,8 +247,6 @@ def _compare_gram(args, out_dir: Path) -> int:
 
 
 def cmd_verify(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     law = VectorLaw.parse(args.law)
     sigma = parse_sigma(args.sigma)
     check = args.check
@@ -308,6 +297,7 @@ def cmd_verify(args) -> int:
                 "max_ratio": data["max_ratio"]}
     else:
         raise ValueError(f"unknown check {check!r}")
+    out_dir = _output_dir(args)
     json_path = out_dir / "report.json"
     _write_json(json_path, data)
     outputs = [json_path]
@@ -339,12 +329,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="eigenvalue CSV defining the base spectrum")
     p.add_argument("--grid", required=True, help="a:b:count")
     p.add_argument("--eps-final", dest="eps_final", type=float, default=1e-4)
-    p.add_argument("--eps-start", dest="eps_start", type=float, default=None)
-    p.add_argument("--eps-factor", dest="eps_factor", type=float, default=0.5)
-    p.add_argument("--damping", type=float, default=0.5)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", dest="max_iter", type=int, default=100_000)
-    p.add_argument("--truncate", type=float, default=None)
 
 
 def _add_ensemble_flags(p: argparse.ArgumentParser, need_nm: bool) -> None:

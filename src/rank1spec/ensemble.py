@@ -288,9 +288,8 @@ def resolvent_trace_stream(config: EnsembleConfig, z: complex,
     h0 = resolve_h0(config.h0, config.n)
     g = _initial_resolvent(h0, z)
     trace = complex(np.trace(g))
-    for alpha in range(config.m):
-        y = sample_vector(config.law, config.n, _vector_stream(config, trial, alpha))
-        tau = sample_tau(config.sigma, _tau_stream(config, trial, alpha))
+    vectors, taus = _draw_components(config, trial)
+    for y, tau in zip(vectors.T, taus):
         trace, g = _rank1_trace_update(g, trace, y, tau)
     return trace / config.n
 

@@ -208,6 +208,8 @@ def isotropy_estimate(law, n: int, samples: int, rng: RngLike,
     `sampler(n, count, gen) -> (count, n) array` overrides the law's
     generator (used to inject deliberately broken laws in tests).
     """
+    if samples < 1:
+        raise ValueError(f"isotropy needs at least 1 sample, got {samples}")
     gen = as_generator(rng)
     name = law.encode() if isinstance(law, VectorLaw) else str(law)
 

@@ -29,6 +29,7 @@ from .measures import AmplitudeLaw, SpectralMeasure, stieltjes_of_measure
 
 LIMIT_PROBABILITY_TOL = 5e-3
 MASS_DEFICIT_FLOOR = 0.9
+EPS_FACTOR = 0.5
 
 
 @dataclass(frozen=True)
@@ -50,54 +51,36 @@ class ModelSpec:
 class SolverOptions:
     """Solver controls.
 
+    tol is the residual |f - f0(z + shift(f))| at which a point stops.
     max_iter bounds the updates of each point at each continuation stage.
-    damping is the weight of the damped Picard step a point takes when
-    its Newton step is not finite or leaves the Stieltjes class.
-    eps_start = None resolves to 1 + 2*max|tau|^2, high enough that the
-    fixed-point map is a strong contraction at the first continuation
-    stage regardless of the amplitude law.
+    eps_final is the smoothing height of the returned transform.
+
+    The continuation ladder starts at 1 + 2*max|tau|^2, high enough that
+    the fixed-point map is a strong contraction at the first stage
+    regardless of the amplitude law, and halves eps down to eps_final.
     """
 
-    damping: float = 0.5
     tol: float = 1e-10
     max_iter: int = 100_000
-    eps_start: float | None = None
-    eps_factor: float = 0.5
     eps_final: float = 1e-4
-    tau_truncation: float | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError("damping must lie in (0, 1]")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not (0.0 < self.eps_factor < 1.0):
-            raise ValueError("eps_factor must lie in (0, 1)")
         if self.eps_final <= 0:
             raise ValueError("eps_final must be positive")
-        if self.eps_start is not None and self.eps_start < self.eps_final:
-            raise ValueError("eps_start must be >= eps_final")
-
-    def resolved_eps_start(self, sigma: AmplitudeLaw) -> float:
-        if self.eps_start is not None:
-            return self.eps_start
-        return 1.0 + 2.0 * sigma.max_abs_tau ** 2
 
     def eps_schedule(self, sigma: AmplitudeLaw) -> list[float]:
-        eps = self.resolved_eps_start(sigma)
+        """Heights from the ladder's start down to eps_final, which is the
+        only stage when it lies above the start."""
+        eps = max(1.0 + 2.0 * sigma.max_abs_tau ** 2, self.eps_final)
         out = [eps]
         while eps > self.eps_final:
-            eps = max(eps * self.eps_factor, self.eps_final)
+            eps = max(eps * EPS_FACTOR, self.eps_final)
             out.append(eps)
         return out
-
-
-def _effective_sigma(model: ModelSpec, opts: SolverOptions) -> AmplitudeLaw:
-    if opts.tau_truncation is None:
-        return model.sigma
-    return model.sigma.truncate(opts.tau_truncation)
 
 
 def _solve_stage(z: np.ndarray, f: np.ndarray, c: float, sigma: AmplitudeLaw,
@@ -105,7 +88,7 @@ def _solve_stage(z: np.ndarray, f: np.ndarray, c: float, sigma: AmplitudeLaw,
     """One continuation stage at every point of `z`; raises at the first
     point that fails."""
     f, _, iters, status = picard_solve(
-        z, f, opts.damping, opts.tol, int(opts.max_iter),
+        z, f, opts.tol, int(opts.max_iter),
         sigma.tau_values, sigma.weights, float(c), *nodes)
     failed = np.flatnonzero(status)
     if failed.size:
@@ -147,42 +130,37 @@ def solve_mpe_at(z: complex, model: ModelSpec,
     z = complex(z)
     if z.imag == 0.0:
         raise RealAxisEvaluation("solver requires Im z != 0")
-    sigma = _effective_sigma(model, opts)
     f0 = stieltjes_of_measure(model.n0, z)
-    f, _ = _solve_stage(np.array([z]), np.array([f0]), model.c, sigma,
+    f, _ = _solve_stage(np.array([z]), np.array([f0]), model.c, model.sigma,
                         _nodes(model.n0), opts)
     return complex(f[0])
 
 
 def solve_mpe_grid(lambdas, model: ModelSpec,
-                   opts: SolverOptions | None = None,
-                   return_iterations: bool = False):
+                   opts: SolverOptions | None = None):
     """Solve along a real grid with smoothing-height continuation.
 
-    Every grid point starts from f0(lambda + i*eps_start) and is solved
-    at lambda + i*eps down a geometric eps ladder (eps_start ->
-    eps_final), one array solve per stage, each stage starting from the
-    previous one's values.
+    Every grid point starts from f0 at the first height of
+    `opts.eps_schedule` and is solved at lambda + i*eps down that ladder
+    to eps_final, one array solve per stage, each stage starting from
+    the previous one's values.
 
-    Returns the complex f(lambda + i*eps_final) array, plus the per-point
-    update totals over all stages when `return_iterations` is set.
+    Returns (f, iterations): the complex f(lambda + i*eps_final) array
+    and the per-point update totals over all stages, both shaped like
+    `lambdas`.
     """
     opts = opts or SolverOptions()
     lambdas = np.asarray(lambdas, dtype=float)
-    sigma = _effective_sigma(model, opts)
-    schedule = opts.eps_schedule(sigma)
+    schedule = opts.eps_schedule(model.sigma)
     nodes = _nodes(model.n0)
     lam = lambdas.ravel()
     f = stieltjes_of_measure(model.n0, lam + 1j * schedule[0])
     iterations = np.zeros(lam.size, dtype=np.int64)
     for eps in schedule:
-        f, iters = _solve_stage(lam + 1j * eps, f, model.c, sigma, nodes, opts)
+        f, iters = _solve_stage(lam + 1j * eps, f, model.c, model.sigma,
+                                nodes, opts)
         iterations += iters
-    out = f.reshape(lambdas.shape)
-    iterations = iterations.reshape(lambdas.shape)
-    if return_iterations:
-        return out, iterations
-    return out
+    return f.reshape(lambdas.shape), iterations.reshape(lambdas.shape)
 
 
 def limit_density(model: ModelSpec, grid,
@@ -192,13 +170,13 @@ def limit_density(model: ModelSpec, grid,
     """Recover the limiting spectral measure on a grid.
 
     The density is Im f(lambda + i*eps_final)/pi. Pass `f_vals`, the
-    output of `solve_mpe_grid(grid, model, opts)`, to reuse a grid solve
-    already done; otherwise the grid is solved here. When n0 is a unit atom
-    at zero, the rank-one sum leaves a kernel of relative dimension
-    1 - c_eff where c_eff = c * (weight of nonzero amplitudes); that
-    point mass is added exactly whenever c_eff < 1. The result is
-    flagged as a probability measure iff its total mass lies within
-    5e-3 of 1.
+    transform that `solve_mpe_grid(grid, model, opts)` returns, to reuse
+    a grid solve already done; otherwise the grid is solved here. When
+    n0 is a unit atom at zero, the rank-one sum leaves a kernel of
+    relative dimension 1 - c_eff where c_eff = c * (weight of nonzero
+    amplitudes); that point mass is added exactly whenever c_eff < 1.
+    The result is flagged as a probability measure iff its total mass
+    lies within 5e-3 of 1.
 
     Raises MassDeficit when the recovered total mass falls below 0.9;
     pass require_mass=False for deliberately windowed grids.
@@ -206,7 +184,7 @@ def limit_density(model: ModelSpec, grid,
     opts = opts or SolverOptions()
     grid = np.asarray(grid, dtype=float)
     if f_vals is None:
-        f_vals = solve_mpe_grid(grid, model, opts)
+        f_vals, _ = solve_mpe_grid(grid, model, opts)
     else:
         f_vals = np.asarray(f_vals, dtype=complex)
         if f_vals.shape != grid.shape:
@@ -214,7 +192,7 @@ def limit_density(model: ModelSpec, grid,
                              f"shape {grid.shape}")
     density = np.maximum(f_vals.imag / math.pi, 0.0)
     atoms = []
-    sigma = _effective_sigma(model, opts)
+    sigma = model.sigma
     # projections with a zero amplitude contribute nothing, so they only
     # dilute the rank fraction
     zero_weight = sum(w for t, w in zip(sigma.tau_values, sigma.weights)

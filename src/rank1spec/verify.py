@@ -171,6 +171,8 @@ def verify_quadratic_form(law: VectorLaw, dims, samples: int,
     concentration criterion is slope <= -0.2. Rows whose variances sit
     below 1e-20 concentrate exactly and pass by convention.
     """
+    if samples < 2:
+        raise ValueError(f"a variance needs at least 2 samples, got {samples}")
     dims = [int(d) for d in dims]
     rows = []
     slopes: dict = {}
@@ -240,6 +242,9 @@ class TailReport:
 def verify_norm_tail(law: VectorLaw, n: int, samples: int, master_seed: int,
                      t_values=(1.0, 1.5, 2.0)) -> TailReport:
     """Empirical P{|Y| >= C t} against exp(-t sqrt(n)), C = 2 median|Y|."""
+    if samples < 1:
+        raise ValueError(f"the tail check needs at least 1 sample, "
+                         f"got {samples}")
     rng = RngStream(master_seed, 0).generator()
     norms = np.linalg.norm(sample_vectors(law, n, samples, rng), axis=1)
     scale = 2.0 * float(np.median(norms))

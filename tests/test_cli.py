@@ -81,11 +81,13 @@ def test_density_manifest_hashes_verify(tmp_path):
 
 
 def test_density_nonconvergence_exit_code(tmp_path, capsys):
+    out = tmp_path / "d"
     rc = run(["density", "--c", 1.0, "--grid", "0.5:3.5:5",
-              "--max-iter", 2, "--out", tmp_path / "d"])
+              "--max-iter", 2, "--out", out])
     assert rc == 2
     err = capsys.readouterr().err
     assert "lambda=" in err and "eps=" in err
+    assert not out.exists()
 
 
 def test_density_custom_base_spectrum(tmp_path):
@@ -128,7 +130,7 @@ def test_density_solves_grid_once(tmp_path, monkeypatch):
     grid = parse_grid("0.01:3.99:60")
     fresh = solver.limit_density(model, grid, opts, require_mass=False)
     reused = solver.limit_density(model, grid, opts, require_mass=False,
-                                  f_vals=solve(grid, model, opts))
+                                  f_vals=solve(grid, model, opts)[0])
     assert np.array_equal(reused.atom_locations, fresh.atom_locations)
     assert np.array_equal(reused.atom_masses, fresh.atom_masses)
     assert np.array_equal(reused.values, fresh.values)
@@ -271,7 +273,20 @@ def test_verify_variance_without_trials_exits_2(tmp_path, capsys, check,
               "--trials", trials, "--out", out])
     assert rc == 2
     assert "at least 2 trials" in capsys.readouterr().err
-    assert not (out / "report.json").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("check,size,samples", [
+    ("quadform", "--dims=16,32", 1), ("tail", "--n=16", 0),
+    ("isotropy", "--n=16", 0)])
+def test_verify_too_few_samples_exits_2(tmp_path, capsys, check, size,
+                                        samples):
+    out = tmp_path / "v"
+    rc = run(["verify", "--check", check, "--law", "gauss", size,
+              "--samples", samples, "--out", out])
+    assert rc == 2
+    assert "at least" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_failure_exits_3(tmp_path, monkeypatch):

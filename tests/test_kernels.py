@@ -11,9 +11,9 @@ LOC = np.array([0.0])
 MASS = np.array([1.0])
 
 
-def stage(z, f, tol=1e-10, max_iter=100_000, damping=0.5):
+def stage(z, f, tol=1e-10, max_iter=100_000):
     return _kernels.picard_solve(
-        np.asarray(z, dtype=complex), np.asarray(f, dtype=complex), damping,
+        np.asarray(z, dtype=complex), np.asarray(f, dtype=complex),
         tol, max_iter, TAU, TAU_W, 1.0, LOC, MASS)
 
 
@@ -69,8 +69,8 @@ def test_chunked_evaluation_matches_whole(monkeypatch):
                                     np.linspace(0.0, 1.0, 101),
                                     np.full(101, 0.5))
     zs = np.linspace(-2.0, 3.0, 37) + 0.05j
-    args = (zs, np.full(zs.shape, 1j), 0.5, 1e-10, 100_000, tau, tau_w, 0.5,
-            loc, mass)
+    args = (zs, np.full(zs.shape, 1j), 1e-10, 100_000, tau, tau_w, 0.5, loc,
+            mass)
     whole = _kernels.picard_solve(*args)
     monkeypatch.setattr(_kernels, "CHUNK_ELEMENTS", 200)
     assert len(_kernels._chunks(zs.size, loc.size)) > 1

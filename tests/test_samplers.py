@@ -223,3 +223,8 @@ def test_isotropy_report_dict():
     assert d["n"] == 8
     assert "pass" in d and d["pass"] == rep.passed
     assert d["max_cov_deviation"] >= 0
+
+
+def test_isotropy_needs_a_sample():
+    with pytest.raises(ValueError, match="at least 1 sample"):
+        isotropy_estimate(VectorLaw.parse("gauss"), 8, 0, RngStream(0, 0))

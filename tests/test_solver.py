@@ -162,7 +162,7 @@ def test_grid_solver_matches_pointwise():
     model = mp_model(0.5)
     grid = np.linspace(0.5, 2.5, 9)
     opts = SolverOptions(eps_final=1e-4)
-    vals, iters = solve_mpe_grid(grid, model, opts, return_iterations=True)
+    vals, iters = solve_mpe_grid(grid, model, opts)
     assert vals.shape == grid.shape
     assert iters.shape == grid.shape
     assert np.all(iters >= 1)
@@ -174,7 +174,8 @@ def test_grid_solver_matches_pointwise():
 def test_grid_solver_matches_oracle_on_fine_grid():
     # the convergence study's limit: 3000 points down to eps = 1e-5
     grid = np.linspace(0.02, 3.2, 3000)
-    vals = solve_mpe_grid(grid, mp_model(0.5), SolverOptions(eps_final=1e-5))
+    vals, _ = solve_mpe_grid(grid, mp_model(0.5),
+                             SolverOptions(eps_final=1e-5))
     oracle = np.array([mp_stieltjes_oracle(lam + 1e-5j, 0.5) for lam in grid])
     assert np.max(np.abs(vals - oracle)) < 1e-8
 
@@ -185,11 +186,9 @@ def test_grid_solver_matches_oracle_on_fine_grid():
 
 def test_options_validation():
     with pytest.raises(ValueError):
-        SolverOptions(damping=0.0)
+        SolverOptions(tol=0.0)
     with pytest.raises(ValueError):
-        SolverOptions(damping=1.5)
-    with pytest.raises(ValueError):
-        SolverOptions(eps_factor=1.0)
+        SolverOptions(max_iter=0)
     with pytest.raises(ValueError):
         SolverOptions(eps_final=0.0)
 
@@ -203,23 +202,34 @@ def test_eps_schedule_start_and_end():
     assert np.all(np.diff(sched) < 0)
 
 
+def test_grid_solver_ends_at_eps_final_above_ladder_start():
+    # the unit-amplitude ladder starts at 3; a higher eps_final is its
+    # only stage, and the transform is taken there
+    opts = SolverOptions(eps_final=50.0)
+    assert opts.eps_schedule(AmplitudeLaw([(1.0, 1.0)])) == [50.0]
+    grid = np.array([0.5, 2.0, 4.0])
+    vals, _ = solve_mpe_grid(grid, mp_model(1.0), opts)
+    oracle = [mp_stieltjes_oracle(lam + 50j, 1.0) for lam in grid]
+    assert np.max(np.abs(vals - oracle)) < 1e-9
+
+
+def half_aspect(sig: AmplitudeLaw) -> ModelSpec:
+    return ModelSpec(c=0.5, sigma=sig, n0=SpectralMeasure(atoms=[(0.0, 1.0)]))
+
+
 def test_truncation_noop_above_support():
     sig = AmplitudeLaw([(0.5, 0.4), (2.0, 0.6)])
-    model = ModelSpec(c=0.5, sigma=sig,
-                      n0=SpectralMeasure(atoms=[(0.0, 1.0)]))
     z = 0.7 + 0.01j
-    plain = solve_mpe_at(z, model)
-    cut = solve_mpe_at(z, model, SolverOptions(tau_truncation=5.0))
+    plain = solve_mpe_at(z, half_aspect(sig))
+    cut = solve_mpe_at(z, half_aspect(sig.truncate(5.0)))
     assert abs(plain - cut) < 1e-6
 
 
 def test_truncation_active_changes_model():
     sig = AmplitudeLaw([(0.5, 0.5), (3.0, 0.5)])
-    model = ModelSpec(c=0.5, sigma=sig,
-                      n0=SpectralMeasure(atoms=[(0.0, 1.0)]))
     z = 1.0 + 0.1j
-    plain = solve_mpe_at(z, model)
-    cut = solve_mpe_at(z, model, SolverOptions(tau_truncation=1.0))
+    plain = solve_mpe_at(z, half_aspect(sig))
+    cut = solve_mpe_at(z, half_aspect(sig.truncate(1.0)))
     assert abs(plain - cut) > 1e-3
 
 

@@ -115,6 +115,12 @@ def test_quadform_deterministic():
     assert a.slopes == b.slopes
 
 
+@pytest.mark.parametrize("samples", [0, 1])
+def test_quadform_needs_two_samples(samples):
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        verify_quadratic_form(VectorLaw.parse("gauss"), (16, 32), samples, 0)
+
+
 # ---------------------------------------------------------------------------
 # norm tail
 # ---------------------------------------------------------------------------
@@ -139,6 +145,11 @@ def test_norm_tail_scale_is_twice_median():
     rep = verify_norm_tail(VectorLaw.parse("sphere"), 25, 2000, 0)
     # unit sphere: every norm is 1, so the scale is exactly 2
     assert rep.scale == pytest.approx(2.0, abs=1e-12)
+
+
+def test_norm_tail_needs_a_sample():
+    with pytest.raises(ValueError, match="at least 1 sample"):
+        verify_norm_tail(VectorLaw.parse("sphere"), 16, 0, 0)
 
 
 # ---------------------------------------------------------------------------
