@@ -1,11 +1,13 @@
 """Command-line interface.
 
 Subcommands: density (solve the limit on a grid), simulate (finite-n
-ensembles), compare (convergence study / Gram duality), verify
-(concentration checks). A `--config` file holds flat key=value pairs
-named after the long flags; explicit flags override it. Every command
-writes a manifest.json recording flags, seed, and sha256 of outputs, and
-reruns are byte-identical.
+ensembles), compare (convergence of H0 = 0 ensembles to the limit with
+a unit atom at zero as base), verify (concentration, isotropy and Gram
+duality checks). Each subcommand takes only the flags it reads. A
+`--config` file holds flat key=value pairs named after the long flags;
+explicit flags override it. Every command writes a manifest.json
+recording flags, seed, and sha256 of outputs, and reruns are
+byte-identical.
 
 Exit codes: 0 success, 2 solver or input failure, 3 criterion failure.
 """
@@ -21,19 +23,17 @@ from pathlib import Path
 import numpy as np
 
 from .ensemble import (EnsembleConfig, build_matrix, eigenvalues_sym,
-                       gram_counting_relation, gram_matrix, parse_h0,
-                       read_spectrum_csv, write_spectrum_csv)
+                       parse_h0, read_spectrum_csv, write_spectrum_csv)
 from .errors import NonConvergence, Rank1SpecError
 from .measures import (AmplitudeLaw, SpectralMeasure, save_measure_json,
                        write_density_csv)
 from .samplers import RngStream, VectorLaw, isotropy_estimate
 from .solver import ModelSpec, SolverOptions, limit_density, solve_mpe_grid
 from .verify import (convergence_study, verify_counting_variance,
-                     verify_norm_tail, verify_quadratic_form,
-                     verify_stieltjes_variance)
+                     verify_gram_duality, verify_norm_tail,
+                     verify_quadratic_form, verify_stieltjes_variance)
 
 GRID_NUDGE = 1e-9
-GRAM_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -141,22 +141,17 @@ def write_histogram_csv(path: Path, edges: np.ndarray, mass: np.ndarray) -> None
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _model_from_args(args) -> ModelSpec:
-    sigma = parse_sigma(args.sigma)
-    if getattr(args, "h0_spectrum", None):
-        n0 = measure_from_spectrum_file(args.h0_spectrum)
-    else:
-        n0 = parse_measure_atoms(args.n0)
-    return ModelSpec(c=args.c, sigma=sigma, n0=n0)
-
-
 def _solver_options(args) -> SolverOptions:
     return SolverOptions(tol=args.tol, max_iter=args.max_iter,
                          eps_final=args.eps_final)
 
 
 def cmd_density(args) -> int:
-    model = _model_from_args(args)
+    if args.h0_spectrum:
+        n0 = measure_from_spectrum_file(args.h0_spectrum)
+    else:
+        n0 = parse_measure_atoms(args.n0)
+    model = ModelSpec(c=args.c, sigma=parse_sigma(args.sigma), n0=n0)
     opts = _solver_options(args)
     grid = parse_grid(args.grid)
     f_vals, iterations = solve_mpe_grid(grid, model, opts)
@@ -181,6 +176,8 @@ def cmd_density(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     config = EnsembleConfig(n=args.n, m=args.m, law=VectorLaw.parse(args.law),
                             sigma=parse_sigma(args.sigma),
                             h0=parse_h0(args.h0), seed=args.seed)
@@ -203,9 +200,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.gram:
-        return _compare_gram(args)
-    model = _model_from_args(args)
+    model = ModelSpec(c=args.c, sigma=parse_sigma(args.sigma),
+                      n0=SpectralMeasure(atoms=[(0.0, 1.0)]))
     opts = _solver_options(args)
     law = VectorLaw.parse(args.law)
     grid = parse_grid(args.grid)
@@ -224,89 +220,54 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _compare_gram(args) -> int:
-    config = EnsembleConfig(n=args.n, m=args.m, law=VectorLaw.parse(args.law),
-                            sigma=parse_sigma(args.sigma),
-                            h0=parse_h0(args.h0), seed=args.seed)
-    # the dense solve keeps the Gram side an independent check
-    full = eigenvalues_sym(build_matrix(config, trial=0).array)
-    gram = eigenvalues_sym(gram_matrix(config, trial=0))
-    discrepancy = gram_counting_relation(gram, full, args.n, args.m)
-    out_dir = _output_dir(args)
-    json_path = out_dir / "gram.json"
-    _write_json(json_path, {"kind": "gram", "n": args.n, "m": args.m,
-                            "discrepancy": discrepancy,
-                            "bound": GRAM_TOL,
-                            "pass": discrepancy <= GRAM_TOL})
-    write_manifest(out_dir, "compare", _flags_dict(args), args.seed, [json_path])
-    if discrepancy > GRAM_TOL:
-        print(f"gram duality discrepancy {discrepancy:.3e} > {GRAM_TOL}",
-              file=sys.stderr)
-        return 3
-    return 0
-
-
 def cmd_verify(args) -> int:
     law = VectorLaw.parse(args.law)
-    sigma = parse_sigma(args.sigma)
     check = args.check
     # quadform works off --dims; every other check needs explicit sizes
     needed = {"counting-var": ("n", "m"), "stieltjes-var": ("n", "m"),
-              "tail": ("n",), "isotropy": ("n",)}
-    for flag in needed.get(check, ()):
+              "gram": ("n", "m"), "tail": ("n",),
+              "isotropy": ("n",)}.get(check, ())
+    for flag in needed:
         if getattr(args, flag) is None:
             raise ValueError(f"--check {check} requires --{flag}")
+    # the checks that need --m are the ones that draw ensembles
+    if "m" in needed:
+        config = EnsembleConfig(n=args.n, m=args.m, law=law,
+                                sigma=parse_sigma(args.sigma),
+                                h0=parse_h0(args.h0), seed=args.seed)
     csv_lines: list[str] | None = None
     if check == "counting-var":
-        config = EnsembleConfig(n=args.n, m=args.m, law=law, sigma=sigma,
-                                h0=parse_h0(args.h0), seed=args.seed)
         report = verify_counting_variance(config, parse_pair(args.interval),
                                           args.trials)
-        data = report.to_dict()
         csv_lines = ["kind,estimate,bound,trials,se,pass", report.csv_row()]
     elif check == "stieltjes-var":
-        config = EnsembleConfig(n=args.n, m=args.m, law=law, sigma=sigma,
-                                h0=parse_h0(args.h0), seed=args.seed)
         re_z, im_z = parse_pair(args.z)
         report = verify_stieltjes_variance(config, complex(re_z, im_z),
                                            args.trials)
-        data = report.to_dict()
         csv_lines = ["kind,estimate,bound,trials,se,pass", report.csv_row()]
+    elif check == "gram":
+        report = verify_gram_duality(config)
     elif check == "quadform":
         report = verify_quadratic_form(law, parse_int_list(args.dims),
                                        args.samples, args.seed)
-        data = report.to_dict()
         csv_lines = ["matrix,n,variance,variance_se"] + report.csv_rows()
     elif check == "tail":
         report = verify_norm_tail(law, args.n, args.samples, args.seed,
                                   parse_float_list(args.t_values))
-        data = report.to_dict()
         csv_lines = ["t,empirical,envelope,binomial_se"] + report.csv_rows()
-    elif check == "isotropy":
+    else:
         report = isotropy_estimate(law, args.n, args.samples,
                                    RngStream(args.seed, 0))
-        data = report.to_dict()
-        data = {"kind": "isotropy",
-                "params": {"law": data["law"], "n": data["n"],
-                           "samples": data["samples"]},
-                "estimate": data["max_cov_deviation"],
-                "bound": data["ratio_threshold"],
-                "se": 0.0,
-                "pass": data["pass"],
-                "mean_norm": data["mean_norm"],
-                "max_ratio": data["max_ratio"]}
-    else:
-        raise ValueError(f"unknown check {check!r}")
     out_dir = _output_dir(args)
     json_path = out_dir / "report.json"
-    _write_json(json_path, data)
+    _write_json(json_path, report.to_dict())
     outputs = [json_path]
     if csv_lines is not None:
         csv_path = out_dir / "report.csv"
         csv_path.write_text("\n".join(csv_lines) + "\n")
         outputs.append(csv_path)
     write_manifest(out_dir, "verify", _flags_dict(args), args.seed, outputs)
-    return 0 if data["pass"] else 3
+    return 0 if report.passed else 3
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +285,6 @@ def _flags_dict(args) -> dict:
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--sigma", default="atoms:1:1")
-    p.add_argument("--n0", default="atoms:0:1")
-    p.add_argument("--h0-spectrum", dest="h0_spectrum", default=None,
-                   help="eigenvalue CSV defining the base spectrum")
     p.add_argument("--grid", required=True, help="a:b:count")
     p.add_argument("--eps-final", dest="eps_final", type=float, default=1e-4)
     p.add_argument("--tol", type=float, default=1e-10)
@@ -348,6 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="solve the limiting density on a grid")
     _add_solver_flags(p)
+    p.add_argument("--n0", default="atoms:0:1")
+    p.add_argument("--h0-spectrum", dest="h0_spectrum", default=None,
+                   help="eigenvalue CSV defining the base spectrum")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_density)
 
@@ -359,19 +320,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("compare", help="convergence study or Gram duality")
+    p = sub.add_parser("compare", help="convergence study of H0 = 0 "
+                                       "ensembles")
     _add_solver_flags(p)
-    _add_ensemble_flags(p, need_nm=False)
+    p.add_argument("--law", default="sphere")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dims", default="256,512,1024")
     p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--gram", action="store_true")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("verify", help="concentration and isotropy checks")
+    p = sub.add_parser("verify", help="concentration, isotropy and Gram "
+                                      "duality checks")
     p.add_argument("--check", required=True,
-                   choices=["counting-var", "stieltjes-var", "quadform",
-                            "tail", "isotropy"])
+                   choices=["counting-var", "stieltjes-var", "gram",
+                            "quadform", "tail", "isotropy"])
     _add_ensemble_flags(p, need_nm=False)
     p.add_argument("--sigma", default="atoms:1:1")
     p.add_argument("--trials", type=int, default=200)
@@ -399,12 +362,7 @@ def _apply_config(argv: list[str]) -> list[str]:
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if value.lower() in ("true", "yes") and key in ("gram",):
-            pre.append(f"--{key}")
-        else:
-            pre.extend([f"--{key}", value])
+        pre.extend([f"--{key.strip()}", value.strip()])
     rest = argv[:i] + argv[i + 2:]
     # keep the subcommand first, then config-derived flags, then explicit
     return rest[:1] + pre + rest[1:]

@@ -32,24 +32,17 @@ _TAU_OFFSET = 2 ** 31
 
 @dataclass(frozen=True)
 class H0Zero:
-    def encode(self) -> str:
-        return "zero"
+    """The zero base matrix."""
 
 
 @dataclass(frozen=True)
 class H0Diagonal:
     entries: tuple
 
-    def encode(self) -> str:
-        return "diag:" + ",".join(repr(float(e)) for e in self.entries)
-
 
 @dataclass(frozen=True)
 class H0File:
     path: str
-
-    def encode(self) -> str:
-        return f"file:{self.path}"
 
 
 H0Spec = Union[H0Zero, H0Diagonal, H0File]

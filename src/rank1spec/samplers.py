@@ -20,6 +20,9 @@ from .errors import InvalidDimension, InvalidP
 _REAL_KINDS = ("sphere", "gauss", "cube", "laplace")
 _ALL_KINDS = _REAL_KINDS + ("lp", "cgauss")
 
+# vectors drawn per block by isotropy_estimate, bounding its memory
+ISOTROPY_BATCH = 20_000
+
 
 @dataclass(frozen=True)
 class VectorLaw:
@@ -61,20 +64,16 @@ class RngStream:
 
     master_seed: int
     stream_id: int = 0
-    counter: int = 0
 
     def __post_init__(self):
-        for name in ("master_seed", "stream_id", "counter"):
+        for name in ("master_seed", "stream_id"):
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 0 or v >= 2 ** 64:
                 raise ValueError(f"{name} must be an integer in [0, 2^64)")
 
     def generator(self) -> np.random.Generator:
-        bits = np.random.Philox(key=np.array([self.master_seed, self.stream_id],
-                                             dtype=np.uint64))
-        if self.counter:
-            bits.advance(self.counter)
-        return np.random.Generator(bits)
+        return np.random.Generator(np.random.Philox(
+            key=np.array([self.master_seed, self.stream_id], dtype=np.uint64)))
 
 
 RngLike = Union[RngStream, np.random.Generator]
@@ -182,19 +181,18 @@ class IsotropyReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "law": self.law, "n": self.n, "samples": self.samples,
-            "mean_norm": self.mean_norm,
-            "max_cov_deviation": self.max_cov_deviation,
-            "mean_norm_threshold": self.mean_norm_threshold,
-            "max_ratio": self.max_ratio,
-            "ratio_threshold": self.ratio_threshold,
-            "pass": self.passed,
-        }
+        return {"kind": "isotropy",
+                "params": {"law": self.law, "n": self.n,
+                           "samples": self.samples},
+                "estimate": self.max_cov_deviation,
+                "bound": self.ratio_threshold,
+                "se": 0.0,
+                "pass": self.passed,
+                "mean_norm": self.mean_norm,
+                "max_ratio": self.max_ratio}
 
 
 def isotropy_estimate(law, n: int, samples: int, rng: RngLike,
-                      batch: int = 20_000,
                       sampler: Callable[[int, int, np.random.Generator], np.ndarray] | None = None,
                       ) -> IsotropyReport:
     """Monte Carlo isotropy check against the target covariance I/d.
@@ -205,11 +203,14 @@ def isotropy_estimate(law, n: int, samples: int, rng: RngLike,
     error; the criterion is max |dev|/SE <= 5 together with
     |sample mean| <= 5 * sqrt(trace(cov)/samples).
 
+    A single sample has no spread to test against, so at least two are
+    needed.
+
     `sampler(n, count, gen) -> (count, n) array` overrides the law's
     generator (used to inject deliberately broken laws in tests).
     """
-    if samples < 1:
-        raise ValueError(f"isotropy needs at least 1 sample, got {samples}")
+    if samples < 2:
+        raise ValueError(f"isotropy needs at least 2 samples, got {samples}")
     gen = as_generator(rng)
     name = law.encode() if isinstance(law, VectorLaw) else str(law)
 
@@ -225,7 +226,7 @@ def isotropy_estimate(law, n: int, samples: int, rng: RngLike,
     s1 = s2 = s4 = None
     done = 0
     while done < samples:
-        take = min(batch, samples - done)
+        take = min(ISOTROPY_BATCH, samples - done)
         block = draw(take)
         if s1 is None:
             d = block.shape[1]

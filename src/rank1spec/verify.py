@@ -1,5 +1,5 @@
 """Monte Carlo checks of the concentration bounds and of weak convergence
-of empirical spectra to the solved limit.
+of empirical spectra to the solved limit, and the Gram duality check.
 
 All checks are deterministic given (master seed, trial count): trials are
 keyed by index and aggregated in index order.
@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import EnsembleConfig, H0Zero, build_matrix, counting_measure, \
-    eigenvalues_sym
+from .ensemble import (EnsembleConfig, H0Zero, build_matrix, counting_measure,
+                       eigenvalues_sym, gram_counting_relation, gram_matrix)
 from .errors import RealAxisEvaluation
 from .measures import EmpiricalSpectrum, SpectralMeasure, ks_distance
 from .samplers import RngStream, VectorLaw, sample_vectors
@@ -32,6 +32,10 @@ QUADFORM_SLOPE_BOUND = -0.2
 
 # A = I and A = diag(+-1)
 QUADFORM_MATRICES = ("identity", "alternating")
+
+# With H0 = 0 and unit amplitudes the Gram side and the full matrix share
+# their nonzero spectrum exactly, so the counting discrepancy is roundoff.
+GRAM_TOL = 1e-8
 
 
 @dataclass
@@ -117,6 +121,37 @@ def verify_stieltjes_variance(config: EnsembleConfig, z: complex, trials: int) -
 
 
 @dataclass
+class GramReport:
+    params: dict
+    discrepancy: float
+
+    @property
+    def passed(self) -> bool:
+        return self.discrepancy <= GRAM_TOL
+
+    def to_dict(self) -> dict:
+        return {"kind": "gram", "params": self.params,
+                "estimate": self.discrepancy, "bound": GRAM_TOL,
+                "se": 0.0, "pass": self.passed}
+
+
+def verify_gram_duality(config: EnsembleConfig) -> GramReport:
+    """Counting discrepancy between the m x m Gram side and the full matrix.
+
+    Trial 0's nonzero spectrum must agree on both sides to GRAM_TOL. The
+    duality holds for H0 = 0 and unit amplitudes; under any other base or
+    amplitude law the check fails.
+    """
+    # the dense solve keeps the Gram side an independent check
+    full = eigenvalues_sym(build_matrix(config, trial=0).array)
+    gram = eigenvalues_sym(gram_matrix(config, trial=0))
+    return GramReport(
+        params={"n": config.n, "m": config.m, "law": config.law.encode(),
+                "seed": config.seed},
+        discrepancy=gram_counting_relation(gram, full, config.n, config.m))
+
+
+@dataclass
 class QuadFormRow:
     matrix: str
     n: int
@@ -174,6 +209,9 @@ def verify_quadratic_form(law: VectorLaw, dims, samples: int,
     if samples < 2:
         raise ValueError(f"a variance needs at least 2 samples, got {samples}")
     dims = [int(d) for d in dims]
+    if len(set(dims)) < 2:
+        raise ValueError(f"a decay slope needs at least 2 distinct "
+                         f"dimensions, got {dims}")
     rows = []
     slopes: dict = {}
     exact: dict = {}
@@ -296,9 +334,6 @@ class ConvergenceReport:
                 for r in self.rows]
         return out
 
-    def largest_n_mean(self) -> float:
-        return self.rows[-1].mean_ks
-
 
 def _snap_structural_zeros(values: np.ndarray) -> np.ndarray:
     """Collapse eigensolver roundoff around the structural zero eigenvalues."""
@@ -315,9 +350,18 @@ def convergence_study(law: VectorLaw, model: ModelSpec, dims, seeds: int,
     """Mean KS distance to the solved limit along a dimension ladder.
 
     m = round(c * n) per dimension; seed index s runs the ensemble's
-    trial s. With c = 0 the limit is the base measure itself and is used
-    exactly (no smoothing), which keeps deterministic spectra at KS = 0.
+    trial s. The ensembles use H0 = h0_factory(n); without a factory they
+    use H0 = 0, whose limit needs model.n0 to be the unit atom at zero,
+    and any other n0 raises ValueError. With c = 0 the limit is the base
+    measure itself and is used exactly (no smoothing), which keeps
+    deterministic spectra at KS = 0.
     """
+    if seeds < 1:
+        raise ValueError(f"a convergence study needs at least 1 seed, "
+                         f"got {seeds}")
+    if h0_factory is None and not model.n0.is_point_mass_at(0.0):
+        raise ValueError("without an h0_factory the ensembles have H0 = 0, "
+                         "so n0 must be the unit atom at zero")
     opts = opts or SolverOptions()
     if model.c == 0.0:
         reference: SpectralMeasure = model.n0

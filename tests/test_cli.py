@@ -202,14 +202,28 @@ def test_compare_flat_ladder_fails_with_exit_3(tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
 
 
-def test_compare_gram_mode(tmp_path):
-    out = tmp_path / "g"
-    rc = run(["compare", "--c", 0.5, "--grid", "0.02:3.2:10", "--gram",
-              "--n", 120, "--m", 60, "--seed", 2, "--out", out])
-    assert rc == 0
-    data = json.loads((out / "gram.json").read_text())
-    assert data["pass"]
-    assert data["discrepancy"] <= 1e-8
+@pytest.mark.parametrize("flag,value", [
+    ("--gram", None), ("--h0", "diag:5"), ("--n0", "atoms:-1:0.5,1:0.5"),
+    ("--n", "64")])
+def test_compare_rejects_flags_it_does_not_read(tmp_path, flag, value):
+    out = tmp_path / "c"
+    extra = [flag] if value is None else [flag, value]
+    with pytest.raises(SystemExit) as exc:
+        run(["compare", "--c", 0.5, "--grid", "0.02:3.2:10", *extra,
+             "--out", out])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--c", 0.5, "--grid", "0.02:3.2:50", "--dims", "16,32",
+     "--seeds", 0],
+    ["simulate", "--n", 10, "--m", 5, "--trials", 0]])
+def test_zero_seeds_or_trials_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert run(argv + ["--out", out]) == 2
+    assert "at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +239,19 @@ def test_verify_counting_var(tmp_path):
     assert data["kind"] == "counting-var"
     assert data["pass"]
     assert (out / "report.csv").exists()
+
+
+def test_verify_gram(tmp_path):
+    out = tmp_path / "g"
+    rc = run(["verify", "--check", "gram", "--n", 120, "--m", 60,
+              "--seed", 2, "--out", out])
+    assert rc == 0
+    data = json.loads((out / "report.json").read_text())
+    assert data["kind"] == "gram"
+    assert data["params"] == {"n": 120, "m": 60, "law": "sphere", "seed": 2}
+    assert data["pass"]
+    assert data["estimate"] <= data["bound"] == 1e-8
+    assert [o["path"] for o in manifest(out)["outputs"]] == ["report.json"]
 
 
 def test_verify_quadform(tmp_path):
@@ -255,6 +282,10 @@ def test_verify_missing_size_flag_exits_2(tmp_path, capsys):
     rc = run(["verify", "--check", "tail", "--out", tmp_path / "v"])
     assert rc == 2
     assert "requires --n" in capsys.readouterr().err
+    rc = run(["verify", "--check", "gram", "--m", 10, "--out", tmp_path / "g"])
+    assert rc == 2
+    assert "requires --n" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
 
 
 def test_verify_stieltjes_var_real_z_exits_2(tmp_path, capsys):
@@ -277,8 +308,9 @@ def test_verify_variance_without_trials_exits_2(tmp_path, capsys, check,
 
 
 @pytest.mark.parametrize("check,size,samples", [
-    ("quadform", "--dims=16,32", 1), ("tail", "--n=16", 0),
-    ("isotropy", "--n=16", 0)])
+    ("quadform", "--dims=16,32", 1), ("quadform", "--dims=64", 100),
+    ("tail", "--n=16", 0), ("isotropy", "--n=16", 0),
+    ("isotropy", "--n=4", 1)])
 def test_verify_too_few_samples_exits_2(tmp_path, capsys, check, size,
                                         samples):
     out = tmp_path / "v"

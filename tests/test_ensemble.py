@@ -38,11 +38,6 @@ def test_parse_h0_variants():
         parse_h0("identity")
 
 
-def test_h0_encode_roundtrip():
-    for text in ("zero", "diag:1.0,2.0", "file:/x/y.txt"):
-        assert parse_h0(text).encode() == text
-
-
 def test_resolve_h0_shapes():
     assert np.array_equal(resolve_h0(H0Zero(), 3), np.zeros((3, 3)))
     assert np.array_equal(resolve_h0(H0Diagonal((1.0, 2.0)), 2),

@@ -53,12 +53,6 @@ def test_stream_ids_independent():
     assert not np.array_equal(a, c)
 
 
-def test_stream_counter_advances():
-    a = RngStream(3, 4, counter=0).generator().random(4)
-    b = RngStream(3, 4, counter=1).generator().random(4)
-    assert not np.array_equal(a, b)
-
-
 # ---------------------------------------------------------------------------
 # law normalization
 # ---------------------------------------------------------------------------
@@ -219,12 +213,17 @@ def test_isotropy_fails_for_correlated_sampler():
 def test_isotropy_report_dict():
     rep = isotropy_estimate(VectorLaw.parse("sphere"), 8, 5000, RngStream(7, 0))
     d = rep.to_dict()
-    assert d["law"] == "sphere"
-    assert d["n"] == 8
-    assert "pass" in d and d["pass"] == rep.passed
-    assert d["max_cov_deviation"] >= 0
+    assert d["kind"] == "isotropy"
+    assert d["params"] == {"law": "sphere", "n": 8, "samples": 5000}
+    assert d["pass"] == rep.passed
+    assert d["estimate"] == rep.max_cov_deviation >= 0
+    assert d["bound"] == rep.ratio_threshold
+    assert d["max_ratio"] == rep.max_ratio
 
 
 def test_isotropy_needs_a_sample():
-    with pytest.raises(ValueError, match="at least 1 sample"):
-        isotropy_estimate(VectorLaw.parse("gauss"), 8, 0, RngStream(0, 0))
+    # one sample has zero spread, so every deviation's ratio would be inf
+    for samples in (0, 1):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            isotropy_estimate(VectorLaw.parse("gauss"), 8, samples,
+                              RngStream(0, 0))

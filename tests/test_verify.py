@@ -121,6 +121,13 @@ def test_quadform_needs_two_samples(samples):
         verify_quadratic_form(VectorLaw.parse("gauss"), (16, 32), samples, 0)
 
 
+@pytest.mark.parametrize("dims", [(64,), (64, 64)])
+def test_quadform_needs_two_dimensions(dims):
+    # a slope through one point is not a decay rate
+    with pytest.raises(ValueError, match="at least 2 distinct dimensions"):
+        verify_quadratic_form(VectorLaw.parse("gauss"), dims, 100, 0)
+
+
 # ---------------------------------------------------------------------------
 # norm tail
 # ---------------------------------------------------------------------------
@@ -197,6 +204,23 @@ def test_convergence_report_serialization():
     lines = rep.csv_rows()
     assert lines[0] == "n,m,seeds,mean_ks,std_ks"
     assert len(lines) == 3
+
+
+def test_convergence_needs_a_seed():
+    model = ModelSpec(c=0.5, sigma=UNIT_SIGMA,
+                      n0=SpectralMeasure(atoms=[(0.0, 1.0)]))
+    with pytest.raises(ValueError, match="at least 1 seed"):
+        convergence_study(VectorLaw.parse("sphere"), model, (16, 32), 0, 0,
+                          np.linspace(0.02, 3.2, 50))
+
+
+def test_convergence_without_factory_needs_unit_atom_base():
+    # the ensembles are H0 = 0, so another base gives a wrong verdict
+    model = ModelSpec(c=0.5, sigma=UNIT_SIGMA,
+                      n0=SpectralMeasure(atoms=[(-1.0, 0.5), (1.0, 0.5)]))
+    with pytest.raises(ValueError, match="unit atom at zero"):
+        convergence_study(VectorLaw.parse("sphere"), model, (16, 32), 2, 0,
+                          np.linspace(-3.0, 3.0, 50))
 
 
 def test_snap_structural_zeros():
