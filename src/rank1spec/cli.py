@@ -3,7 +3,8 @@
 Subcommands: density (solve the limit on a grid), simulate (finite-n
 ensembles), compare (convergence of H0 = 0 ensembles to the limit with
 a unit atom at zero as base), verify (concentration, isotropy and Gram
-duality checks). Each subcommand takes only the flags it reads. A
+duality checks). Each subcommand takes only the flags it reads; a verify
+check reads `--law`, `--seed` and the flags of its VERIFY_CHECKS row. A
 `--config` file holds flat key=value pairs named after the long flags;
 explicit flags override it. Every command writes a manifest.json
 recording flags, seed, and sha256 of outputs, and reruns are
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble import (EnsembleConfig, build_matrix, eigenvalues_sym,
+from .ensemble import (EnsembleConfig, H0Zero, build_matrix, eigenvalues_sym,
                        parse_h0, read_spectrum_csv, write_spectrum_csv)
 from .errors import NonConvergence, Rank1SpecError
 from .measures import (AmplitudeLaw, SpectralMeasure, save_measure_json,
@@ -52,26 +53,24 @@ def parse_grid(text: str) -> np.ndarray:
     return grid
 
 
+def parse_atoms(text: str) -> list[tuple[float, float]]:
+    """'atoms:x1:w1,x2:w2,...' -> [(x1, w1), (x2, w2), ...]."""
+    try:
+        if text.startswith("atoms:"):
+            return [(float(x), float(w)) for x, w in
+                    (c.split(":") for c in text[len("atoms:"):].split(","))]
+    except ValueError:
+        pass
+    raise ValueError(f"expected atoms:x1:w1,x2:w2,..., got {text!r}")
+
+
 def parse_sigma(text: str) -> AmplitudeLaw:
     """'atoms:t1:w1,t2:w2,...' -> AmplitudeLaw."""
-    if not text.startswith("atoms:"):
-        raise ValueError(f"amplitude law must start with 'atoms:', got {text!r}")
-    pairs = []
-    for chunk in text[len("atoms:"):].split(","):
-        t, w = chunk.split(":")
-        pairs.append((float(t), float(w)))
-    return AmplitudeLaw(pairs)
+    return AmplitudeLaw(parse_atoms(text))
 
 
 def parse_measure_atoms(text: str) -> SpectralMeasure:
-    if not text.startswith("atoms:"):
-        raise ValueError(f"measure spec must start with 'atoms:', got {text!r}")
-    pairs = []
-    for chunk in text[len("atoms:"):].split(","):
-        loc, mass = chunk.split(":")
-        pairs.append((float(loc), float(mass)))
-    pairs.sort(key=lambda p: p[0])
-    return SpectralMeasure(atoms=pairs)
+    return SpectralMeasure(atoms=sorted(parse_atoms(text)))
 
 
 def measure_from_spectrum_file(path: str) -> SpectralMeasure:
@@ -82,8 +81,11 @@ def measure_from_spectrum_file(path: str) -> SpectralMeasure:
 
 
 def parse_pair(text: str) -> tuple[float, float]:
-    a, b = text.split(",")
-    return float(a), float(b)
+    try:
+        a, b = text.split(",")
+        return float(a), float(b)
+    except ValueError:
+        raise ValueError(f"expected a,b, got {text!r}") from None
 
 
 def parse_int_list(text: str) -> list[int]:
@@ -220,53 +222,69 @@ def cmd_compare(args) -> int:
     return 0
 
 
+# The flags each verify check reads besides --law and --seed, with their
+# defaults; None marks a required flag. The Gram duality holds only for
+# H0 = 0 and unit amplitudes, so gram reads no --sigma or --h0.
+VERIFY_CHECKS = {
+    "counting-var": {"n": None, "m": None, "sigma": "atoms:1:1", "h0": "zero",
+                     "trials": 200, "interval": "0.25,2.25"},
+    "stieltjes-var": {"n": None, "m": None, "sigma": "atoms:1:1",
+                      "h0": "zero", "trials": 200, "z": "0,1"},
+    "gram": {"n": None, "m": None},
+    "quadform": {"dims": "64,128,256,512", "samples": 100_000},
+    "tail": {"n": None, "samples": 100_000, "t_values": "1,1.5,2"},
+    "isotropy": {"n": None, "samples": 100_000},
+}
+
+
+def resolve_verify_flags(args) -> None:
+    """Reject the flags args.check does not read; fill in its defaults."""
+    row = VERIFY_CHECKS[args.check]
+    unread = sorted(vars(args).keys() - row.keys() - {
+        "command", "func", "config", "out", "check", "law", "seed"})
+    if unread:
+        raise ValueError(f"--check {args.check} does not read " + ", ".join(
+            "--" + flag.replace("_", "-") for flag in unread))
+    for flag, default in row.items():
+        value = getattr(args, flag, default)
+        if value is None:
+            raise ValueError(f"--check {args.check} requires --{flag}")
+        setattr(args, flag, value)
+
+
 def cmd_verify(args) -> int:
+    resolve_verify_flags(args)
     law = VectorLaw.parse(args.law)
     check = args.check
-    # quadform works off --dims; every other check needs explicit sizes
-    needed = {"counting-var": ("n", "m"), "stieltjes-var": ("n", "m"),
-              "gram": ("n", "m"), "tail": ("n",),
-              "isotropy": ("n",)}.get(check, ())
-    for flag in needed:
-        if getattr(args, flag) is None:
-            raise ValueError(f"--check {check} requires --{flag}")
-    # the checks that need --m are the ones that draw ensembles
-    if "m" in needed:
+    if check in ("counting-var", "stieltjes-var"):
         config = EnsembleConfig(n=args.n, m=args.m, law=law,
                                 sigma=parse_sigma(args.sigma),
                                 h0=parse_h0(args.h0), seed=args.seed)
-    csv_lines: list[str] | None = None
     if check == "counting-var":
         report = verify_counting_variance(config, parse_pair(args.interval),
                                           args.trials)
-        csv_lines = ["kind,estimate,bound,trials,se,pass", report.csv_row()]
     elif check == "stieltjes-var":
         re_z, im_z = parse_pair(args.z)
         report = verify_stieltjes_variance(config, complex(re_z, im_z),
                                            args.trials)
-        csv_lines = ["kind,estimate,bound,trials,se,pass", report.csv_row()]
     elif check == "gram":
-        report = verify_gram_duality(config)
+        report = verify_gram_duality(EnsembleConfig(
+            n=args.n, m=args.m, law=law, sigma=AmplitudeLaw([(1.0, 1.0)]),
+            h0=H0Zero(), seed=args.seed))
     elif check == "quadform":
         report = verify_quadratic_form(law, parse_int_list(args.dims),
                                        args.samples, args.seed)
-        csv_lines = ["matrix,n,variance,variance_se"] + report.csv_rows()
     elif check == "tail":
         report = verify_norm_tail(law, args.n, args.samples, args.seed,
                                   parse_float_list(args.t_values))
-        csv_lines = ["t,empirical,envelope,binomial_se"] + report.csv_rows()
     else:
         report = isotropy_estimate(law, args.n, args.samples,
                                    RngStream(args.seed, 0))
     out_dir = _output_dir(args)
     json_path = out_dir / "report.json"
     _write_json(json_path, report.to_dict())
-    outputs = [json_path]
-    if csv_lines is not None:
-        csv_path = out_dir / "report.csv"
-        csv_path.write_text("\n".join(csv_lines) + "\n")
-        outputs.append(csv_path)
-    write_manifest(out_dir, "verify", _flags_dict(args), args.seed, outputs)
+    write_manifest(out_dir, "verify", _flags_dict(args), args.seed,
+                   [json_path])
     return 0 if report.passed else 3
 
 
@@ -291,14 +309,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iter", dest="max_iter", type=int, default=100_000)
 
 
-def _add_ensemble_flags(p: argparse.ArgumentParser, need_nm: bool) -> None:
-    p.add_argument("--n", type=int, required=need_nm)
-    p.add_argument("--m", type=int, required=need_nm)
-    p.add_argument("--law", default="sphere")
-    p.add_argument("--h0", default="zero")
-    p.add_argument("--seed", type=int, default=0)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rank1spec")
     parser.add_argument("--config", default=None, help=argparse.SUPPRESS)
@@ -306,14 +316,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="solve the limiting density on a grid")
     _add_solver_flags(p)
-    p.add_argument("--n0", default="atoms:0:1")
-    p.add_argument("--h0-spectrum", dest="h0_spectrum", default=None,
-                   help="eigenvalue CSV defining the base spectrum")
+    base = p.add_mutually_exclusive_group()
+    base.add_argument("--n0", default="atoms:0:1")
+    base.add_argument("--h0-spectrum", dest="h0_spectrum", default=None,
+                      help="eigenvalue CSV defining the base spectrum")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("simulate", help="sample finite-n ensembles")
-    _add_ensemble_flags(p, need_nm=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--law", default="sphere")
+    p.add_argument("--h0", default="zero")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sigma", default="atoms:1:1")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--bins", type=int, default=50)
@@ -332,17 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="concentration, isotropy and Gram "
                                       "duality checks")
-    p.add_argument("--check", required=True,
-                   choices=["counting-var", "stieltjes-var", "gram",
-                            "quadform", "tail", "isotropy"])
-    _add_ensemble_flags(p, need_nm=False)
-    p.add_argument("--sigma", default="atoms:1:1")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--interval", default="0.25,2.25")
-    p.add_argument("--z", default="0,1")
-    p.add_argument("--dims", default="64,128,256,512")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--t-values", dest="t_values", default="1,1.5,2")
+    p.add_argument("--check", required=True, choices=VERIFY_CHECKS)
+    p.add_argument("--law", default="sphere")
+    p.add_argument("--seed", type=int, default=0)
+    # unset flags stay off the namespace; VERIFY_CHECKS fills them in
+    for flag, kind in (("n", int), ("m", int), ("h0", str), ("sigma", str),
+                       ("trials", int), ("interval", str), ("z", str),
+                       ("dims", str), ("samples", int), ("t-values", str)):
+        p.add_argument(f"--{flag}", type=kind, default=argparse.SUPPRESS)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_verify)
     return parser

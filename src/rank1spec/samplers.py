@@ -184,11 +184,12 @@ class IsotropyReport:
         return {"kind": "isotropy",
                 "params": {"law": self.law, "n": self.n,
                            "samples": self.samples},
-                "estimate": self.max_cov_deviation,
+                "estimate": self.max_ratio,
                 "bound": self.ratio_threshold,
                 "se": 0.0,
                 "pass": self.passed,
                 "mean_norm": self.mean_norm,
+                "max_cov_deviation": self.max_cov_deviation,
                 "max_ratio": self.max_ratio}
 
 

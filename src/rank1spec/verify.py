@@ -55,11 +55,6 @@ class VarianceReport:
                 "estimate": self.estimate, "bound": self.bound,
                 "se": self.standard_error, "pass": self.passed}
 
-    def csv_row(self) -> str:
-        return ",".join([self.kind, repr(self.estimate), repr(self.bound),
-                         str(self.trials), repr(self.standard_error),
-                         str(self.passed)])
-
 
 def _variance_se(values: np.ndarray) -> float:
     """Standard error of the unbiased sample variance via fourth moments."""
@@ -183,10 +178,6 @@ class QuadFormReport:
                 "rows": [[r.matrix, r.n, r.variance, r.variance_se]
                          for r in self.rows]}
 
-    def csv_rows(self) -> list[str]:
-        return [f"{r.matrix},{r.n},{r.variance!r},{r.variance_se!r}"
-                for r in self.rows]
-
 
 def _quadform_values(law: VectorLaw, n: int, samples: int,
                      matrix: str, rng) -> np.ndarray:
@@ -271,10 +262,6 @@ class TailReport:
                 "pass": self.passed,
                 "rows": [[r.t, r.empirical, r.envelope, r.binomial_se]
                          for r in self.rows]}
-
-    def csv_rows(self) -> list[str]:
-        return [f"{r.t!r},{r.empirical!r},{r.envelope!r},{r.binomial_se!r}"
-                for r in self.rows]
 
 
 def verify_norm_tail(law: VectorLaw, n: int, samples: int, master_seed: int,

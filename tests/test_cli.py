@@ -215,6 +215,17 @@ def test_compare_rejects_flags_it_does_not_read(tmp_path, flag, value):
     assert not out.exists()
 
 
+def test_density_rejects_n0_with_h0_spectrum(tmp_path):
+    src = tmp_path / "eig.csv"
+    src.write_text("0.0\n1.0\n")
+    out = tmp_path / "d"
+    with pytest.raises(SystemExit) as exc:
+        run(["density", "--c", 0.2, "--n0", "atoms:5:1", "--h0-spectrum",
+             src, "--grid=-1:4:20", "--out", out])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["compare", "--c", 0.5, "--grid", "0.02:3.2:50", "--dims", "16,32",
      "--seeds", 0],
@@ -238,7 +249,7 @@ def test_verify_counting_var(tmp_path):
     data = json.loads((out / "report.json").read_text())
     assert data["kind"] == "counting-var"
     assert data["pass"]
-    assert (out / "report.csv").exists()
+    assert [o["path"] for o in manifest(out)["outputs"]] == ["report.json"]
 
 
 def test_verify_gram(tmp_path):
@@ -286,6 +297,66 @@ def test_verify_missing_size_flag_exits_2(tmp_path, capsys):
     assert rc == 2
     assert "requires --n" in capsys.readouterr().err
     assert not (tmp_path / "g").exists()
+
+
+# small runs of each check, with every flag it requires
+VERIFY_RUNS = {
+    "counting-var": ["--n", 20, "--m", 10, "--trials", 4],
+    "stieltjes-var": ["--n", 20, "--m", 10, "--trials", 4],
+    "gram": ["--n", 20, "--m", 10],
+    "quadform": ["--dims", "16,32", "--samples", 200],
+    "tail": ["--n", 16, "--samples", 200],
+    "isotropy": ["--n", 8, "--samples", 200],
+}
+# a value each verify flag accepts
+VERIFY_VALUES = {"n": 20, "m": 10, "sigma": "atoms:1:1", "h0": "zero",
+                 "trials": 4, "interval": "0.25,2.25", "z": "0,1",
+                 "dims": "16,32", "samples": 200, "t_values": "1,2"}
+
+
+def unread_flag(check):
+    flag = min(VERIFY_VALUES.keys() - cli.VERIFY_CHECKS[check].keys())
+    return flag.replace("_", "-"), VERIFY_VALUES[flag]
+
+
+@pytest.mark.parametrize("check,flag,value", [
+    *((check, *unread_flag(check)) for check in cli.VERIFY_CHECKS),
+    ("gram", "sigma", "atoms:2:1"), ("gram", "h0", "diag:" + ",".join(
+        ["1"] * 20))])
+def test_verify_rejects_flags_its_check_does_not_read(tmp_path, capsys,
+                                                       check, flag, value):
+    out = tmp_path / "v"
+    rc = run(["verify", "--check", check, *VERIFY_RUNS[check], f"--{flag}",
+              value, "--out", out])
+    assert rc == 2
+    assert f"does not read --{flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("check", cli.VERIFY_CHECKS)
+def test_verify_manifest_holds_the_check_flags(tmp_path, check):
+    out = tmp_path / "v"
+    assert run(["verify", "--check", check, *VERIFY_RUNS[check],
+                "--out", out]) in (0, 3)
+    flags = manifest(out)["flags"]
+    row = cli.VERIFY_CHECKS[check]
+    assert set(flags) == {k.replace("_", "-") for k in row} | {
+        "check", "command", "law", "seed"}
+    passed = VERIFY_RUNS[check][::2]
+    for key, default in row.items():
+        if f"--{key}" not in passed:
+            assert flags[key.replace("_", "-")] == default
+
+
+def test_verify_config_key_the_check_does_not_read_exits_2(tmp_path,
+                                                           capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=20\nm=10\ntrials=4\n")
+    out = tmp_path / "g"
+    assert run(["verify", "--config", cfg, "--check", "gram",
+                "--out", out]) == 2
+    assert "does not read --trials" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_stieltjes_var_real_z_exits_2(tmp_path, capsys):

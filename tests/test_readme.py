@@ -35,12 +35,15 @@ def command_lines() -> list[str]:
 
 
 def test_readme_command_lines_parse():
-    # parse only: a line naming a removed subcommand, mode or flag fails
+    # parse only: a line naming a removed subcommand, mode or flag fails,
+    # and so does a verify line passing a flag its check does not read
     lines = command_lines()
     assert len(lines) >= 10
     parser = cli.build_parser()
     for line in lines:
-        parser.parse_args(shlex.split(line)[1:])
+        args = parser.parse_args(shlex.split(line)[1:])
+        if args.command == "verify":
+            cli.resolve_verify_flags(args)
 
 
 def test_all_names_resolve_once():

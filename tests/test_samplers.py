@@ -216,9 +216,10 @@ def test_isotropy_report_dict():
     assert d["kind"] == "isotropy"
     assert d["params"] == {"law": "sphere", "n": 8, "samples": 5000}
     assert d["pass"] == rep.passed
-    assert d["estimate"] == rep.max_cov_deviation >= 0
+    # estimate and bound are both in units of the standard error
+    assert d["estimate"] == d["max_ratio"] == rep.max_ratio >= 0
     assert d["bound"] == rep.ratio_threshold
-    assert d["max_ratio"] == rep.max_ratio
+    assert d["max_cov_deviation"] == rep.max_cov_deviation >= 0
 
 
 def test_isotropy_needs_a_sample():
