@@ -19,26 +19,26 @@ from .measures import (AmplitudeLaw, EmpiricalSpectrum, SpectralMeasure, cdf,
                        cdf_left, ks_distance, load_measure_json, moment,
                        read_density_csv, save_measure_json,
                        stieltjes_of_measure, write_density_csv)
-from .samplers import (IsotropyReport, RngStream, VectorLaw, isotropy_estimate,
-                       lp_ball_points, lp_scale, sample_tau, sample_vectors)
+from .samplers import (RngStream, VectorLaw, lp_ball_points, lp_scale,
+                       sample_tau, sample_vectors)
 from .solver import (ModelSpec, SolverOptions, limit_density, mp_closed_form,
                      mp_limit_measure, mp_stieltjes_oracle,
                      normalization_check, solve_mpe_at, solve_mpe_grid)
-from .verify import (ConvergenceReport, QuadFormReport, TailReport,
-                     VarianceReport, convergence_study,
-                     verify_counting_variance, verify_norm_tail,
-                     verify_quadratic_form, verify_stieltjes_variance)
+from .verify import (ConvergenceReport, Report, convergence_study,
+                     isotropy_estimate, verify_counting_variance,
+                     verify_norm_tail, verify_quadratic_form,
+                     verify_stieltjes_variance)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AmplitudeLaw", "ConvergenceReport", "EmpiricalSpectrum",
     "EnsembleConfig", "EmptySpectrum", "H0Diagonal", "H0File", "H0Mismatch",
-    "H0Zero", "InvalidDimension", "InvalidP", "IsotropyReport", "MassDeficit",
-    "ModelSpec", "NearSingularDenominator", "NoConvergence", "NonConvergence",
-    "PoleHit", "QuadFormReport", "Rank1SpecError", "RealAxisEvaluation",
-    "RngStream", "ShapeMismatch", "SolverOptions", "SpectralMeasure",
-    "TailReport", "UnsupportedOrder", "VarianceReport", "VectorLaw",
+    "H0Zero", "InvalidDimension", "InvalidP", "MassDeficit", "ModelSpec",
+    "NearSingularDenominator", "NoConvergence", "NonConvergence", "PoleHit",
+    "Rank1SpecError", "RealAxisEvaluation", "Report", "RngStream",
+    "ShapeMismatch", "SolverOptions", "SpectralMeasure", "UnsupportedOrder",
+    "VectorLaw",
     "assemble_matrix", "build_matrix", "cdf", "cdf_left", "convergence_study",
     "counting_measure", "eigenvalues_sym", "gram_counting_relation",
     "gram_matrix", "isotropy_estimate", "ks_distance", "limit_density",

@@ -28,11 +28,12 @@ from .ensemble import (EnsembleConfig, H0Zero, build_matrix, eigenvalues_sym,
 from .errors import NonConvergence, Rank1SpecError
 from .measures import (AmplitudeLaw, SpectralMeasure, save_measure_json,
                        write_density_csv)
-from .samplers import RngStream, VectorLaw, isotropy_estimate
+from .samplers import RngStream, VectorLaw
 from .solver import ModelSpec, SolverOptions, limit_density, solve_mpe_grid
-from .verify import (convergence_study, verify_counting_variance,
-                     verify_gram_duality, verify_norm_tail,
-                     verify_quadratic_form, verify_stieltjes_variance)
+from .verify import (convergence_study, isotropy_estimate,
+                     verify_counting_variance, verify_gram_duality,
+                     verify_norm_tail, verify_quadratic_form,
+                     verify_stieltjes_variance)
 
 GRID_NUDGE = 1e-9
 
@@ -43,10 +44,14 @@ GRID_NUDGE = 1e-9
 
 def parse_grid(text: str) -> np.ndarray:
     """'a:b:count' -> uniform grid with endpoints nudged inward 1e-9."""
-    a, b, count = text.split(":")
-    a, b, count = float(a), float(b), int(count)
-    if count < 1 or b <= a:
-        raise ValueError(f"bad grid spec {text!r}")
+    try:
+        a, b, count = text.split(":")
+        a, b, count = float(a), float(b), int(count)
+        if count < 1 or b <= a:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"expected a:b:count with a < b and count >= 1, "
+                         f"got {text!r}") from None
     grid = np.linspace(a, b, count)
     grid[0] += GRID_NUDGE
     grid[-1] -= GRID_NUDGE
@@ -89,11 +94,17 @@ def parse_pair(text: str) -> tuple[float, float]:
 
 
 def parse_int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",")]
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"expected integers n1,n2,..., got {text!r}") from None
 
 
 def parse_float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",")]
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"expected numbers t1,t2,..., got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +191,8 @@ def cmd_density(args) -> int:
 def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if args.bins < 1:
+        raise ValueError(f"--bins must be at least 1, got {args.bins}")
     config = EnsembleConfig(n=args.n, m=args.m, law=VectorLaw.parse(args.law),
                             sigma=parse_sigma(args.sigma),
                             h0=parse_h0(args.h0), seed=args.seed)

@@ -1,17 +1,18 @@
-"""Isotropic vector laws and deterministic stream-keyed sampling.
+"""Isotropic vector laws, counter-based streams and draws.
 
 Every law is normalized so that E (Y, X)^2 = |X|^2 / n for all fixed X
 (sample covariance I/n); the complex law is isotropic as a vector in
 R^{2n}, giving I/(2n) per real coordinate. Streams are counter-based
 (Philox) and keyed by (master_seed, stream_id), so any draw is
-reproducible bit for bit from its key alone.
+reproducible bit for bit from its key alone. The Monte Carlo check of
+the normalization is `verify.isotropy_estimate`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -19,9 +20,6 @@ from .errors import InvalidDimension, InvalidP
 
 _REAL_KINDS = ("sphere", "gauss", "cube", "laplace")
 _ALL_KINDS = _REAL_KINDS + ("lp", "cgauss")
-
-# vectors drawn per block by isotropy_estimate, bounding its memory
-ISOTROPY_BATCH = 20_000
 
 
 @dataclass(frozen=True)
@@ -166,95 +164,3 @@ def sample_tau(sigma, rng: RngLike, size: int | None = None):
                      sigma.tau_values.size - 1)
     out = sigma.tau_values[idx]
     return out if size is not None else float(out[0])
-
-
-@dataclass
-class IsotropyReport:
-    law: str
-    n: int
-    samples: int
-    mean_norm: float
-    max_cov_deviation: float
-    mean_norm_threshold: float
-    max_ratio: float
-    ratio_threshold: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {"kind": "isotropy",
-                "params": {"law": self.law, "n": self.n,
-                           "samples": self.samples},
-                "estimate": self.max_ratio,
-                "bound": self.ratio_threshold,
-                "se": 0.0,
-                "pass": self.passed,
-                "mean_norm": self.mean_norm,
-                "max_cov_deviation": self.max_cov_deviation,
-                "max_ratio": self.max_ratio}
-
-
-def isotropy_estimate(law, n: int, samples: int, rng: RngLike,
-                      sampler: Callable[[int, int, np.random.Generator], np.ndarray] | None = None,
-                      ) -> IsotropyReport:
-    """Monte Carlo isotropy check against the target covariance I/d.
-
-    Complex laws are unpacked to R^{2n} (real parts then imaginary
-    parts), whose target covariance is I/(2n) with zero cross terms.
-    Each covariance entry is compared against its own estimated standard
-    error; the criterion is max |dev|/SE <= 5 together with
-    |sample mean| <= 5 * sqrt(trace(cov)/samples).
-
-    A single sample has no spread to test against, so at least two are
-    needed.
-
-    `sampler(n, count, gen) -> (count, n) array` overrides the law's
-    generator (used to inject deliberately broken laws in tests).
-    """
-    if samples < 2:
-        raise ValueError(f"isotropy needs at least 2 samples, got {samples}")
-    gen = as_generator(rng)
-    name = law.encode() if isinstance(law, VectorLaw) else str(law)
-
-    def draw(count: int) -> np.ndarray:
-        if sampler is not None:
-            block = np.asarray(sampler(n, count, gen))
-        else:
-            block = sample_vectors(law, n, count, gen)
-        if np.iscomplexobj(block):
-            block = np.concatenate([block.real, block.imag], axis=1)
-        return block
-
-    s1 = s2 = s4 = None
-    done = 0
-    while done < samples:
-        take = min(ISOTROPY_BATCH, samples - done)
-        block = draw(take)
-        if s1 is None:
-            d = block.shape[1]
-            s1 = np.zeros(d)
-            s2 = np.zeros((d, d))
-            s4 = np.zeros((d, d))
-        s1 += block.sum(axis=0)
-        s2 += block.T @ block
-        sq = block * block
-        s4 += sq.T @ sq
-        done += take
-    mean = s1 / samples
-    second = s2 / samples
-    cov = second - np.outer(mean, mean)
-    dev = cov - np.eye(d) / d
-    var_entry = np.maximum(s4 / samples - second ** 2, 0.0)
-    se = np.sqrt(var_entry / samples)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(se > 0, np.abs(dev) / se,
-                         np.where(np.abs(dev) > 0, np.inf, 0.0))
-    mean_norm = float(np.linalg.norm(mean))
-    mean_thr = 5.0 * math.sqrt(max(np.trace(cov), 0.0) / samples)
-    max_ratio = float(np.max(ratio))
-    passed = mean_norm <= mean_thr and max_ratio <= 5.0
-    return IsotropyReport(law=name, n=n, samples=samples,
-                          mean_norm=mean_norm,
-                          max_cov_deviation=float(np.max(np.abs(dev))),
-                          mean_norm_threshold=mean_thr,
-                          max_ratio=max_ratio, ratio_threshold=5.0,
-                          passed=passed)

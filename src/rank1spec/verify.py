@@ -1,5 +1,7 @@
-"""Monte Carlo checks of the concentration bounds and of weak convergence
-of empirical spectra to the solved limit, and the Gram duality check.
+"""Monte Carlo checks: the six `verify` checks (counting and trace
+variances, Gram duality, quadratic forms, norm tails, isotropy) each
+return a `Report`, whose `to_dict()` is report.json; the convergence study
+of empirical spectra to the solved limit returns a `ConvergenceReport`.
 
 All checks are deterministic given (master seed, trial count): trials are
 keyed by index and aggregated in index order.
@@ -9,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -16,11 +19,13 @@ from .ensemble import (EnsembleConfig, H0Zero, build_matrix, counting_measure,
                        eigenvalues_sym, gram_counting_relation, gram_matrix)
 from .errors import RealAxisEvaluation
 from .measures import EmpiricalSpectrum, SpectralMeasure, ks_distance
-from .samplers import RngStream, VectorLaw, sample_vectors
+from .samplers import RngLike, RngStream, VectorLaw, as_generator, sample_vectors
 from .solver import ModelSpec, SolverOptions, limit_density
 
-# Pilot-calibrated ceiling for the mean KS at the largest study dimension
-# (pilot: c = 0.5, n = 1024, mean KS ~= 0.011 across laws and seeds).
+# Ceiling for the mean KS at the largest study dimension. At c = 0.5 and
+# n = 1024 the mean over 5 seeds is 0.0027-0.0029 for sphere, gauss, lp:1
+# and cube (`rank1spec compare --c 0.5 --grid 0.02:3.2:3000 --eps-final
+# 1e-5 --dims 1024 --seeds 5 --law LAW`).
 KS_LARGEST_N_THRESHOLD = 0.05
 
 # Sample variances below this are treated as exact concentration (the
@@ -37,23 +42,30 @@ QUADFORM_MATRICES = ("identity", "alternating")
 # their nonzero spectrum exactly, so the counting discrepancy is roundoff.
 GRAM_TOL = 1e-8
 
+# a covariance entry may deviate by this many of its standard errors
+ISOTROPY_RATIO_BOUND = 5.0
+
+# vectors drawn per block by isotropy_estimate, bounding its memory
+ISOTROPY_BATCH = 20_000
+
 
 @dataclass
-class VarianceReport:
+class Report:
+    """One check's verdict: report.json's six head keys, then `detail`,
+    the keys only that check writes."""
+
     kind: str
     params: dict
     estimate: float
     bound: float
-    trials: int
-    standard_error: float
+    se: float
     passed: bool
+    detail: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        params = dict(self.params)
-        params["trials"] = self.trials
-        return {"kind": self.kind, "params": params,
+        return {"kind": self.kind, "params": self.params,
                 "estimate": self.estimate, "bound": self.bound,
-                "se": self.standard_error, "pass": self.passed}
+                "se": self.se, "pass": self.passed, **self.detail}
 
 
 def _variance_se(values: np.ndarray) -> float:
@@ -73,10 +85,12 @@ def _require_trials(trials: int) -> None:
         raise ValueError(f"a variance needs at least 2 trials, got {trials}")
 
 
-def verify_counting_variance(config: EnsembleConfig, interval, trials: int) -> VarianceReport:
+def verify_counting_variance(config: EnsembleConfig, interval, trials: int) -> Report:
     """Var of the counting measure on (a, b] against the 4m/n^2 bound."""
     _require_trials(trials)
     a, b = float(interval[0]), float(interval[1])
+    if a >= b:
+        raise ValueError(f"the interval (a, b] needs a < b, got {a!r},{b!r}")
     counts = np.empty(trials)
     for t in range(trials):
         spec = eigenvalues_sym(build_matrix(config, trial=t))
@@ -84,15 +98,15 @@ def verify_counting_variance(config: EnsembleConfig, interval, trials: int) -> V
     estimate = float(np.var(counts, ddof=1))
     bound = 4.0 * config.m / config.n ** 2
     se = _variance_se(counts)
-    return VarianceReport(
+    return Report(
         kind="counting-var",
         params={"n": config.n, "m": config.m, "law": config.law.encode(),
-                "interval": [a, b], "seed": config.seed},
-        estimate=estimate, bound=bound, trials=trials,
-        standard_error=se, passed=estimate <= bound + 3.0 * se)
+                "interval": [a, b], "seed": config.seed, "trials": trials},
+        estimate=estimate, bound=bound, se=se,
+        passed=estimate <= bound + 3.0 * se)
 
 
-def verify_stieltjes_variance(config: EnsembleConfig, z: complex, trials: int) -> VarianceReport:
+def verify_stieltjes_variance(config: EnsembleConfig, z: complex, trials: int) -> Report:
     """Var of g(z) = Tr(H - z)^(-1)/n against 4m/(n^2 |Im z|^2)."""
     _require_trials(trials)
     z = complex(z)
@@ -107,30 +121,15 @@ def verify_stieltjes_variance(config: EnsembleConfig, z: complex, trials: int) -
     estimate = float(sq.sum() / (trials - 1))
     bound = 4.0 * config.m / (config.n ** 2 * z.imag ** 2)
     se = float(np.std(sq, ddof=1) / math.sqrt(trials))
-    return VarianceReport(
+    return Report(
         kind="stieltjes-var",
         params={"n": config.n, "m": config.m, "law": config.law.encode(),
-                "z": [z.real, z.imag], "seed": config.seed},
-        estimate=estimate, bound=bound, trials=trials,
-        standard_error=se, passed=estimate <= bound + 3.0 * se)
+                "z": [z.real, z.imag], "seed": config.seed, "trials": trials},
+        estimate=estimate, bound=bound, se=se,
+        passed=estimate <= bound + 3.0 * se)
 
 
-@dataclass
-class GramReport:
-    params: dict
-    discrepancy: float
-
-    @property
-    def passed(self) -> bool:
-        return self.discrepancy <= GRAM_TOL
-
-    def to_dict(self) -> dict:
-        return {"kind": "gram", "params": self.params,
-                "estimate": self.discrepancy, "bound": GRAM_TOL,
-                "se": 0.0, "pass": self.passed}
-
-
-def verify_gram_duality(config: EnsembleConfig) -> GramReport:
+def verify_gram_duality(config: EnsembleConfig) -> Report:
     """Counting discrepancy between the m x m Gram side and the full matrix.
 
     Trial 0's nonzero spectrum must agree on both sides to GRAM_TOL. The
@@ -140,43 +139,13 @@ def verify_gram_duality(config: EnsembleConfig) -> GramReport:
     # the dense solve keeps the Gram side an independent check
     full = eigenvalues_sym(build_matrix(config, trial=0).array)
     gram = eigenvalues_sym(gram_matrix(config, trial=0))
-    return GramReport(
+    discrepancy = gram_counting_relation(gram, full, config.n, config.m)
+    return Report(
+        kind="gram",
         params={"n": config.n, "m": config.m, "law": config.law.encode(),
                 "seed": config.seed},
-        discrepancy=gram_counting_relation(gram, full, config.n, config.m))
-
-
-@dataclass
-class QuadFormRow:
-    matrix: str
-    n: int
-    variance: float
-    variance_se: float
-
-
-@dataclass
-class QuadFormReport:
-    law: str
-    dims: list
-    samples: int
-    rows: list
-    slopes: dict
-    exact: dict
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {"kind": "quadform",
-                "params": {"law": self.law, "dims": self.dims,
-                           "samples": self.samples,
-                           "exact": self.exact},
-                "estimate": max((s for s in self.slopes.values()
-                                 if s is not None), default=float("-inf")),
-                "bound": QUADFORM_SLOPE_BOUND,
-                "se": 0.0,
-                "pass": self.passed,
-                "slopes": {k: v for k, v in self.slopes.items()},
-                "rows": [[r.matrix, r.n, r.variance, r.variance_se]
-                         for r in self.rows]}
+        estimate=discrepancy, bound=GRAM_TOL, se=0.0,
+        passed=discrepancy <= GRAM_TOL)
 
 
 def _quadform_values(law: VectorLaw, n: int, samples: int,
@@ -190,12 +159,14 @@ def _quadform_values(law: VectorLaw, n: int, samples: int,
 
 
 def verify_quadratic_form(law: VectorLaw, dims, samples: int,
-                          master_seed: int) -> QuadFormReport:
+                          master_seed: int) -> Report:
     """Decay of Var(A Y, Y) with dimension, for A = I and A = diag(+-1).
 
     Fits the least-squares slope of log variance against log n; the
-    concentration criterion is slope <= -0.2. Rows whose variances sit
-    below 1e-20 concentrate exactly and pass by convention.
+    concentration criterion is slope <= -0.2, and the estimate is the
+    largest slope. A matrix whose variances all sit below 1e-20
+    concentrates exactly: its slope is None and it passes by convention.
+    Each row is [matrix, n, variance, variance_se].
     """
     if samples < 2:
         raise ValueError(f"a variance needs at least 2 samples, got {samples}")
@@ -206,67 +177,35 @@ def verify_quadratic_form(law: VectorLaw, dims, samples: int,
     rows = []
     slopes: dict = {}
     exact: dict = {}
-    passed = True
     for j, matrix in enumerate(QUADFORM_MATRICES):
         variances = []
         for i, n in enumerate(dims):
             rng = RngStream(master_seed, j * 1_000_000 + i).generator()
             vals = _quadform_values(law, n, samples, matrix, rng)
             variances.append(float(np.var(vals, ddof=1)))
-            rows.append(QuadFormRow(matrix=matrix, n=n,
-                                    variance=variances[-1],
-                                    variance_se=_variance_se(vals)))
-        variances = np.asarray(variances)
-        if np.all(variances < EXACT_VARIANCE_FLOOR):
-            slopes[matrix] = None
-            exact[matrix] = True
-            continue
-        exact[matrix] = False
-        slope = float(np.polyfit(np.log(dims), np.log(np.maximum(
-            variances, EXACT_VARIANCE_FLOOR)), 1)[0])
-        slopes[matrix] = slope
-        if slope > QUADFORM_SLOPE_BOUND:
-            passed = False
-    return QuadFormReport(law=law.encode(), dims=dims, samples=samples,
-                          rows=rows, slopes=slopes, exact=exact, passed=passed)
-
-
-@dataclass
-class TailRow:
-    t: float
-    empirical: float
-    envelope: float
-    binomial_se: float
-
-
-@dataclass
-class TailReport:
-    law: str
-    n: int
-    samples: int
-    scale: float
-    rows: list
-    passed: bool
-    envelope_note: str = ("checked against the sharp envelope "
-                          "exp(-t sqrt(n)); weaker forms of the same bound "
-                          "divide the exponent by an absolute constant")
-
-    def to_dict(self) -> dict:
-        worst = max((r.empirical - r.envelope for r in self.rows), default=0.0)
-        return {"kind": "tail",
-                "params": {"law": self.law, "n": self.n,
-                           "samples": self.samples, "scale": self.scale,
-                           "envelope_note": self.envelope_note},
-                "estimate": worst, "bound": 0.0,
-                "se": max((r.binomial_se for r in self.rows), default=0.0),
-                "pass": self.passed,
-                "rows": [[r.t, r.empirical, r.envelope, r.binomial_se]
-                         for r in self.rows]}
+            rows.append([matrix, n, variances[-1], _variance_se(vals)])
+        exact[matrix] = bool(np.all(np.less(variances, EXACT_VARIANCE_FLOOR)))
+        slopes[matrix] = None if exact[matrix] else float(np.polyfit(
+            np.log(dims), np.log(np.maximum(variances, EXACT_VARIANCE_FLOOR)),
+            1)[0])
+    estimate = max((s for s in slopes.values() if s is not None),
+                   default=float("-inf"))
+    return Report(
+        kind="quadform",
+        params={"law": law.encode(), "dims": dims, "samples": samples,
+                "exact": exact},
+        estimate=estimate, bound=QUADFORM_SLOPE_BOUND, se=0.0,
+        passed=estimate <= QUADFORM_SLOPE_BOUND,
+        detail={"slopes": slopes, "rows": rows})
 
 
 def verify_norm_tail(law: VectorLaw, n: int, samples: int, master_seed: int,
-                     t_values=(1.0, 1.5, 2.0)) -> TailReport:
-    """Empirical P{|Y| >= C t} against exp(-t sqrt(n)), C = 2 median|Y|."""
+                     t_values=(1.0, 1.5, 2.0)) -> Report:
+    """Empirical P{|Y| >= C t} against exp(-t sqrt(n)), C = 2 median|Y|.
+
+    Rows are [t, empirical, envelope, binomial_se]; the estimate is the
+    largest excess of an empirical tail over its envelope.
+    """
     if samples < 1:
         raise ValueError(f"the tail check needs at least 1 sample, "
                          f"got {samples}")
@@ -274,17 +213,88 @@ def verify_norm_tail(law: VectorLaw, n: int, samples: int, master_seed: int,
     norms = np.linalg.norm(sample_vectors(law, n, samples, rng), axis=1)
     scale = 2.0 * float(np.median(norms))
     rows = []
-    passed = True
     for t in t_values:
         p_hat = float(np.mean(norms >= scale * t))
-        envelope = math.exp(-t * math.sqrt(n))
         se = math.sqrt(p_hat * (1.0 - p_hat) / samples)
-        ok = p_hat <= envelope + 3.0 * se
-        passed = passed and ok
-        rows.append(TailRow(t=float(t), empirical=p_hat, envelope=envelope,
-                            binomial_se=se))
-    return TailReport(law=law.encode(), n=n, samples=samples, scale=scale,
-                      rows=rows, passed=passed)
+        rows.append([float(t), p_hat, math.exp(-t * math.sqrt(n)), se])
+    return Report(
+        kind="tail",
+        params={"law": law.encode(), "n": n, "samples": samples,
+                "scale": scale, "envelope_note": (
+                    "checked against the sharp envelope exp(-t sqrt(n)); "
+                    "weaker forms of the same bound divide the exponent by "
+                    "an absolute constant")},
+        estimate=max((p - env for _, p, env, _ in rows), default=0.0),
+        bound=0.0, se=max((row[3] for row in rows), default=0.0),
+        passed=all(p <= env + 3.0 * se for _, p, env, se in rows),
+        detail={"rows": rows})
+
+
+def isotropy_estimate(law, n: int, samples: int, rng: RngLike,
+                      sampler: Callable[[int, int, np.random.Generator], np.ndarray] | None = None,
+                      ) -> Report:
+    """Monte Carlo isotropy check against the target covariance I/d.
+
+    Complex laws are unpacked to R^{2n} (real parts then imaginary
+    parts), whose target covariance is I/(2n) with zero cross terms.
+    Each covariance entry is compared against its own estimated standard
+    error; the criterion is max |dev|/SE <= 5 together with
+    |sample mean| <= 5 * sqrt(trace(cov)/samples). The estimate is that
+    largest ratio; `max_cov_deviation` gives the deviation itself.
+
+    A single sample has no spread to test against, so at least two are
+    needed.
+
+    `sampler(n, count, gen) -> (count, n) array` overrides the law's
+    generator (used to inject deliberately broken laws in tests).
+    """
+    if samples < 2:
+        raise ValueError(f"isotropy needs at least 2 samples, got {samples}")
+    gen = as_generator(rng)
+
+    def draw(count: int) -> np.ndarray:
+        if sampler is not None:
+            block = np.asarray(sampler(n, count, gen))
+        else:
+            block = sample_vectors(law, n, count, gen)
+        if np.iscomplexobj(block):
+            block = np.concatenate([block.real, block.imag], axis=1)
+        return block
+
+    s1 = s2 = s4 = None
+    done = 0
+    while done < samples:
+        take = min(ISOTROPY_BATCH, samples - done)
+        block = draw(take)
+        if s1 is None:
+            d = block.shape[1]
+            s1 = np.zeros(d)
+            s2 = np.zeros((d, d))
+            s4 = np.zeros((d, d))
+        s1 += block.sum(axis=0)
+        s2 += block.T @ block
+        sq = block * block
+        s4 += sq.T @ sq
+        done += take
+    mean = s1 / samples
+    second = s2 / samples
+    cov = second - np.outer(mean, mean)
+    dev = cov - np.eye(d) / d
+    var_entry = np.maximum(s4 / samples - second ** 2, 0.0)
+    se = np.sqrt(var_entry / samples)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(se > 0, np.abs(dev) / se,
+                         np.where(np.abs(dev) > 0, np.inf, 0.0))
+    mean_norm = float(np.linalg.norm(mean))
+    mean_thr = 5.0 * math.sqrt(max(np.trace(cov), 0.0) / samples)
+    max_ratio = float(np.max(ratio))
+    return Report(
+        kind="isotropy", params={"law": str(law), "n": n, "samples": samples},
+        estimate=max_ratio, bound=ISOTROPY_RATIO_BOUND, se=0.0,
+        passed=mean_norm <= mean_thr and max_ratio <= ISOTROPY_RATIO_BOUND,
+        detail={"mean_norm": mean_norm,
+                "max_cov_deviation": float(np.max(np.abs(dev))),
+                "max_ratio": max_ratio})
 
 
 @dataclass

@@ -15,13 +15,13 @@ from rank1spec.ensemble import (EnsembleConfig, H0Zero, build_matrix,
                                 eigenvalues_sym, gram_counting_relation,
                                 gram_matrix, resolvent_trace_stream)
 from rank1spec.measures import AmplitudeLaw, SpectralMeasure, read_density_csv
-from rank1spec.samplers import RngStream, VectorLaw, isotropy_estimate, \
-    sample_vectors
+from rank1spec.samplers import RngStream, VectorLaw, sample_vectors
 from rank1spec.solver import (ModelSpec, SolverOptions, limit_density,
                               mp_stieltjes_oracle, normalization_check,
                               solve_mpe_at)
-from rank1spec.verify import (convergence_study, verify_counting_variance,
-                              verify_quadratic_form, verify_stieltjes_variance)
+from rank1spec.verify import (convergence_study, isotropy_estimate,
+                              verify_counting_variance, verify_quadratic_form,
+                              verify_stieltjes_variance)
 
 UNIT_SIGMA = AmplitudeLaw([(1.0, 1.0)])
 DELTA0 = SpectralMeasure(atoms=[(0.0, 1.0)])
@@ -101,12 +101,12 @@ def test_criterion_04_variance_bounds(criterion):
                              sigma=UNIT_SIGMA, h0=H0Zero(), seed=0)
         rep = verify_counting_variance(cfg, (0.25, 2.25), trials=200)
         assert rep.bound == 0.004
-        assert rep.estimate <= rep.bound + 3 * rep.standard_error
+        assert rep.estimate <= rep.bound + 3 * rep.se
         cfg2 = EnsembleConfig(n=400, m=200, law=VectorLaw.parse("sphere"),
                               sigma=UNIT_SIGMA, h0=H0Zero(), seed=0)
         rep2 = verify_stieltjes_variance(cfg2, 1j, trials=200)
         assert rep2.bound == 0.005
-        assert rep2.estimate <= rep2.bound + 3 * rep2.standard_error
+        assert rep2.estimate <= rep2.bound + 3 * rep2.se
 
 
 def test_criterion_05_streamed_resolvent(criterion):
@@ -161,7 +161,7 @@ def test_criterion_07_isotropy_screen(criterion):
             for ni, n in enumerate((10, 50, 200)):
                 rep = isotropy_estimate(parsed, n, 100_000,
                                         RngStream(ISOTROPY_SEED, li * 100 + ni))
-                assert rep.passed, (law, n, rep.max_ratio)
+                assert rep.passed, (law, n, rep.estimate)
         v = sample_vectors(VectorLaw.parse("sphere"), 64, 500, RngStream(0, 0))
         assert np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) <= 1e-12
 
@@ -172,15 +172,16 @@ def test_criterion_08_quadratic_form_decay(criterion):
         for law in ALL_LAWS:
             rep = verify_quadratic_form(VectorLaw.parse(law),
                                         (64, 128, 256, 512), 20_000, 0)
-            assert rep.passed, (law, rep.slopes)
-            for name, slope in rep.slopes.items():
+            slopes = rep.detail["slopes"]
+            assert rep.passed, (law, slopes)
+            for name, slope in slopes.items():
                 if slope is not None:
                     assert slope <= -0.2, (law, name, slope)
                 else:
-                    assert rep.exact[name], (law, name)
+                    assert rep.params["exact"][name], (law, name)
         gauss = verify_quadratic_form(VectorLaw.parse("gauss"),
                                       (64, 128, 256, 512), 20_000, 0)
-        assert abs(gauss.slopes["identity"] - (-1.0)) <= 0.15
+        assert abs(gauss.detail["slopes"]["identity"] - (-1.0)) <= 0.15
 
 
 def test_criterion_09_gram_duality(criterion):

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from rank1spec import cli, solver
+from rank1spec import cli, solver, verify
 from rank1spec.cli import main, parse_grid, parse_measure_atoms, parse_sigma
 from rank1spec.ensemble import read_spectrum_csv
 from rank1spec.measures import load_measure_json, read_density_csv
@@ -237,6 +237,32 @@ def test_zero_seeds_or_trials_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["density", "--c", 1, "--grid", "0:1"], "expected a:b:count"),
+    (["density", "--c", 1, "--grid", "0:1:x"], "expected a:b:count"),
+    (["compare", "--c", 0.5, "--grid", "0:1:10", "--dims", "16,x"],
+     "expected integers n1,n2,..., got '16,x'"),
+    (["verify", "--check", "quadform", "--dims", "16,x"],
+     "expected integers n1,n2,..., got '16,x'"),
+    (["verify", "--check", "tail", "--n", 16, "--t-values", "1,y"],
+     "expected numbers t1,t2,..., got '1,y'"),
+    (["simulate", "--n", 10, "--m", 5, "--bins", 0],
+     "--bins must be at least 1"),
+    (["verify", "--check", "counting-var", "--n", 40, "--m", 20,
+      "--trials", 5, "--interval", "2,0.5"], "needs a < b")])
+def test_malformed_flag_value_exits_2(tmp_path, capsys, monkeypatch, argv,
+                                      message):
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("a spectrum was computed before the check")
+    # every binding an ensemble run of these commands could reach
+    monkeypatch.setattr(cli, "eigenvalues_sym", no_spectrum)
+    monkeypatch.setattr(verify, "eigenvalues_sym", no_spectrum)
+    out = tmp_path / "o"
+    assert run(argv + ["--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify command
 # ---------------------------------------------------------------------------
@@ -336,8 +362,13 @@ def test_verify_rejects_flags_its_check_does_not_read(tmp_path, capsys,
 @pytest.mark.parametrize("check", cli.VERIFY_CHECKS)
 def test_verify_manifest_holds_the_check_flags(tmp_path, check):
     out = tmp_path / "v"
-    assert run(["verify", "--check", check, *VERIFY_RUNS[check],
-                "--out", out]) in (0, 3)
+    rc = run(["verify", "--check", check, *VERIFY_RUNS[check], "--out", out])
+    assert rc in (0, 3)
+    report = json.loads((out / "report.json").read_text())
+    assert set(report) >= {"kind", "params", "estimate", "bound", "se",
+                           "pass"}
+    assert report["kind"] == check
+    assert report["pass"] == (rc == 0)
     flags = manifest(out)["flags"]
     row = cli.VERIFY_CHECKS[check]
     assert set(flags) == {k.replace("_", "-") for k in row} | {
@@ -393,10 +424,9 @@ def test_verify_too_few_samples_exits_2(tmp_path, capsys, check, size,
 
 
 def test_verify_failure_exits_3(tmp_path, monkeypatch):
-    from rank1spec.verify import VarianceReport
-    failing = VarianceReport(kind="counting-var", params={}, estimate=1.0,
-                             bound=0.1, trials=5, standard_error=0.0,
-                             passed=False)
+    from rank1spec.verify import Report
+    failing = Report(kind="counting-var", params={}, estimate=1.0, bound=0.1,
+                     se=0.0, passed=False)
     monkeypatch.setattr(cli, "verify_counting_variance",
                         lambda *a, **k: failing)
     rc = run(["verify", "--check", "counting-var", "--n", 10, "--m", 5,

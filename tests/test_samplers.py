@@ -3,9 +3,10 @@ import pytest
 
 from rank1spec.errors import InvalidDimension, InvalidP
 from rank1spec.measures import AmplitudeLaw
-from rank1spec.samplers import (RngStream, VectorLaw, isotropy_estimate,
-                                lp_ball_points, lp_scale, sample_tau,
-                                sample_vector, sample_vectors)
+from rank1spec.samplers import (RngStream, VectorLaw, lp_ball_points,
+                                lp_scale, sample_tau, sample_vector,
+                                sample_vectors)
+from rank1spec.verify import isotropy_estimate
 
 ALL_LAWS = ["sphere", "gauss", "lp:1", "lp:2", "cube", "laplace", "cgauss"]
 
@@ -179,14 +180,14 @@ def test_sample_tau_scalar_and_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# isotropy check
+# isotropy check (rank1spec.verify.isotropy_estimate on each law)
 # ---------------------------------------------------------------------------
 
 def test_isotropy_passes_for_builtin_laws():
     for text in ("gauss", "lp:1", "cgauss"):
         rep = isotropy_estimate(VectorLaw.parse(text), 15, 30_000, RngStream(2, 0))
-        assert rep.passed, (text, rep.max_ratio)
-        assert rep.samples == 30_000
+        assert rep.passed, (text, rep.estimate)
+        assert rep.params["samples"] == 30_000
 
 
 def test_isotropy_fails_for_skewed_sampler():
@@ -197,7 +198,7 @@ def test_isotropy_fails_for_skewed_sampler():
     rep = isotropy_estimate(VectorLaw.parse("gauss"), 20, 50_000,
                             RngStream(0, 0), sampler=skewed)
     assert not rep.passed
-    assert rep.max_ratio > 10
+    assert rep.estimate > 10
 
 
 def test_isotropy_fails_for_correlated_sampler():
@@ -217,9 +218,9 @@ def test_isotropy_report_dict():
     assert d["params"] == {"law": "sphere", "n": 8, "samples": 5000}
     assert d["pass"] == rep.passed
     # estimate and bound are both in units of the standard error
-    assert d["estimate"] == d["max_ratio"] == rep.max_ratio >= 0
-    assert d["bound"] == rep.ratio_threshold
-    assert d["max_cov_deviation"] == rep.max_cov_deviation >= 0
+    assert d["estimate"] == d["max_ratio"] == rep.estimate >= 0
+    assert d["bound"] == rep.bound == 5.0
+    assert d["max_cov_deviation"] == rep.detail["max_cov_deviation"] >= 0
 
 
 def test_isotropy_needs_a_sample():

@@ -28,7 +28,7 @@ def test_counting_variance_small_scale():
     assert rep.bound == pytest.approx(4 * 50 / 100 ** 2, abs=0)
     assert rep.estimate < rep.bound
     assert rep.passed
-    assert rep.trials == 60
+    assert rep.params["trials"] == 60
 
 
 def test_counting_variance_report_dict_keys():
@@ -79,7 +79,7 @@ def test_quadform_slopes_decay():
     rep = verify_quadratic_form(VectorLaw.parse("gauss"), (32, 64, 128),
                                 samples=4000, master_seed=0)
     assert rep.passed
-    for name, slope in rep.slopes.items():
+    for name, slope in rep.detail["slopes"].items():
         assert slope is not None and slope <= -0.2, name
 
 
@@ -87,15 +87,15 @@ def test_quadform_gaussian_identity_slope_near_minus_one():
     # Var sum y_i^2 = 2/n exactly for independent N(0, 1/n) coordinates
     rep = verify_quadratic_form(VectorLaw.parse("gauss"), (64, 128, 256, 512),
                                 samples=20_000, master_seed=0)
-    assert abs(rep.slopes["identity"] - (-1.0)) < 0.15
+    assert abs(rep.detail["slopes"]["identity"] - (-1.0)) < 0.15
 
 
 def test_quadform_sphere_identity_is_exact():
     rep = verify_quadratic_form(VectorLaw.parse("sphere"), (32, 64),
                                 samples=2000, master_seed=0)
-    assert rep.exact["identity"]
-    assert rep.slopes["identity"] is None
-    assert rep.slopes["alternating"] is not None
+    assert rep.params["exact"]["identity"]
+    assert rep.detail["slopes"]["identity"] is None
+    assert rep.detail["slopes"]["alternating"] is not None
     assert rep.passed
 
 
@@ -111,7 +111,7 @@ def test_quadform_report_shapes():
 def test_quadform_deterministic():
     a = verify_quadratic_form(VectorLaw.parse("laplace"), (16, 32), 1000, 5)
     b = verify_quadratic_form(VectorLaw.parse("laplace"), (16, 32), 1000, 5)
-    assert a.slopes == b.slopes
+    assert a.detail["slopes"] == b.detail["slopes"]
 
 
 @pytest.mark.parametrize("samples", [0, 1])
@@ -142,7 +142,7 @@ def test_norm_tail_passes_for_gauss():
 def test_norm_tail_envelope_values():
     rep = verify_norm_tail(VectorLaw.parse("sphere"), 64, 1000, 0,
                            t_values=(1.0, 2.0))
-    envs = [row.envelope for row in rep.rows]
+    envs = [envelope for _, _, envelope, _ in rep.detail["rows"]]
     assert envs[0] == pytest.approx(np.exp(-8.0), rel=1e-12)
     assert envs[1] == pytest.approx(np.exp(-16.0), rel=1e-12)
 
@@ -150,7 +150,7 @@ def test_norm_tail_envelope_values():
 def test_norm_tail_scale_is_twice_median():
     rep = verify_norm_tail(VectorLaw.parse("sphere"), 25, 2000, 0)
     # unit sphere: every norm is 1, so the scale is exactly 2
-    assert rep.scale == pytest.approx(2.0, abs=1e-12)
+    assert rep.params["scale"] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_norm_tail_needs_a_sample():
