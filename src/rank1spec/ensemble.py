@@ -3,7 +3,10 @@ eigensolves, counting measures, and the streamed rank-one resolvent.
 
 Stream keying (so different routines see the same draws): vector alpha
 of trial t uses stream_id = t * 2^32 + alpha, its amplitude uses
-stream_id = t * 2^32 + 2^31 + alpha, all under the ensemble seed.
+stream_id = t * 2^32 + 2^31 + alpha, all under the ensemble seed, with
+0 <= t < 2^32. The draws walk each run of keys with one Philox that is
+re-keyed per stream (`samplers.stream_generators`); the keys, and so the
+bits, are those of a fresh generator per stream.
 
 `build_matrix` keeps a trial's factors (H0, V, tau) and assembles the
 dense n x n matrix only when `.array` is read. With H0 = 0 and k < n
@@ -22,7 +25,7 @@ import numpy as np
 from .errors import (H0Mismatch, NearSingularDenominator, NoConvergence,
                      ShapeMismatch)
 from .measures import AmplitudeLaw, EmpiricalSpectrum
-from .samplers import RngStream, VectorLaw, sample_tau, sample_vector
+from .samplers import VectorLaw, sample_tau, sample_vector, stream_generators
 
 HERMITIAN_TOL = 1e-12
 DENOM_TOL = 1e-12
@@ -110,6 +113,9 @@ class EnsembleConfig:
             raise ValueError("n must be positive")
         if self.m < 0:
             raise ValueError("m must be nonnegative")
+        if (not isinstance(self.seed, (int, np.integer))
+                or not 0 <= self.seed < 2 ** 64):
+            raise ValueError("seed must be an integer in [0, 2^64)")
 
 
 class SymMatrix:
@@ -157,30 +163,27 @@ class SymMatrix:
         return f"SymMatrix(n={self.n}, dtype={dtype})"
 
 
-def _vector_stream(config: EnsembleConfig, trial: int, alpha: int) -> RngStream:
-    return RngStream(config.seed, trial * _TRIAL_STRIDE + alpha)
-
-
-def _tau_stream(config: EnsembleConfig, trial: int, alpha: int) -> RngStream:
-    return RngStream(config.seed, trial * _TRIAL_STRIDE + _TAU_OFFSET + alpha)
-
-
 def _draw_components(config: EnsembleConfig, trial: int):
     """Vectors (n, m) and amplitudes (m,) under the documented keying.
 
     A law with a single atom fills the amplitudes directly: every draw
     would return that atom.
     """
+    if (not isinstance(trial, (int, np.integer))
+            or not 0 <= trial < _TRIAL_STRIDE):
+        raise ValueError("trial must be an integer in [0, 2^32)")
+    base = trial * _TRIAL_STRIDE
     dtype = complex if config.law.is_complex else float
     vectors = np.empty((config.n, config.m), dtype=dtype)
-    single = config.sigma.tau_values.size == 1
+    for alpha, gen in enumerate(stream_generators(
+            config.seed, range(base, base + config.m))):
+        vectors[:, alpha] = sample_vector(config.law, config.n, gen)
     taus = np.full(config.m, config.sigma.tau_values[0])
-    for alpha in range(config.m):
-        vectors[:, alpha] = sample_vector(config.law, config.n,
-                                          _vector_stream(config, trial, alpha))
-        if not single:
-            taus[alpha] = sample_tau(config.sigma,
-                                     _tau_stream(config, trial, alpha))
+    if config.sigma.tau_values.size > 1:
+        for alpha, gen in enumerate(stream_generators(
+                config.seed, range(base + _TAU_OFFSET,
+                                   base + _TAU_OFFSET + config.m))):
+            taus[alpha] = sample_tau(config.sigma, gen)
     return vectors, taus
 
 

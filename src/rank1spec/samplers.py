@@ -4,7 +4,9 @@ Every law is normalized so that E (Y, X)^2 = |X|^2 / n for all fixed X
 (sample covariance I/n); the complex law is isotropic as a vector in
 R^{2n}, giving I/(2n) per real coordinate. Streams are counter-based
 (Philox) and keyed by (master_seed, stream_id), so any draw is
-reproducible bit for bit from its key alone. The Monte Carlo check of
+reproducible bit for bit from its key alone. `stream_generators` walks a
+range of such streams with one Philox, re-keyed per stream, and draws
+the same bits as a fresh generator per key. The Monte Carlo check of
 the normalization is `verify.isotropy_estimate`.
 """
 
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -72,6 +74,32 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(
             key=np.array([self.master_seed, self.stream_id], dtype=np.uint64)))
+
+
+def stream_generators(master_seed: int,
+                      stream_ids: range) -> Iterator[np.random.Generator]:
+    """The generators of streams (master_seed, id) for id in stream_ids.
+
+    Each equals `RngStream(master_seed, id).generator()` draw for draw,
+    but one Philox is built and re-keyed per stream: key
+    [master_seed, id], counter 0, empty buffer. The same generator
+    object is yielded every time, so a yielded generator is valid only
+    until the next one is yielded.
+    """
+    if not stream_ids:
+        return
+    # the ends of a range bound every id in it
+    RngStream(master_seed, stream_ids[-1])
+    gen = RngStream(master_seed, stream_ids[0]).generator()
+    for stream_id in stream_ids:
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64),
+                      "key": np.array([master_seed, stream_id],
+                                      dtype=np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+        yield gen
 
 
 RngLike = Union[RngStream, np.random.Generator]

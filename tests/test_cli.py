@@ -249,7 +249,9 @@ def test_zero_seeds_or_trials_exits_2(tmp_path, capsys, argv):
     (["simulate", "--n", 10, "--m", 5, "--bins", 0],
      "--bins must be at least 1"),
     (["verify", "--check", "counting-var", "--n", 40, "--m", 20,
-      "--trials", 5, "--interval", "2,0.5"], "needs a < b")])
+      "--trials", 5, "--interval", "2,0.5"], "needs a < b"),
+    (["simulate", "--n", 10, "--m", 0, "--trials", 2, "--seed", -1],
+     "seed must be an integer in [0, 2^64)")])
 def test_malformed_flag_value_exits_2(tmp_path, capsys, monkeypatch, argv,
                                       message):
     def no_spectrum(*args, **kwargs):

@@ -3,8 +3,8 @@ import pytest
 
 from rank1spec.ensemble import (EnsembleConfig, H0Diagonal, H0File, H0Zero,
                                 SymMatrix, _draw_components, _gram_factor,
-                                _rank1_trace_update, _tau_stream,
-                                assemble_matrix, build_matrix,
+                                _rank1_trace_update, assemble_matrix,
+                                build_matrix,
                                 counting_measure, eigenvalues_sym,
                                 gram_counting_relation, gram_matrix, parse_h0,
                                 read_h0_file, read_spectrum_csv, resolve_h0,
@@ -12,7 +12,7 @@ from rank1spec.ensemble import (EnsembleConfig, H0Diagonal, H0File, H0Zero,
 from rank1spec.errors import (H0Mismatch, NearSingularDenominator,
                               ShapeMismatch)
 from rank1spec.measures import AmplitudeLaw, EmpiricalSpectrum
-from rank1spec.samplers import VectorLaw, sample_tau
+from rank1spec.samplers import RngStream, VectorLaw, sample_tau, sample_vector
 
 UNIT_SIGMA = AmplitudeLaw([(1.0, 1.0)])
 
@@ -195,8 +195,45 @@ def test_factored_array_equals_assembled(cfg):
 def test_single_atom_law_fills_draws_unchanged():
     cfg = sphere_config(8, 5, seed=9, sigma=AmplitudeLaw([(-0.5, 1.0)]))
     _, taus = _draw_components(cfg, 3)
-    drawn = [sample_tau(cfg.sigma, _tau_stream(cfg, 3, a)) for a in range(5)]
+    drawn = [sample_tau(cfg.sigma, RngStream(cfg.seed, 3 * 2**32 + 2**31 + a))
+             for a in range(5)]
     assert taus.tolist() == drawn
+
+
+@pytest.mark.parametrize("sigma", [
+    AmplitudeLaw([(1.0, 1.0)]),
+    AmplitudeLaw([(1.0, 0.5), (-0.5, 0.5)]),
+    AmplitudeLaw([(0.0, 0.3), (2.0, 0.7)]),
+], ids=["single-atom", "signed-two-atom", "atom-at-zero"])
+@pytest.mark.parametrize("law", ["sphere", "gauss", "cube", "laplace", "lp:1",
+                                 "lp:1.5", "cgauss"])
+def test_draws_follow_the_documented_keying(law, sigma):
+    n, m, seed = 6, 5, 21
+    cfg = sphere_config(n, m, seed=seed, sigma=sigma, law=law)
+    for t in (0, 2):
+        vectors, taus = _draw_components(cfg, t)
+        assert vectors.shape == (n, m)
+        assert vectors.flags.c_contiguous
+        for a in range(m):
+            want = sample_vector(cfg.law, n, RngStream(seed, t * 2**32 + a))
+            assert np.array_equal(vectors[:, a], want)
+            want = sample_tau(sigma, RngStream(seed, t * 2**32 + 2**31 + a))
+            assert np.array_equal(taus[a], want)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_config_rejects_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError,
+                       match=r"seed must be an integer in \[0, 2\^64\)"):
+        sphere_config(4, 0, seed=seed)
+
+
+@pytest.mark.parametrize("m", [0, 3])
+@pytest.mark.parametrize("trial", [-1, 2**32])
+def test_draws_reject_trial_outside_32_bits(m, trial):
+    with pytest.raises(ValueError,
+                       match=r"trial must be an integer in \[0, 2\^32\)"):
+        _draw_components(sphere_config(4, m), trial)
 
 
 # ---------------------------------------------------------------------------

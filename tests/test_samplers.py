@@ -5,7 +5,7 @@ from rank1spec.errors import InvalidDimension, InvalidP
 from rank1spec.measures import AmplitudeLaw
 from rank1spec.samplers import (RngStream, VectorLaw, lp_ball_points,
                                 lp_scale, sample_tau, sample_vector,
-                                sample_vectors)
+                                sample_vectors, stream_generators)
 from rank1spec.verify import isotropy_estimate
 
 ALL_LAWS = ["sphere", "gauss", "lp:1", "lp:2", "cube", "laplace", "cgauss"]
@@ -52,6 +52,23 @@ def test_stream_ids_independent():
     c = RngStream(43, 7).generator().random(5)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_rekeyed_stream_starts_from_a_fresh_state():
+    gens = stream_generators(42, range(7, 9))
+    # three 32-bit draws leave half of a 64-bit word buffered
+    next(gens).integers(0, 10, size=3, dtype=np.uint32)
+    gen = next(gens)
+    fresh = RngStream(42, 8).generator()
+    assert np.array_equal(gen.random(5), fresh.random(5))
+    assert np.array_equal(gen.standard_normal(7), fresh.standard_normal(7))
+
+
+def test_stream_generators_check_the_id_range():
+    with pytest.raises(ValueError, match="stream_id"):
+        next(stream_generators(0, range(2**64 - 1, 2**64 + 1)))
+    with pytest.raises(ValueError, match="master_seed"):
+        next(stream_generators(-1, range(3)))
 
 
 # ---------------------------------------------------------------------------
