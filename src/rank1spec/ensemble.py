@@ -13,17 +13,23 @@ dense n x n matrix only when `.array` is read. With H0 = 0 and k < n
 nonzero amplitudes of one sign s, `eigenvalues_sym` solves the k x k
 Gram side instead: the nonzero eigenvalues of V T V^T are those of
 s W^H W with W = V |T|^(1/2), and the other n - k are exactly zero.
+
+`resolvent_traces` evaluates g(z) = Tr(H - z)^(-1) / n on the m x m
+Woodbury side, as a rank-m update of (H0 - z)^(-1), without assembling
+or eigensolving H. A file base is read once per `EnsembleConfig`
+(`EnsembleConfig.h0_array`), not once per trial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
 
 from .errors import (H0Mismatch, NearSingularDenominator, NoConvergence,
-                     ShapeMismatch)
+                     RealAxisEvaluation, ShapeMismatch)
 from .measures import AmplitudeLaw, EmpiricalSpectrum
 from .samplers import VectorLaw, sample_tau, sample_vector, stream_generators
 
@@ -117,6 +123,13 @@ class EnsembleConfig:
                 or not 0 <= self.seed < 2 ** 64):
             raise ValueError("seed must be an integer in [0, 2^64)")
 
+    @cached_property
+    def h0_array(self) -> np.ndarray:
+        """H0 as a read-only dense array, resolved (and a file read) once."""
+        mat = resolve_h0(self.h0, self.n)
+        mat.flags.writeable = False
+        return mat
+
 
 class SymMatrix:
     """Symmetric (hermitian) matrix, dense or kept as its factors.
@@ -174,17 +187,18 @@ def _draw_components(config: EnsembleConfig, trial: int):
         raise ValueError("trial must be an integer in [0, 2^32)")
     base = trial * _TRIAL_STRIDE
     dtype = complex if config.law.is_complex else float
-    vectors = np.empty((config.n, config.m), dtype=dtype)
+    # contiguous row writes, then one transposing copy to C-order (n, m)
+    rows = np.empty((config.m, config.n), dtype=dtype)
     for alpha, gen in enumerate(stream_generators(
             config.seed, range(base, base + config.m))):
-        vectors[:, alpha] = sample_vector(config.law, config.n, gen)
+        rows[alpha] = sample_vector(config.law, config.n, gen)
     taus = np.full(config.m, config.sigma.tau_values[0])
     if config.sigma.tau_values.size > 1:
         for alpha, gen in enumerate(stream_generators(
                 config.seed, range(base + _TAU_OFFSET,
                                    base + _TAU_OFFSET + config.m))):
             taus[alpha] = sample_tau(config.sigma, gen)
-    return vectors, taus
+    return np.ascontiguousarray(rows.T), taus
 
 
 def assemble_matrix(h0: np.ndarray, taus, vectors) -> SymMatrix:
@@ -200,7 +214,7 @@ def assemble_matrix(h0: np.ndarray, taus, vectors) -> SymMatrix:
 
 def build_matrix(config: EnsembleConfig, trial: int = 0) -> SymMatrix:
     """Realize H = H0 + sum_a tau_a (Y_a x Y_a) for one trial, as factors."""
-    h0 = None if isinstance(config.h0, H0Zero) else resolve_h0(config.h0, config.n)
+    h0 = None if isinstance(config.h0, H0Zero) else config.h0_array
     vectors, taus = _draw_components(config, trial)
     return SymMatrix._trusted(h0=h0, vectors=vectors, taus=taus)
 
@@ -209,13 +223,12 @@ def _gram_factor(matrix: SymMatrix):
     """(W, s) with H = s W W^H and W of k < n columns, or None.
 
     Needs a zero base and nonzero amplitudes of one sign; columns with
-    zero amplitude are dropped.
+    zero amplitude are dropped. W is V itself when no column is dropped
+    and every |tau| is 1.
     """
     if matrix.vectors is None or matrix.h0 is not None:
         return None
-    taus = matrix.taus
-    keep = taus != 0.0
-    kept = taus[keep]
+    w, kept = _nonzero_columns(matrix.vectors, matrix.taus)
     if kept.size >= matrix.n:
         return None
     if np.all(kept > 0.0):
@@ -224,7 +237,19 @@ def _gram_factor(matrix: SymMatrix):
         sign = -1.0
     else:
         return None
-    return matrix.vectors[:, keep] * np.sqrt(np.abs(kept)), sign
+    scale = np.abs(kept)
+    if np.any(scale != 1.0):
+        w = w * np.sqrt(scale)
+    return w, sign
+
+
+def _nonzero_columns(vectors: np.ndarray, taus: np.ndarray):
+    """The columns of nonzero amplitude and their amplitudes, uncopied
+    when every amplitude is nonzero."""
+    keep = taus != 0.0
+    if keep.all():
+        return vectors, taus
+    return vectors[:, keep], taus[keep]
 
 
 def eigenvalues_sym(matrix) -> EmpiricalSpectrum:
@@ -281,13 +306,48 @@ def resolvent_trace_stream(config: EnsembleConfig, z: complex,
     symmetric and the conjugations reduce to the bilinear forms.
     """
     z = complex(z)
-    h0 = resolve_h0(config.h0, config.n)
-    g = _initial_resolvent(h0, z)
+    g = _initial_resolvent(config.h0_array, z)
     trace = complex(np.trace(g))
     vectors, taus = _draw_components(config, trial)
     for y, tau in zip(vectors.T, taus):
         trace, g = _rank1_trace_update(g, trace, y, tau)
     return trace / config.n
+
+
+def resolvent_traces(config: EnsembleConfig, z: complex, trials) -> np.ndarray:
+    """g(z) = Tr(H - z)^(-1) / n for each trial index in `trials`.
+
+    H0 = Q D Q^H is diagonalized once (an eigensolve only for a file
+    base). With R0 = (D - z)^(-1), U = Q^H V over the k columns of
+    nonzero amplitude and T their amplitudes, the Woodbury identity gives
+
+        n g = sum R0 - tr[(I + T A)^(-1) T B],  A = U^H R0 U,  B = U^H R0^2 U,
+
+    at O(n k^2) per trial. T is never inverted, so zero amplitudes need no
+    care, and I + T A is invertible whenever Im z != 0.
+    """
+    z = complex(z)
+    if z.imag == 0.0:
+        raise RealAxisEvaluation("the Woodbury resolvent needs Im z != 0")
+    if isinstance(config.h0, H0File):
+        d, q = np.linalg.eigh(config.h0_array)
+    else:
+        d, q = np.diagonal(config.h0_array), None
+    r0 = 1.0 / (d - z)
+    base = r0.sum()
+    out = np.empty(len(trials), dtype=complex)
+    for i, trial in enumerate(trials):
+        vectors, taus = _draw_components(config, trial)
+        u, t = _nonzero_columns(vectors, taus)
+        if q is not None:
+            u = q.T @ u
+        ru = r0[:, None] * u
+        a = u.conj().T @ ru
+        b = (r0[:, None] * u.conj()).T @ ru
+        correction = np.trace(np.linalg.solve(
+            np.eye(t.size) + t[:, None] * a, t[:, None] * b))
+        out[i] = (base - correction) / config.n
+    return out
 
 
 def _rank1_trace_update(g: np.ndarray, trace: complex, y: np.ndarray,

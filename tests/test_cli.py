@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from rank1spec import cli, solver, verify
+from rank1spec import cli, ensemble, solver, verify
 from rank1spec.cli import main, parse_grid, parse_measure_atoms, parse_sigma
 from rank1spec.ensemble import read_spectrum_csv
 from rank1spec.measures import load_measure_json, read_density_csv
@@ -162,6 +162,18 @@ def test_simulate_outputs(tmp_path):
     man = manifest(out)
     assert man["seed"] == 3
     assert len(man["outputs"]) == 5
+
+
+def test_simulate_reads_a_file_base_once(tmp_path, monkeypatch):
+    path = tmp_path / "h0.txt"
+    path.write_text("3\n1 0.5 0\n0.5 -1 0\n0 0 0.25\n")
+    reads = []
+    read = ensemble.read_h0_file
+    monkeypatch.setattr(ensemble, "read_h0_file",
+                        lambda p: reads.append(p) or read(p))
+    assert run(["simulate", "--n", 3, "--m", 2, "--h0", f"file:{path}",
+                "--trials", 5, "--out", tmp_path / "s"]) == 0
+    assert len(reads) == 1
 
 
 def test_simulate_trials_differ(tmp_path):

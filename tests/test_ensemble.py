@@ -8,9 +8,10 @@ from rank1spec.ensemble import (EnsembleConfig, H0Diagonal, H0File, H0Zero,
                                 counting_measure, eigenvalues_sym,
                                 gram_counting_relation, gram_matrix, parse_h0,
                                 read_h0_file, read_spectrum_csv, resolve_h0,
-                                resolvent_trace_stream, write_spectrum_csv)
+                                resolvent_trace_stream, resolvent_traces,
+                                write_spectrum_csv)
 from rank1spec.errors import (H0Mismatch, NearSingularDenominator,
-                              ShapeMismatch)
+                              RealAxisEvaluation, ShapeMismatch)
 from rank1spec.measures import AmplitudeLaw, EmpiricalSpectrum
 from rank1spec.samplers import RngStream, VectorLaw, sample_tau, sample_vector
 
@@ -69,6 +70,24 @@ def test_h0_file_rejects_bad_counts(tmp_path):
     path.write_text("3\n1 0 0\n0 1 0\n")
     with pytest.raises(H0Mismatch):
         read_h0_file(path)
+
+
+def write_h0_file(path, mat):
+    rows = "\n".join(" ".join(repr(float(v)) for v in row) for row in mat)
+    path.write_text(f"{mat.shape[0]}\n{rows}\n")
+
+
+def test_h0_array_is_resolved_once_and_read_only(tmp_path, monkeypatch):
+    path = tmp_path / "h0.txt"
+    write_h0_file(path, np.array([[1.0, 0.25], [0.25, -2.0]]))
+    reads = []
+    monkeypatch.setattr("rank1spec.ensemble.read_h0_file",
+                        lambda p: reads.append(p) or read_h0_file(p))
+    cfg = sphere_config(2, 1, h0=H0File(str(path)))
+    assert cfg.h0_array is cfg.h0_array
+    assert len(reads) == 1
+    with pytest.raises(ValueError):
+        cfg.h0_array[0, 0] = 5.0
 
 
 def test_symmetric_wrapper_rejects_asymmetry():
@@ -165,6 +184,33 @@ def test_gram_side_matches_dense_eigensolve(cfg):
     assert np.max(np.abs(got - dense)) <= 1e-12 * np.linalg.norm(H.array, 2)
     # the padded eigenvalues are exact zeros
     assert np.count_nonzero(got == 0.0) >= cfg.n - w.shape[1]
+
+
+@pytest.mark.parametrize("sigma", [
+    UNIT_SIGMA,
+    AmplitudeLaw([(0.0, 0.3), (1.0, 0.7)]),
+    AmplitudeLaw([(2.5, 1.0)]),
+    AmplitudeLaw([(-0.5, 0.6), (-3.0, 0.4)]),
+], ids=["unit", "zero-atom", "non-unit", "negative"])
+@pytest.mark.parametrize("law", ["sphere", "cgauss"])
+def test_gram_side_is_byte_identical_to_masked_scaled_gram(law, sigma):
+    cfg = sphere_config(40, 16, seed=6, sigma=sigma, law=law)
+    vectors, taus = _draw_components(cfg, 1)
+    keep = taus != 0.0
+    w = vectors[:, keep] * np.sqrt(np.abs(taus[keep]))
+    sign = -1.0 if np.all(taus[keep] < 0.0) else 1.0
+    ev = np.linalg.eigvalsh(w.conj().T @ w)
+    want = EmpiricalSpectrum(np.concatenate(
+        [sign * ev, np.zeros(cfg.n - ev.size)])).eigenvalues
+    got = eigenvalues_sym(build_matrix(cfg, trial=1)).eigenvalues
+    assert got.tobytes() == want.tobytes()
+
+
+def test_gram_factor_of_unit_amplitudes_is_the_vectors_uncopied():
+    H = build_matrix(sphere_config(30, 10, seed=2), trial=0)
+    w, sign = _gram_factor(H)
+    assert w is H.vectors
+    assert sign == 1.0
 
 
 @pytest.mark.parametrize("cfg", [
@@ -287,6 +333,53 @@ def test_resolvent_stream_matches_eigensolve():
         g_stream = resolvent_trace_stream(cfg, z)
         g_eig = np.mean(1.0 / (ev - z))
         assert abs(g_stream - g_eig) < 1e-8
+
+
+def dense_traces(cfg, z, trials):
+    return np.array([np.mean(1.0 / (np.linalg.eigvalsh(
+        build_matrix(cfg, trial=t).array) - z)) for t in trials])
+
+
+def file_base(path, n, seed=11):
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((n, n)) / np.sqrt(n)
+    write_h0_file(path, (mat + mat.T) / 2)
+    return H0File(str(path))
+
+
+SIGNED_WITH_ZERO = AmplitudeLaw([(1.5, 0.4), (0.0, 0.2), (-0.7, 0.4)])
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp: sphere_config(40, 24, seed=1, law="cgauss",
+                              sigma=SIGNED_WITH_ZERO),
+    lambda tmp: sphere_config(40, 24, seed=2, law="gauss",
+                              sigma=SIGNED_WITH_ZERO,
+                              h0=parse_h0("diag:" + ",".join(
+                                  str(v) for v in np.linspace(-1, 1, 40)))),
+    lambda tmp: sphere_config(36, 50, seed=3, law="cgauss",
+                              sigma=SIGNED_WITH_ZERO,
+                              h0=file_base(tmp / "h0.txt", 36)),
+    lambda tmp: sphere_config(30, 12, seed=4, law="cube",
+                              sigma=AmplitudeLaw([(-2.0, 1.0)]),
+                              h0=file_base(tmp / "h0.txt", 30)),
+    lambda tmp: sphere_config(25, 0, seed=5,
+                              h0=file_base(tmp / "h0.txt", 25)),
+    lambda tmp: sphere_config(25, 8, seed=6, law="gauss",
+                              sigma=AmplitudeLaw([(0.0, 1.0)]),
+                              h0=parse_h0("diag:" + ",".join(["0.5"] * 25))),
+], ids=["cgauss-zero-base", "gauss-diag-base", "cgauss-file-base-m-above-n",
+        "cube-file-base-negative", "m-zero", "all-amplitudes-zero"])
+def test_woodbury_traces_match_eigensolve(tmp_path, make):
+    cfg = make(tmp_path)
+    for z in (1j, 0.3 + 0.2j, -1.0 + 0.05j):
+        got = resolvent_traces(cfg, z, [0, 3])
+        assert np.max(np.abs(got - dense_traces(cfg, z, [0, 3]))) < 1e-10
+
+
+def test_woodbury_traces_reject_real_z():
+    with pytest.raises(RealAxisEvaluation):
+        resolvent_traces(sphere_config(10, 4), 0.5, [0])
 
 
 def test_resolvent_stream_mixed_signs_and_base():

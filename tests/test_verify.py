@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rank1spec.ensemble import EnsembleConfig, H0Diagonal, H0Zero
+from rank1spec import ensemble
+from rank1spec.ensemble import EnsembleConfig, H0Diagonal, H0File, H0Zero
 from rank1spec.errors import RealAxisEvaluation
 from rank1spec.measures import AmplitudeLaw, SpectralMeasure
 from rank1spec.samplers import VectorLaw
@@ -49,6 +50,37 @@ def test_stieltjes_variance_small_scale():
 def test_stieltjes_variance_bound_scales_with_height():
     rep = verify_stieltjes_variance(config(40, 20), 0.5j, trials=8)
     assert rep.bound == pytest.approx(4 * 20 / (40 ** 2 * 0.25), abs=1e-15)
+
+
+def test_stieltjes_variance_keeps_the_eigensolved_estimate():
+    # the layered benchmark's variance config; the estimate, se and pass
+    # were computed from dense eigensolves of the assembled trials
+    cfg = EnsembleConfig(
+        n=400, m=100, law=VectorLaw.parse("gauss"),
+        sigma=AmplitudeLaw([(1.0, 0.5), (-0.5, 0.5)]),
+        h0=H0Diagonal(tuple([-1.0] * 200 + [1.0] * 200)), seed=0)
+    rep = verify_stieltjes_variance(cfg, 0.5 + 0.5j, trials=40)
+    assert rep.estimate == pytest.approx(0.00010778954900351765, rel=1e-12)
+    assert rep.se == pytest.approx(1.9385410324881333e-05, rel=1e-12)
+    assert rep.bound == 0.01
+    assert rep.passed
+
+
+@pytest.mark.parametrize("check", [
+    lambda cfg: verify_counting_variance(cfg, (-0.5, 0.5), trials=4),
+    lambda cfg: verify_stieltjes_variance(cfg, 0.5j, trials=4),
+], ids=["counting-var", "stieltjes-var"])
+def test_variance_checks_read_a_file_base_once(tmp_path, monkeypatch, check):
+    path = tmp_path / "h0.txt"
+    path.write_text("3\n1 0.5 0\n0.5 -1 0\n0 0 0.25\n")
+    reads = []
+    read = ensemble.read_h0_file
+    monkeypatch.setattr(ensemble, "read_h0_file",
+                        lambda p: reads.append(p) or read(p))
+    cfg = EnsembleConfig(n=3, m=2, law=VectorLaw.parse("gauss"),
+                         sigma=UNIT_SIGMA, h0=H0File(str(path)), seed=1)
+    check(cfg)
+    assert len(reads) == 1
 
 
 def test_stieltjes_variance_rejects_real_z():
