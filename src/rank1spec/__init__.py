@@ -10,11 +10,11 @@ from .ensemble import (EnsembleConfig, H0Diagonal, H0File, H0Zero,
                        assemble_matrix, build_matrix, counting_measure,
                        eigenvalues_sym, gram_counting_relation, gram_matrix,
                        parse_h0, read_spectrum_csv, resolve_h0,
-                       resolvent_trace_stream, write_spectrum_csv)
+                       write_spectrum_csv)
 from .errors import (EmptySpectrum, H0Mismatch, InvalidDimension, InvalidP,
-                     MassDeficit, NearSingularDenominator, NoConvergence,
-                     NonConvergence, PoleHit, Rank1SpecError,
-                     RealAxisEvaluation, ShapeMismatch, UnsupportedOrder)
+                     MassDeficit, NoConvergence, NonConvergence, PoleHit,
+                     Rank1SpecError, RealAxisEvaluation, ShapeMismatch,
+                     UnsupportedOrder)
 from .measures import (AmplitudeLaw, EmpiricalSpectrum, SpectralMeasure, cdf,
                        cdf_left, ks_distance, load_measure_json, moment,
                        read_density_csv, save_measure_json,
@@ -24,29 +24,27 @@ from .samplers import (RngStream, VectorLaw, lp_ball_points, lp_scale,
 from .solver import (ModelSpec, SolverOptions, limit_density, mp_closed_form,
                      mp_limit_measure, mp_stieltjes_oracle,
                      normalization_check, solve_mpe_at, solve_mpe_grid)
-from .verify import (ConvergenceReport, Report, convergence_study,
-                     isotropy_estimate, verify_counting_variance,
-                     verify_norm_tail, verify_quadratic_form,
-                     verify_stieltjes_variance)
+from .verify import (Report, convergence_study, isotropy_estimate,
+                     verify_counting_variance, verify_norm_tail,
+                     verify_quadratic_form, verify_stieltjes_variance)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudeLaw", "ConvergenceReport", "EmpiricalSpectrum",
-    "EnsembleConfig", "EmptySpectrum", "H0Diagonal", "H0File", "H0Mismatch",
-    "H0Zero", "InvalidDimension", "InvalidP", "MassDeficit", "ModelSpec",
-    "NearSingularDenominator", "NoConvergence", "NonConvergence", "PoleHit",
-    "Rank1SpecError", "RealAxisEvaluation", "Report", "RngStream",
-    "ShapeMismatch", "SolverOptions", "SpectralMeasure", "UnsupportedOrder",
-    "VectorLaw",
+    "AmplitudeLaw", "EmpiricalSpectrum", "EnsembleConfig", "EmptySpectrum",
+    "H0Diagonal", "H0File", "H0Mismatch", "H0Zero", "InvalidDimension",
+    "InvalidP", "MassDeficit", "ModelSpec", "NoConvergence",
+    "NonConvergence", "PoleHit", "Rank1SpecError", "RealAxisEvaluation",
+    "Report", "RngStream", "ShapeMismatch", "SolverOptions",
+    "SpectralMeasure", "UnsupportedOrder", "VectorLaw",
     "assemble_matrix", "build_matrix", "cdf", "cdf_left", "convergence_study",
     "counting_measure", "eigenvalues_sym", "gram_counting_relation",
     "gram_matrix", "isotropy_estimate", "ks_distance", "limit_density",
     "load_measure_json", "lp_ball_points", "lp_scale", "moment",
     "mp_closed_form", "mp_limit_measure", "mp_stieltjes_oracle",
     "normalization_check", "parse_h0", "read_density_csv",
-    "read_spectrum_csv", "resolve_h0", "resolvent_trace_stream", "sample_tau",
-    "sample_vectors", "save_measure_json", "solve_mpe_at", "solve_mpe_grid",
+    "read_spectrum_csv", "resolve_h0", "sample_tau", "sample_vectors",
+    "save_measure_json", "solve_mpe_at", "solve_mpe_grid",
     "stieltjes_of_measure", "verify_counting_variance", "verify_norm_tail",
     "verify_quadratic_form", "verify_stieltjes_variance", "write_density_csv",
     "write_spectrum_csv",

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -47,11 +48,11 @@ def parse_grid(text: str) -> np.ndarray:
     try:
         a, b, count = text.split(":")
         a, b, count = float(a), float(b), int(count)
-        if count < 1 or b <= a:
+        if count < 1 or not -math.inf < a < b < math.inf:
             raise ValueError
     except ValueError:
-        raise ValueError(f"expected a:b:count with a < b and count >= 1, "
-                         f"got {text!r}") from None
+        raise ValueError(f"expected a:b:count with finite a < b and "
+                         f"count >= 1, got {text!r}") from None
     grid = np.linspace(a, b, count)
     grid[0] += GRID_NUDGE
     grid[-1] -= GRID_NUDGE
@@ -224,11 +225,9 @@ def cmd_compare(args) -> int:
                                args.seeds, args.seed, grid, opts)
     out_dir = _output_dir(args)
     json_path = out_dir / "convergence.json"
-    csv_path = out_dir / "convergence.csv"
     _write_json(json_path, report.to_dict())
-    csv_path.write_text("\n".join(report.csv_rows()) + "\n")
     write_manifest(out_dir, "compare", _flags_dict(args), args.seed,
-                   [json_path, csv_path])
+                   [json_path])
     if not report.passed:
         print("convergence criterion failed", file=sys.stderr)
         return 3

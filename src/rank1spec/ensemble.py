@@ -1,5 +1,5 @@
 """Finite-n ensembles H = H0 + sum_a tau_a (Y_a x Y_a): assembly,
-eigensolves, counting measures, and the streamed rank-one resolvent.
+eigensolves, counting measures, and the resolvent trace.
 
 Stream keying (so different routines see the same draws): vector alpha
 of trial t uses stream_id = t * 2^32 + alpha, its amplitude uses
@@ -28,13 +28,12 @@ from typing import Union
 
 import numpy as np
 
-from .errors import (H0Mismatch, NearSingularDenominator, NoConvergence,
-                     RealAxisEvaluation, ShapeMismatch)
+from .errors import (H0Mismatch, NoConvergence, RealAxisEvaluation,
+                     ShapeMismatch)
 from .measures import AmplitudeLaw, EmpiricalSpectrum
 from .samplers import VectorLaw, sample_tau, sample_vector, stream_generators
 
 HERMITIAN_TOL = 1e-12
-DENOM_TOL = 1e-12
 _TRIAL_STRIDE = 2 ** 32
 _TAU_OFFSET = 2 ** 31
 
@@ -62,7 +61,14 @@ def parse_h0(text: str) -> H0Spec:
     if text == "zero":
         return H0Zero()
     if text.startswith("diag:"):
-        return H0Diagonal(tuple(float(v) for v in text[5:].split(",")))
+        try:
+            entries = tuple(float(v) for v in text[5:].split(","))
+            if not np.all(np.isfinite(entries)):
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"expected diag:d1,d2,... with finite entries, "
+                             f"got {text!r}") from None
+        return H0Diagonal(entries)
     if text.startswith("file:"):
         return H0File(text[5:])
     raise ValueError(f"unknown h0 spec {text!r}")
@@ -285,35 +291,6 @@ def counting_measure(spectrum: EmpiricalSpectrum, a: float, b: float) -> float:
     return (hi - lo) / ev.size
 
 
-def _initial_resolvent(h0: np.ndarray, z: complex) -> np.ndarray:
-    n = h0.shape[0]
-    if not np.any(h0 - np.diag(np.diagonal(h0))):
-        diag = 1.0 / (np.diagonal(h0) - z)
-        return np.diag(diag).astype(complex)
-    return np.linalg.inv(h0.astype(complex) - z * np.eye(n))
-
-
-def resolvent_trace_stream(config: EnsembleConfig, z: complex,
-                           trial: int = 0) -> complex:
-    """Normalized resolvent trace g = Tr(H - z)^(-1) / n via rank-one updates.
-
-    Starting from G = (H0 - z)^(-1), each vector applies
-
-        G <- G - tau (G Y)(Y^H G) / (1 + tau Y^H G Y),
-        Tr <- Tr - tau (Y^H G^2 Y) / (1 + tau Y^H G Y),
-
-    at O(n^2) per update; for real ensembles the resolvent is complex
-    symmetric and the conjugations reduce to the bilinear forms.
-    """
-    z = complex(z)
-    g = _initial_resolvent(config.h0_array, z)
-    trace = complex(np.trace(g))
-    vectors, taus = _draw_components(config, trial)
-    for y, tau in zip(vectors.T, taus):
-        trace, g = _rank1_trace_update(g, trace, y, tau)
-    return trace / config.n
-
-
 def resolvent_traces(config: EnsembleConfig, z: complex, trials) -> np.ndarray:
     """g(z) = Tr(H - z)^(-1) / n for each trial index in `trials`.
 
@@ -324,11 +301,13 @@ def resolvent_traces(config: EnsembleConfig, z: complex, trials) -> np.ndarray:
         n g = sum R0 - tr[(I + T A)^(-1) T B],  A = U^H R0 U,  B = U^H R0^2 U,
 
     at O(n k^2) per trial. T is never inverted, so zero amplitudes need no
-    care, and I + T A is invertible whenever Im z != 0.
+    care, and I + T A is invertible whenever Im z != 0. A real or
+    non-finite z raises RealAxisEvaluation before any draw.
     """
     z = complex(z)
-    if z.imag == 0.0:
-        raise RealAxisEvaluation("the Woodbury resolvent needs Im z != 0")
+    if not (np.isfinite(z) and z.imag != 0.0):
+        raise RealAxisEvaluation(
+            f"the resolvent trace needs a finite z with Im z != 0, got {z}")
     if isinstance(config.h0, H0File):
         d, q = np.linalg.eigh(config.h0_array)
     else:
@@ -348,19 +327,6 @@ def resolvent_traces(config: EnsembleConfig, z: complex, trials) -> np.ndarray:
             np.eye(t.size) + t[:, None] * a, t[:, None] * b))
         out[i] = (base - correction) / config.n
     return out
-
-
-def _rank1_trace_update(g: np.ndarray, trace: complex, y: np.ndarray,
-                        tau: float) -> tuple[complex, np.ndarray]:
-    yc = np.conj(y)
-    u = g @ y
-    denom = 1.0 + tau * (yc @ u)
-    if abs(denom) < DENOM_TOL:
-        raise NearSingularDenominator(f"|1 + tau Y^H G Y| = {abs(denom):.3e}")
-    w = g.T @ yc
-    trace = trace - tau * (w @ u) / denom
-    g = g - (tau / denom) * np.outer(u, w)
-    return trace, g
 
 
 def gram_matrix(config: EnsembleConfig, trial: int = 0) -> SymMatrix:

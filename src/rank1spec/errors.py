@@ -57,9 +57,5 @@ class NoConvergence(Rank1SpecError):
     """The dense eigensolver failed to converge."""
 
 
-class NearSingularDenominator(Rank1SpecError):
-    """Rank-one resolvent update denominator fell below 1e-12."""
-
-
 class ShapeMismatch(Rank1SpecError):
     """Spectra passed to the Gram comparison have inconsistent sizes."""

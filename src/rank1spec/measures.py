@@ -32,6 +32,10 @@ def _as_pairs(pairs: Iterable) -> tuple[np.ndarray, np.ndarray]:
         return np.empty(0), np.empty(0)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("atoms must be (location, mass) pairs")
+    bad = ~np.isfinite(arr).all(axis=1)
+    if bad.any():
+        raise ValueError("atoms must be finite, got " + ", ".join(
+            f"({x!r}, {w!r})" for x, w in arr[bad].tolist()))
     return arr[:, 0].copy(), arr[:, 1].copy()
 
 

@@ -35,8 +35,8 @@ class VectorLaw:
         if self.kind not in _ALL_KINDS:
             raise ValueError(f"unknown vector law {self.kind!r}")
         if self.kind == "lp":
-            if self.p is None or self.p < 1.0:
-                raise InvalidP(f"lp law requires p >= 1, got {self.p}")
+            if self.p is None or not 1.0 <= self.p < math.inf:
+                raise InvalidP(f"lp law requires a finite p >= 1, got {self.p}")
         elif self.p is not None:
             raise ValueError(f"law {self.kind!r} takes no p parameter")
 
@@ -48,7 +48,12 @@ class VectorLaw:
     def parse(cls, text: str) -> "VectorLaw":
         text = text.strip()
         if text.startswith("lp:"):
-            return cls("lp", float(text[3:]))
+            try:
+                p = float(text[3:])
+            except ValueError:
+                raise ValueError(f"expected lp:p with a number p >= 1, "
+                                 f"got {text!r}") from None
+            return cls("lp", p)
         return cls(text)
 
     def encode(self) -> str:

@@ -41,9 +41,9 @@ class ModelSpec:
     n0: SpectralMeasure
 
     def __post_init__(self):
-        if self.c < 0:
-            raise ValueError("c must be nonnegative")
-        if abs(self.n0.total_mass - 1.0) > 1e-6:
+        if not 0.0 <= self.c < math.inf:
+            raise ValueError(f"c must be finite and nonnegative, got {self.c}")
+        if not abs(self.n0.total_mass - 1.0) <= 1e-6:
             raise ValueError("n0 must be a probability measure")
 
 
@@ -65,12 +65,14 @@ class SolverOptions:
     eps_final: float = 1e-4
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.eps_final <= 0:
-            raise ValueError("eps_final must be positive")
+        # written so that NaN fails every comparison
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        if not self.max_iter >= 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if not 0.0 < self.eps_final < math.inf:
+            raise ValueError(f"eps_final must be finite and positive, "
+                             f"got {self.eps_final}")
 
     def eps_schedule(self, sigma: AmplitudeLaw) -> list[float]:
         """Heights from the ladder's start down to eps_final, which is the

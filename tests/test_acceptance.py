@@ -13,7 +13,7 @@ import numpy as np
 from rank1spec.cli import main as cli_main
 from rank1spec.ensemble import (EnsembleConfig, H0Zero, build_matrix,
                                 eigenvalues_sym, gram_counting_relation,
-                                gram_matrix, resolvent_trace_stream)
+                                gram_matrix, resolvent_traces)
 from rank1spec.measures import AmplitudeLaw, SpectralMeasure, read_density_csv
 from rank1spec.samplers import RngStream, VectorLaw, sample_vectors
 from rank1spec.solver import (ModelSpec, SolverOptions, limit_density,
@@ -110,8 +110,8 @@ def test_criterion_04_variance_bounds(criterion):
 
 
 def test_criterion_05_streamed_resolvent(criterion):
-    with criterion(5, "streamed rank-one resolvent updates track the "
-                      "eigensolver to 1e-8 on 20 random configurations"):
+    with criterion(5, "Woodbury resolvent traces track the eigensolver "
+                      "to 1e-8 on 20 random configurations"):
         rng = np.random.default_rng(17)
         laws = ["sphere", "gauss", "cube", "laplace", "lp:1.5", "cgauss"]
         worst = 0.0
@@ -124,8 +124,8 @@ def test_criterion_05_streamed_resolvent(criterion):
                                  sigma=sig, h0=H0Zero(), seed=k)
             ev = eigenvalues_sym(build_matrix(cfg, trial=0)).eigenvalues
             for z in (1j, 0.5 + 0.5j):
-                g_stream = resolvent_trace_stream(cfg, z, trial=0)
-                worst = max(worst, abs(g_stream - np.mean(1.0 / (ev - z))))
+                g = resolvent_traces(cfg, z, [0])[0]
+                worst = max(worst, abs(g - np.mean(1.0 / (ev - z))))
         assert worst <= 1e-8, worst
 
 
@@ -140,10 +140,9 @@ def test_criterion_06_convergence_study(criterion):
             rep = convergence_study(VectorLaw.parse(law), model,
                                     (256, 512, 1024), 5, CONVERGENCE_SEED,
                                     grid, opts)
-            means = [row.mean_ks for row in rep.rows]
+            means = [row[3] for row in rep.detail["rows"]]
             assert all(b < a for a, b in zip(means, means[1:])), (law, means)
-            finals[law] = (rep.rows[-1].mean_ks,
-                           rep.rows[-1].std_ks / np.sqrt(rep.rows[-1].seeds))
+            finals[law] = (rep.estimate, rep.se)
         for a in finals:
             for b in finals:
                 if a < b:

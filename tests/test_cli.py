@@ -198,9 +198,12 @@ def test_compare_convergence_small(tmp_path):
     data = json.loads((out / "convergence.json").read_text())
     assert data["kind"] == "convergence"
     assert data["pass"]
-    lines = (out / "convergence.csv").read_text().splitlines()
-    assert lines[0] == "n,m,seeds,mean_ks,std_ks"
-    assert len(lines) == 3
+    assert [row[:3] for row in data["rows"]] == [[32, 16, 2], [64, 32, 2]]
+    assert data["estimate"] == data["rows"][-1][3]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [o["path"] for o in manifest["outputs"]] == ["convergence.json"]
+    assert sorted(p.name for p in out.iterdir()) == ["convergence.json",
+                                                     "manifest.json"]
 
 
 def test_compare_flat_ladder_fails_with_exit_3(tmp_path, capsys):
@@ -263,7 +266,28 @@ def test_zero_seeds_or_trials_exits_2(tmp_path, capsys, argv):
     (["verify", "--check", "counting-var", "--n", 40, "--m", 20,
       "--trials", 5, "--interval", "2,0.5"], "needs a < b"),
     (["simulate", "--n", 10, "--m", 0, "--trials", 2, "--seed", -1],
-     "seed must be an integer in [0, 2^64)")])
+     "seed must be an integer in [0, 2^64)"),
+    (["density", "--c", 1, "--grid", "0.1:3:5", "--sigma", "atoms:1:nan"],
+     "atoms must be finite, got (1.0, nan)"),
+    (["density", "--c", 1, "--grid", "0.1:3:5", "--eps-final", "nan"],
+     "eps_final must be finite and positive"),
+    (["density", "--c", 1, "--grid", "0.1:3:5", "--tol", "nan"],
+     "tol must be finite and positive"),
+    (["density", "--c", "nan", "--grid", "0.1:3:5"],
+     "c must be finite and nonnegative"),
+    (["density", "--c", 1, "--grid", "0:inf:5"], "expected a:b:count"),
+    (["verify", "--check", "counting-var", "--n", 40, "--m", 20,
+      "--trials", 5, "--interval", "0,nan"], "needs a < b"),
+    (["verify", "--check", "stieltjes-var", "--n", 40, "--m", 20,
+      "--trials", 5, "--z", "0,nan"], "Im z"),
+    (["simulate", "--n", 3, "--m", 1, "--h0", "diag:1,x,2"],
+     "expected diag:d1,d2,... with finite entries, got 'diag:1,x,2'"),
+    (["simulate", "--n", 3, "--m", 1, "--h0", "diag:"],
+     "expected diag:d1,d2,..."),
+    (["simulate", "--n", 3, "--m", 1, "--h0", "diag:1,nan,2"],
+     "expected diag:d1,d2,..."),
+    (["simulate", "--n", 3, "--m", 1, "--law", "lp:x"],
+     "expected lp:p with a number p >= 1, got 'lp:x'")])
 def test_malformed_flag_value_exits_2(tmp_path, capsys, monkeypatch, argv,
                                       message):
     def no_spectrum(*args, **kwargs):

@@ -3,15 +3,12 @@ import pytest
 
 from rank1spec.ensemble import (EnsembleConfig, H0Diagonal, H0File, H0Zero,
                                 SymMatrix, _draw_components, _gram_factor,
-                                _rank1_trace_update, assemble_matrix,
-                                build_matrix,
+                                assemble_matrix, build_matrix,
                                 counting_measure, eigenvalues_sym,
                                 gram_counting_relation, gram_matrix, parse_h0,
                                 read_h0_file, read_spectrum_csv, resolve_h0,
-                                resolvent_trace_stream, resolvent_traces,
-                                write_spectrum_csv)
-from rank1spec.errors import (H0Mismatch, NearSingularDenominator,
-                              RealAxisEvaluation, ShapeMismatch)
+                                resolvent_traces, write_spectrum_csv)
+from rank1spec.errors import H0Mismatch, RealAxisEvaluation, ShapeMismatch
 from rank1spec.measures import AmplitudeLaw, EmpiricalSpectrum
 from rank1spec.samplers import RngStream, VectorLaw, sample_tau, sample_vector
 
@@ -318,22 +315,8 @@ def test_counting_measure_interval_semantics():
 
 
 # ---------------------------------------------------------------------------
-# resolvent stream
+# resolvent traces
 # ---------------------------------------------------------------------------
-
-def test_resolvent_stream_empty_sum():
-    cfg = sphere_config(20, 0)
-    assert resolvent_trace_stream(cfg, 2j) == pytest.approx(-1 / 2j, abs=1e-15)
-
-
-def test_resolvent_stream_matches_eigensolve():
-    cfg = sphere_config(50, 25, seed=7)
-    ev = eigenvalues_sym(build_matrix(cfg)).eigenvalues
-    for z in (2j, 1j, 0.5 + 0.5j):
-        g_stream = resolvent_trace_stream(cfg, z)
-        g_eig = np.mean(1.0 / (ev - z))
-        assert abs(g_stream - g_eig) < 1e-8
-
 
 def dense_traces(cfg, z, trials):
     return np.array([np.mean(1.0 / (np.linalg.eigvalsh(
@@ -351,6 +334,7 @@ SIGNED_WITH_ZERO = AmplitudeLaw([(1.5, 0.4), (0.0, 0.2), (-0.7, 0.4)])
 
 
 @pytest.mark.parametrize("make", [
+    lambda tmp: sphere_config(20, 0),
     lambda tmp: sphere_config(40, 24, seed=1, law="cgauss",
                               sigma=SIGNED_WITH_ZERO),
     lambda tmp: sphere_config(40, 24, seed=2, law="gauss",
@@ -368,7 +352,7 @@ SIGNED_WITH_ZERO = AmplitudeLaw([(1.5, 0.4), (0.0, 0.2), (-0.7, 0.4)])
     lambda tmp: sphere_config(25, 8, seed=6, law="gauss",
                               sigma=AmplitudeLaw([(0.0, 1.0)]),
                               h0=parse_h0("diag:" + ",".join(["0.5"] * 25))),
-], ids=["cgauss-zero-base", "gauss-diag-base", "cgauss-file-base-m-above-n",
+], ids=["zero-base-m-zero", "cgauss-zero-base", "gauss-diag-base", "cgauss-file-base-m-above-n",
         "cube-file-base-negative", "m-zero", "all-amplitudes-zero"])
 def test_woodbury_traces_match_eigensolve(tmp_path, make):
     cfg = make(tmp_path)
@@ -380,24 +364,6 @@ def test_woodbury_traces_match_eigensolve(tmp_path, make):
 def test_woodbury_traces_reject_real_z():
     with pytest.raises(RealAxisEvaluation):
         resolvent_traces(sphere_config(10, 4), 0.5, [0])
-
-
-def test_resolvent_stream_mixed_signs_and_base():
-    cfg = sphere_config(30, 15, seed=2, law="cube",
-                        sigma=AmplitudeLaw([(-2.0, 0.5), (1.0, 0.5)]),
-                        h0=parse_h0("diag:" + ",".join(["0.5"] * 30)))
-    ev = eigenvalues_sym(build_matrix(cfg)).eigenvalues
-    g = resolvent_trace_stream(cfg, 1 + 1j)
-    assert abs(g - np.mean(1.0 / (ev - (1 + 1j)))) < 1e-8
-
-
-def test_rank1_update_guards_singular_denominator():
-    # craft G with y^H G y = -1/tau so the update denominator vanishes
-    G = np.diag([-0.5 + 0j, 1.0]).astype(complex)
-    trace = complex(np.trace(G))
-    y = np.array([1.0 + 0j, 0.0])
-    with pytest.raises(NearSingularDenominator):
-        _rank1_trace_update(G, trace, y, 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,17 @@ def test_amplitude_weights_must_sum_to_one():
         AmplitudeLaw([(1.0, 0.5), (2.0, 0.4)])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: AmplitudeLaw([(np.inf, 1.0)]),
+    lambda: AmplitudeLaw([(1.0, np.nan)]),
+    lambda: SpectralMeasure(atoms=[(np.nan, 1.0)]),
+], ids=["inf-amplitude", "nan-weight", "nan-location"])
+def test_atoms_must_be_finite(make):
+    # an infinite amplitude would start the continuation ladder at inf
+    with pytest.raises(ValueError, match="atoms must be finite"):
+        make()
+
+
 def test_amplitude_stats():
     sig = AmplitudeLaw([(-2.0, 0.25), (0.5, 0.75)])
     assert sig.max_abs_tau == 2.0

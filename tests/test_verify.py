@@ -7,8 +7,9 @@ from rank1spec.errors import RealAxisEvaluation
 from rank1spec.measures import AmplitudeLaw, SpectralMeasure
 from rank1spec.samplers import VectorLaw
 from rank1spec.solver import ModelSpec, SolverOptions
-from rank1spec.verify import (_snap_structural_zeros, _variance_se,
-                              convergence_study, verify_counting_variance,
+from rank1spec.verify import (KS_LARGEST_N_THRESHOLD, _snap_structural_zeros,
+                              _variance_se, convergence_study,
+                              verify_counting_variance,
                               verify_norm_tail, verify_quadratic_form,
                               verify_stieltjes_variance)
 
@@ -200,12 +201,11 @@ def test_convergence_small_ladder_decreases():
     grid = np.linspace(0.02, 3.2, 1500)
     rep = convergence_study(VectorLaw.parse("sphere"), model, (64, 128, 256),
                             3, 0, grid, SolverOptions(eps_final=1e-5))
-    means = [row.mean_ks for row in rep.rows]
+    means = [row[3] for row in rep.detail["rows"]]
     assert all(b < a for a, b in zip(means, means[1:]))
-    assert rep.monotone
+    assert rep.detail["monotone"]
     assert rep.passed
-    assert rep.rows[0].m == 32
-    assert len(rep.ks_values) == 3 and len(rep.ks_values[0]) == 3
+    assert rep.detail["rows"][0][:3] == [64, 32, 3]
 
 
 def test_convergence_zero_c_deterministic():
@@ -218,8 +218,8 @@ def test_convergence_zero_c_deterministic():
         VectorLaw.parse("sphere"), model, (6, 12), 2, 0,
         np.linspace(0.1, 1.0, 10),
         h0_factory=lambda n: H0Diagonal(tuple(np.tile(entries, n // 6))))
-    assert [row.mean_ks for row in rep.rows] == [0.0, 0.0]
-    assert rep.monotone and rep.passed
+    assert [row[3] for row in rep.detail["rows"]] == [0.0, 0.0]
+    assert rep.detail["monotone"] and rep.passed
 
 
 def test_convergence_report_serialization():
@@ -230,11 +230,13 @@ def test_convergence_report_serialization():
                             grid, SolverOptions(eps_final=1e-4))
     d = rep.to_dict()
     assert d["kind"] == "convergence"
-    assert d["params"]["law"] == "gauss"
+    assert d["params"] == {"law": "gauss", "c": 0.5}
     assert len(d["rows"]) == 2
-    lines = rep.csv_rows()
-    assert lines[0] == "n,m,seeds,mean_ks,std_ks"
-    assert len(lines) == 3
+    n, m, seeds, mean_ks, std_ks = d["rows"][-1]
+    assert d["estimate"] == mean_ks
+    assert d["se"] == std_ks / np.sqrt(seeds)
+    assert d["bound"] == KS_LARGEST_N_THRESHOLD
+    assert d["pass"] == (d["monotone"] and mean_ks <= d["bound"])
 
 
 def test_convergence_needs_a_seed():
