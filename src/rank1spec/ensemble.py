@@ -16,8 +16,11 @@ s W^H W with W = V |T|^(1/2), and the other n - k are exactly zero.
 
 `resolvent_traces` evaluates g(z) = Tr(H - z)^(-1) / n on the m x m
 Woodbury side, as a rank-m update of (H0 - z)^(-1), without assembling
-or eigensolving H. A file base is read once per `EnsembleConfig`
-(`EnsembleConfig.h0_array`), not once per trial.
+or eigensolving H. `counting_fractions` counts the eigenvalues of H in
+(a, b] the same way, from the inertia of one m x m matrix per endpoint
+(Haynsworth's inertia additivity). Both diagonalize H0 once per call; a
+file base is read once per `EnsembleConfig` (`EnsembleConfig.h0_array`),
+not once per trial.
 """
 
 from __future__ import annotations
@@ -75,10 +78,10 @@ def parse_h0(text: str) -> H0Spec:
 
 
 def read_h0_file(path) -> np.ndarray:
-    """Plain-text matrix: first line n, then n rows of n reals.
+    """Plain-text matrix: first line n, then n rows of n finite reals.
 
     The upper triangle is trusted and mirrored; asymmetry beyond 1e-12
-    is rejected.
+    and non-finite entries are rejected.
     """
     with open(path) as fh:
         tokens = fh.read().split("\n")
@@ -89,7 +92,15 @@ def read_h0_file(path) -> np.ndarray:
     rows = [line.split() for line in tokens[1:] if line.strip()]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise H0Mismatch(f"{path}: expected {n} rows of {n} entries")
-    mat = np.array([[float(v) for v in row] for row in rows])
+    try:
+        mat = np.array([[float(v) for v in row] for row in rows])
+    except ValueError as exc:
+        raise H0Mismatch(f"{path}: {exc}") from None
+    bad = np.argwhere(~np.isfinite(mat))
+    if bad.size:
+        i, j = bad[0]
+        raise H0Mismatch(f"{path}: entry ({i + 1}, {j + 1}) is "
+                         f"{float(mat[i, j])!r}, not finite")
     if np.max(np.abs(mat - mat.T), initial=0.0) > HERMITIAN_TOL:
         raise H0Mismatch(f"{path}: matrix is not symmetric within {HERMITIAN_TOL}")
     upper = np.triu(mat)
@@ -291,6 +302,70 @@ def counting_measure(spectrum: EmpiricalSpectrum, a: float, b: float) -> float:
     return (hi - lo) / ev.size
 
 
+def _h0_eigen(config: EnsembleConfig):
+    """(d, q) with H0 = Q diag(d) Q^T, and q None when H0 is diagonal.
+
+    Free for zero and diagonal bases; a file base costs one eigensolve.
+    """
+    if isinstance(config.h0, H0Zero):
+        return np.zeros(config.n), None
+    if isinstance(config.h0, H0File):
+        return np.linalg.eigh(config.h0_array)
+    return np.diagonal(config.h0_array), None
+
+
+def _near_base_eigenvalue(d: np.ndarray, x: float) -> bool:
+    """Whether x lies within roundoff of an eigenvalue of H0."""
+    scale = max(1.0, abs(x), float(np.max(np.abs(d), initial=0.0)))
+    return bool(np.any(np.abs(d - x) <= 1e-12 * scale))
+
+
+def counting_fractions(config: EnsembleConfig, interval, trials) -> np.ndarray:
+    """Fraction of eigenvalues in (a, b] for each trial index in `trials`.
+
+    With H0 = Q D Q^H, U = Q^H V over the k columns of nonzero amplitude
+    and T their amplitudes, Haynsworth's inertia additivity gives
+
+        #{lambda(H) <= x} = n - #{d > x} - #neg(M(x)) + #{tau < 0},
+        M(x) = T + T U^H (D - x)^(-1) U T,
+
+    since M(x) is congruent to T^(-1) + U^H (D - x)^(-1) U. In the count
+    of (a, b] the terms n and #{tau < 0} cancel, so each endpoint costs
+    one k x k eigensolve per trial, and T is never inverted. Two cases
+    keep a full spectrum per trial: with H0 = 0 and nonzero amplitudes of
+    one sign `eigenvalues_sym` solves the Gram side once for both ends,
+    and when a or b lies within roundoff of an eigenvalue of H0 each
+    trial is solved densely.
+    """
+    a, b = float(interval[0]), float(interval[1])
+    atoms = config.sigma.tau_values
+    nonzero = atoms[atoms != 0.0]
+    gram = isinstance(config.h0, H0Zero) and (
+        np.all(nonzero > 0.0) or np.all(nonzero < 0.0))
+    d, q = (None, None) if gram else _h0_eigen(config)
+    if gram or _near_base_eigenvalue(d, a) or _near_base_eigenvalue(d, b):
+        return np.array([
+            counting_measure(eigenvalues_sym(build_matrix(config, trial)), a, b)
+            for trial in trials])
+    inside = np.count_nonzero((d > a) & (d <= b))
+    resolvents = (1.0 / (d - a), 1.0 / (d - b))
+    out = np.empty(len(trials))
+    for i, trial in enumerate(trials):
+        vectors, taus = _draw_components(config, trial)
+        u, t = _nonzero_columns(vectors, taus)
+        if q is not None:
+            u = q.T @ u
+        ut = u * t
+        try:
+            neg_a, neg_b = (np.count_nonzero(np.linalg.eigvalsh(
+                np.diag(t) + ut.conj().T @ (r[:, None] * ut)) < 0.0)
+                for r in resolvents)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"inertia eigensolve failed: {exc}") from exc
+        out[i] = (inside + neg_a - neg_b) / config.n
+    return out
+
+
 def resolvent_traces(config: EnsembleConfig, z: complex, trials) -> np.ndarray:
     """g(z) = Tr(H - z)^(-1) / n for each trial index in `trials`.
 
@@ -308,10 +383,7 @@ def resolvent_traces(config: EnsembleConfig, z: complex, trials) -> np.ndarray:
     if not (np.isfinite(z) and z.imag != 0.0):
         raise RealAxisEvaluation(
             f"the resolvent trace needs a finite z with Im z != 0, got {z}")
-    if isinstance(config.h0, H0File):
-        d, q = np.linalg.eigh(config.h0_array)
-    else:
-        d, q = np.diagonal(config.h0_array), None
+    d, q = _h0_eigen(config)
     r0 = 1.0 / (d - z)
     base = r0.sum()
     out = np.empty(len(trials), dtype=complex)

@@ -77,7 +77,15 @@ class SolverOptions:
     def eps_schedule(self, sigma: AmplitudeLaw) -> list[float]:
         """Heights from the ladder's start down to eps_final, which is the
         only stage when it lies above the start."""
-        eps = max(1.0 + 2.0 * sigma.max_abs_tau ** 2, self.eps_final)
+        tau = sigma.max_abs_tau
+        try:
+            start = 1.0 + 2.0 * tau ** 2
+            if math.isinf(start):
+                raise OverflowError
+        except OverflowError:
+            raise ValueError(f"--sigma amplitude {tau!r} is too large: the "
+                             f"start height 1 + 2 max|tau|^2 overflows") from None
+        eps = max(start, self.eps_final)
         out = [eps]
         while eps > self.eps_final:
             eps = max(eps * EPS_FACTOR, self.eps_final)

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ensemble import (EnsembleConfig, H0Zero, build_matrix, counting_measure,
+from .ensemble import (EnsembleConfig, H0Zero, build_matrix, counting_fractions,
                        eigenvalues_sym, gram_counting_relation, gram_matrix,
                        resolvent_traces)
 from .measures import EmpiricalSpectrum, SpectralMeasure, ks_distance
@@ -87,16 +87,19 @@ def _require_trials(trials: int) -> None:
 
 
 def verify_counting_variance(config: EnsembleConfig, interval, trials: int) -> Report:
-    """Var of the counting measure on (a, b] against the 4m/n^2 bound."""
+    """Var of the counting measure on (a, b] against the 4m/n^2 bound.
+
+    Each trial's count comes from `ensemble.counting_fractions`: an
+    inertia count on the m x m side, the Gram side for H0 = 0 and one
+    amplitude sign, or a dense eigensolve when a or b is an eigenvalue
+    of H0.
+    """
     _require_trials(trials)
     a, b = float(interval[0]), float(interval[1])
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"the interval (a, b] needs a < b, both finite, "
                          f"got {a!r},{b!r}")
-    counts = np.empty(trials)
-    for t in range(trials):
-        spec = eigenvalues_sym(build_matrix(config, trial=t))
-        counts[t] = counting_measure(spec, a, b)
+    counts = counting_fractions(config, (a, b), range(trials))
     estimate = float(np.var(counts, ddof=1))
     bound = 4.0 * config.m / config.n ** 2
     se = _variance_se(counts)
@@ -113,15 +116,23 @@ def verify_stieltjes_variance(config: EnsembleConfig, z: complex, trials: int) -
 
     Each trial's g(z) is evaluated on the m x m Woodbury side
     (`ensemble.resolvent_traces`), without an n x n eigensolve; a real or
-    non-finite z raises RealAxisEvaluation there.
+    non-finite z raises RealAxisEvaluation there. An Im z so small that
+    the bound is not finite raises ValueError before any draw.
     """
     _require_trials(trials)
     z = complex(z)
+    try:
+        height = config.n ** 2 * z.imag ** 2
+    except OverflowError:  # Im z^2 beyond the float range: the bound is 0
+        height = math.inf
+    bound = 4.0 * config.m / height if height else math.inf
+    if np.isfinite(z) and z.imag != 0.0 and not math.isfinite(bound):
+        raise ValueError(f"--z {z.real!r},{z.imag!r}: Im z is too small for "
+                         f"a finite bound 4m/(n^2 Im z^2)")
     gs = resolvent_traces(config, z, range(trials))
     centered = gs - gs.mean()
     sq = np.abs(centered) ** 2
     estimate = float(sq.sum() / (trials - 1))
-    bound = 4.0 * config.m / (config.n ** 2 * z.imag ** 2)
     se = float(np.std(sq, ddof=1) / math.sqrt(trials))
     return Report(
         kind="stieltjes-var",

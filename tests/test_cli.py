@@ -287,7 +287,12 @@ def test_zero_seeds_or_trials_exits_2(tmp_path, capsys, argv):
     (["simulate", "--n", 3, "--m", 1, "--h0", "diag:1,nan,2"],
      "expected diag:d1,d2,..."),
     (["simulate", "--n", 3, "--m", 1, "--law", "lp:x"],
-     "expected lp:p with a number p >= 1, got 'lp:x'")])
+     "expected lp:p with a number p >= 1, got 'lp:x'"),
+    (["density", "--c", 1, "--grid", "0.1:3:5", "--sigma", "atoms:1e200:1"],
+     "--sigma amplitude 1e+200 is too large"),
+    (["verify", "--check", "stieltjes-var", "--n", 10, "--m", 5,
+      "--trials", 3, "--z", "0,1e-300", "--law", "gauss"],
+     "--z 0.0,1e-300: Im z is too small")])
 def test_malformed_flag_value_exits_2(tmp_path, capsys, monkeypatch, argv,
                                       message):
     def no_spectrum(*args, **kwargs):
@@ -295,9 +300,20 @@ def test_malformed_flag_value_exits_2(tmp_path, capsys, monkeypatch, argv,
     # every binding an ensemble run of these commands could reach
     monkeypatch.setattr(cli, "eigenvalues_sym", no_spectrum)
     monkeypatch.setattr(verify, "eigenvalues_sym", no_spectrum)
+    monkeypatch.setattr(ensemble, "eigenvalues_sym", no_spectrum)
     out = tmp_path / "o"
     assert run(argv + ["--out", out]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_rejects_a_nan_in_the_h0_file(tmp_path, capsys):
+    path = tmp_path / "h0.txt"
+    path.write_text("3\n1 0 0\n0 nan 0\n0 0 1\n")
+    out = tmp_path / "s"
+    assert run(["simulate", "--n", 3, "--m", 1, "--h0", f"file:{path}",
+                "--out", out]) == 2
+    assert f"{path}: entry (2, 2) is nan, not finite" in capsys.readouterr().err
     assert not out.exists()
 
 

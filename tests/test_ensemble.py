@@ -4,7 +4,8 @@ import pytest
 from rank1spec.ensemble import (EnsembleConfig, H0Diagonal, H0File, H0Zero,
                                 SymMatrix, _draw_components, _gram_factor,
                                 assemble_matrix, build_matrix,
-                                counting_measure, eigenvalues_sym,
+                                counting_fractions, counting_measure,
+                                eigenvalues_sym,
                                 gram_counting_relation, gram_matrix, parse_h0,
                                 read_h0_file, read_spectrum_csv, resolve_h0,
                                 resolvent_traces, write_spectrum_csv)
@@ -66,6 +67,21 @@ def test_h0_file_rejects_bad_counts(tmp_path):
     path = tmp_path / "short.txt"
     path.write_text("3\n1 0 0\n0 1 0\n")
     with pytest.raises(H0Mismatch):
+        read_h0_file(path)
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+def test_h0_file_rejects_non_finite_entries(tmp_path, entry):
+    path = tmp_path / "h0.txt"
+    path.write_text(f"3\n1 0 0\n0 {entry} 0\n0 0 1\n")
+    with pytest.raises(H0Mismatch, match=r"h0\.txt: entry \(2, 2\)"):
+        read_h0_file(path)
+
+
+def test_h0_file_rejects_non_numbers(tmp_path):
+    path = tmp_path / "h0.txt"
+    path.write_text("2\n1 x\nx 1\n")
+    with pytest.raises(H0Mismatch, match="h0.txt"):
         read_h0_file(path)
 
 
@@ -364,6 +380,77 @@ def test_woodbury_traces_match_eigensolve(tmp_path, make):
 def test_woodbury_traces_reject_real_z():
     with pytest.raises(RealAxisEvaluation):
         resolvent_traces(sphere_config(10, 4), 0.5, [0])
+
+
+# ---------------------------------------------------------------------------
+# counting fractions
+# ---------------------------------------------------------------------------
+
+def dense_fractions(cfg, a, b, trials):
+    return np.array([counting_measure(eigenvalues_sym(
+        build_matrix(cfg, trial=t).array), a, b) for t in trials])
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp: sphere_config(20, 0),
+    lambda tmp: sphere_config(40, 24, seed=1, law="cgauss",
+                              sigma=SIGNED_WITH_ZERO),
+    lambda tmp: sphere_config(40, 24, seed=2, law="gauss",
+                              sigma=SIGNED_WITH_ZERO,
+                              h0=parse_h0("diag:" + ",".join(
+                                  str(v) for v in np.linspace(-1, 1, 40)))),
+    lambda tmp: sphere_config(36, 50, seed=3, law="cgauss",
+                              sigma=SIGNED_WITH_ZERO,
+                              h0=file_base(tmp / "h0.txt", 36)),
+    lambda tmp: sphere_config(30, 12, seed=4, law="cube",
+                              sigma=AmplitudeLaw([(-2.0, 1.0)]),
+                              h0=file_base(tmp / "h0.txt", 30)),
+    lambda tmp: sphere_config(25, 0, seed=5,
+                              h0=file_base(tmp / "h0.txt", 25)),
+    lambda tmp: sphere_config(25, 8, seed=6, law="gauss",
+                              sigma=AmplitudeLaw([(0.0, 1.0)]),
+                              h0=parse_h0("diag:" + ",".join(["0.5"] * 25))),
+    lambda tmp: sphere_config(30, 40, seed=7, law="laplace",
+                              sigma=AmplitudeLaw([(0.8, 1.0)]),
+                              h0=parse_h0("diag:" + ",".join(["-0.3"] * 30))),
+], ids=["zero-base-m-zero", "cgauss-zero-base", "gauss-diag-base",
+        "cgauss-file-base-m-above-n", "cube-file-base-negative", "m-zero",
+        "all-amplitudes-zero", "one-sign-diag-base-m-above-n"])
+def test_counting_fractions_match_the_dense_count(tmp_path, make):
+    cfg = make(tmp_path)
+    for a, b in ((-0.45, 0.35), (-2.0, 1.2), (0.1, 3.0)):
+        got = counting_fractions(cfg, (a, b), range(4))
+        assert np.array_equal(got, dense_fractions(cfg, a, b, range(4)))
+
+
+def test_counting_fractions_solve_on_the_m_side(monkeypatch):
+    cfg = sphere_config(60, 10, law="gauss", sigma=SIGNED_WITH_ZERO,
+                        h0=parse_h0("diag:" + ",".join(["-1", "1"] * 30)))
+    want = dense_fractions(cfg, -0.5, 0.5, range(3))
+    orders = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda m: orders.append(m.shape[0]) or eigvalsh(m))
+    assert np.array_equal(counting_fractions(cfg, (-0.5, 0.5), range(3)),
+                          want)
+    # one solve per endpoint and trial, none of them of order n
+    assert len(orders) == 6 and max(orders) <= 10
+
+
+@pytest.mark.parametrize("interval", [(-1.0, 0.5), (-0.5, 1.0 + 1e-13)])
+def test_counting_fractions_fall_back_at_a_base_eigenvalue(monkeypatch,
+                                                           interval):
+    # an endpoint on an eigenvalue of H0 = diag(+-1) leaves D - x
+    # singular, so every trial is solved densely at order n
+    cfg = sphere_config(40, 10, seed=2, law="gauss", sigma=SIGNED_WITH_ZERO,
+                        h0=parse_h0("diag:" + ",".join(["-1", "1"] * 20)))
+    want = dense_fractions(cfg, *interval, range(3))
+    orders = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda m: orders.append(m.shape[0]) or eigvalsh(m))
+    assert np.array_equal(counting_fractions(cfg, interval, range(3)), want)
+    assert orders == [40] * 3
 
 
 # ---------------------------------------------------------------------------

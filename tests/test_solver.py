@@ -202,6 +202,12 @@ def test_eps_schedule_start_and_end():
     assert np.all(np.diff(sched) < 0)
 
 
+def test_eps_schedule_rejects_an_overflowing_start():
+    # 1 + 2 * (1e200)^2 overflows, though every amplitude is finite
+    with pytest.raises(ValueError, match="--sigma amplitude 1e\\+200"):
+        SolverOptions().eps_schedule(AmplitudeLaw([(1e200, 1.0)]))
+
+
 def test_grid_solver_ends_at_eps_final_above_ladder_start():
     # the unit-amplitude ladder starts at 3; a higher eps_final is its
     # only stage, and the transform is taken there

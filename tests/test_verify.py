@@ -67,6 +67,20 @@ def test_stieltjes_variance_keeps_the_eigensolved_estimate():
     assert rep.passed
 
 
+def test_counting_variance_keeps_the_eigensolved_estimate():
+    # the layered benchmark's variance config; the estimate, se and pass
+    # were computed from dense eigensolves of the assembled trials
+    cfg = EnsembleConfig(
+        n=400, m=100, law=VectorLaw.parse("gauss"),
+        sigma=AmplitudeLaw([(1.0, 0.5), (-0.5, 0.5)]),
+        h0=H0Diagonal(tuple([-1.0] * 200 + [1.0] * 200)), seed=0)
+    rep = verify_counting_variance(cfg, (-0.5, 0.5), trials=40)
+    assert rep.estimate == pytest.approx(2.4419070512820512e-05, rel=1e-12)
+    assert rep.se == pytest.approx(4.896705945089415e-06, rel=1e-12)
+    assert rep.bound == 0.0025
+    assert rep.passed
+
+
 @pytest.mark.parametrize("check", [
     lambda cfg: verify_counting_variance(cfg, (-0.5, 0.5), trials=4),
     lambda cfg: verify_stieltjes_variance(cfg, 0.5j, trials=4),
@@ -74,19 +88,29 @@ def test_stieltjes_variance_keeps_the_eigensolved_estimate():
 def test_variance_checks_read_a_file_base_once(tmp_path, monkeypatch, check):
     path = tmp_path / "h0.txt"
     path.write_text("3\n1 0.5 0\n0.5 -1 0\n0 0 0.25\n")
-    reads = []
-    read = ensemble.read_h0_file
+    reads, solves = [], []
+    read, eigh = ensemble.read_h0_file, np.linalg.eigh
     monkeypatch.setattr(ensemble, "read_h0_file",
                         lambda p: reads.append(p) or read(p))
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: solves.append(a.shape) or eigh(a))
     cfg = EnsembleConfig(n=3, m=2, law=VectorLaw.parse("gauss"),
                          sigma=UNIT_SIGMA, h0=H0File(str(path)), seed=1)
     check(cfg)
     assert len(reads) == 1
+    assert solves == [(3, 3)]
 
 
 def test_stieltjes_variance_rejects_real_z():
     with pytest.raises(RealAxisEvaluation):
         verify_stieltjes_variance(config(40, 20), 0.5 + 0j, trials=5)
+
+
+def test_stieltjes_variance_rejects_an_infinite_bound(monkeypatch):
+    # Im z^2 underflows to 0, so 4m/(n^2 Im z^2) has no finite value
+    monkeypatch.setattr(ensemble, "_draw_components", None)
+    with pytest.raises(ValueError, match="--z 0.0,1e-300"):
+        verify_stieltjes_variance(config(10, 5), 1e-300j, trials=3)
 
 
 @pytest.mark.parametrize("trials", [0, 1])
