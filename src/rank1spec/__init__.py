@@ -11,10 +11,10 @@ from .ensemble import (EnsembleConfig, H0Diagonal, H0File, H0Zero,
                        eigenvalues_sym, gram_counting_relation, gram_matrix,
                        parse_h0, read_spectrum_csv, resolve_h0,
                        write_spectrum_csv)
-from .errors import (EmptySpectrum, H0Mismatch, InvalidDimension, InvalidP,
-                     MassDeficit, NoConvergence, NonConvergence, PoleHit,
-                     Rank1SpecError, RealAxisEvaluation, ShapeMismatch,
-                     UnsupportedOrder)
+from .errors import (EigensolveFailed, EmptySpectrum, H0Mismatch,
+                     InvalidDimension, InvalidP, MassDeficit, NonConvergence,
+                     PoleHit, Rank1SpecError, RealAxisEvaluation,
+                     ShapeMismatch, UnsupportedOrder)
 from .measures import (AmplitudeLaw, EmpiricalSpectrum, SpectralMeasure, cdf,
                        cdf_left, ks_distance, load_measure_json, moment,
                        read_density_csv, save_measure_json,
@@ -31,9 +31,9 @@ from .verify import (Report, convergence_study, isotropy_estimate,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudeLaw", "EmpiricalSpectrum", "EnsembleConfig", "EmptySpectrum",
-    "H0Diagonal", "H0File", "H0Mismatch", "H0Zero", "InvalidDimension",
-    "InvalidP", "MassDeficit", "ModelSpec", "NoConvergence",
+    "AmplitudeLaw", "EigensolveFailed", "EmpiricalSpectrum", "EnsembleConfig",
+    "EmptySpectrum", "H0Diagonal", "H0File", "H0Mismatch", "H0Zero",
+    "InvalidDimension", "InvalidP", "MassDeficit", "ModelSpec",
     "NonConvergence", "PoleHit", "Rank1SpecError", "RealAxisEvaluation",
     "Report", "RngStream", "ShapeMismatch", "SolverOptions",
     "SpectralMeasure", "UnsupportedOrder", "VectorLaw",

@@ -6,7 +6,10 @@ of trial t uses stream_id = t * 2^32 + alpha, its amplitude uses
 stream_id = t * 2^32 + 2^31 + alpha, all under the ensemble seed, with
 0 <= t < 2^32. The draws walk each run of keys with one Philox that is
 re-keyed per stream (`samplers.stream_generators`); the keys, and so the
-bits, are those of a fresh generator per stream.
+bits, are those of a fresh generator per stream. Each vector stream
+fills row alpha of one C-ordered (m, n) trial block in place, the law's
+finishing step runs once on the block, and a trial's vectors V are the
+(n, m) transposed view of that block; only the dense assembly copies V.
 
 `build_matrix` keeps a trial's factors (H0, V, tau) and assembles the
 dense n x n matrix only when `.array` is read. With H0 = 0 and k < n
@@ -31,10 +34,13 @@ from typing import Union
 
 import numpy as np
 
-from .errors import (H0Mismatch, NoConvergence, RealAxisEvaluation,
+from .errors import (EigensolveFailed, H0Mismatch, RealAxisEvaluation,
                      ShapeMismatch)
 from .measures import AmplitudeLaw, EmpiricalSpectrum
-from .samplers import VectorLaw, sample_tau, sample_vector, stream_generators
+from .samplers import VectorLaw, keyed_taus, keyed_vectors
+# not called here; they stay bound because layerbench/tracer.py wraps
+# these names in this module
+from .samplers import sample_tau, sample_vector
 
 HERMITIAN_TOL = 1e-12
 _TRIAL_STRIDE = 2 ** 32
@@ -196,31 +202,29 @@ class SymMatrix:
 def _draw_components(config: EnsembleConfig, trial: int):
     """Vectors (n, m) and amplitudes (m,) under the documented keying.
 
-    A law with a single atom fills the amplitudes directly: every draw
-    would return that atom.
+    The vectors are the transposed view of the C-ordered (m, n) block
+    that `samplers.keyed_vectors` fills row by row, so `vectors.T` is
+    C-contiguous and no transposing copy is made.
     """
     if (not isinstance(trial, (int, np.integer))
             or not 0 <= trial < _TRIAL_STRIDE):
         raise ValueError("trial must be an integer in [0, 2^32)")
     base = trial * _TRIAL_STRIDE
-    dtype = complex if config.law.is_complex else float
-    # contiguous row writes, then one transposing copy to C-order (n, m)
-    rows = np.empty((config.m, config.n), dtype=dtype)
-    for alpha, gen in enumerate(stream_generators(
-            config.seed, range(base, base + config.m))):
-        rows[alpha] = sample_vector(config.law, config.n, gen)
-    taus = np.full(config.m, config.sigma.tau_values[0])
-    if config.sigma.tau_values.size > 1:
-        for alpha, gen in enumerate(stream_generators(
-                config.seed, range(base + _TAU_OFFSET,
-                                   base + _TAU_OFFSET + config.m))):
-            taus[alpha] = sample_tau(config.sigma, gen)
-    return np.ascontiguousarray(rows.T), taus
+    rows = keyed_vectors(config.law, config.n, config.seed,
+                         range(base, base + config.m))
+    taus = keyed_taus(config.sigma, config.seed,
+                      range(base + _TAU_OFFSET, base + _TAU_OFFSET + config.m))
+    return rows.T, taus
 
 
 def assemble_matrix(h0: np.ndarray, taus, vectors) -> SymMatrix:
-    """H0 + sum_a tau_a y_a y_a^H from explicit components."""
-    vectors = np.asarray(vectors)
+    """H0 + sum_a tau_a y_a y_a^H from explicit components.
+
+    The product is formed from a C-ordered copy of V (none is made when V
+    is already C-ordered): BLAS picks its kernel by the operands' layout,
+    so this keeps the bits of H independent of the layout V comes in.
+    """
+    vectors = np.ascontiguousarray(vectors)
     taus = np.asarray(taus, dtype=float)
     h = np.asarray(h0, dtype=vectors.dtype if np.iscomplexobj(vectors) else float)
     if taus.size:
@@ -277,7 +281,9 @@ def eigenvalues_sym(matrix) -> EmpiricalSpectrum:
     `build_matrix` with H0 = 0 whose k < n nonzero amplitudes share one
     sign s is solved on the Gram side: s * eigvalsh(W^H W) with
     W = V |tau|^(1/2), padded with n - k exact zeros. Every other input,
-    plain arrays included, is solved densely.
+    plain arrays included, is solved densely. A failed eigensolve, or
+    one that returns non-finite eigenvalues (a NaN or infinite entry),
+    raises EigensolveFailed.
     """
     gram = _gram_factor(matrix) if isinstance(matrix, SymMatrix) else None
     if gram is not None:
@@ -288,7 +294,10 @@ def eigenvalues_sym(matrix) -> EmpiricalSpectrum:
     try:
         ev = np.linalg.eigvalsh(arr)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"dense eigensolve failed: {exc}") from exc
+        raise EigensolveFailed(f"dense eigensolve failed: {exc}") from exc
+    if not np.all(np.isfinite(ev)):
+        raise EigensolveFailed("eigensolve returned non-finite eigenvalues; "
+                               "the matrix has a non-finite entry")
     if gram is not None:
         ev = np.concatenate([sign * ev, np.zeros(matrix.n - ev.size)])
     return EmpiricalSpectrum(ev)
@@ -361,7 +370,7 @@ def counting_fractions(config: EnsembleConfig, interval, trials) -> np.ndarray:
                 np.diag(t) + ut.conj().T @ (r[:, None] * ut)) < 0.0)
                 for r in resolvents)
         except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"inertia eigensolve failed: {exc}") from exc
+            raise EigensolveFailed(f"inertia eigensolve failed: {exc}") from exc
         out[i] = (inside + neg_a - neg_b) / config.n
     return out
 

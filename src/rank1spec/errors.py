@@ -53,8 +53,9 @@ class H0Mismatch(Rank1SpecError):
     """Deterministic part H0 is inconsistent with the requested order."""
 
 
-class NoConvergence(Rank1SpecError):
-    """The dense eigensolver failed to converge."""
+class EigensolveFailed(Rank1SpecError):
+    """A LAPACK eigensolve of a finite-n matrix failed (no convergence,
+    or non-finite eigenvalues from non-finite entries)."""
 
 
 class ShapeMismatch(Rank1SpecError):

@@ -6,8 +6,10 @@ R^{2n}, giving I/(2n) per real coordinate. Streams are counter-based
 (Philox) and keyed by (master_seed, stream_id), so any draw is
 reproducible bit for bit from its key alone. `stream_generators` walks a
 range of such streams with one Philox, re-keyed per stream, and draws
-the same bits as a fresh generator per key. The Monte Carlo check of
-the normalization is `verify.isotropy_estimate`.
+the same bits as a fresh generator per key. `keyed_vectors` and
+`keyed_taus` draw one vector or amplitude per stream of such a range,
+bit for bit as `sample_vector` and `sample_tau` on a fresh stream. The
+Monte Carlo check of the normalization is `verify.isotropy_estimate`.
 """
 
 from __future__ import annotations
@@ -87,23 +89,25 @@ def stream_generators(master_seed: int,
 
     Each equals `RngStream(master_seed, id).generator()` draw for draw,
     but one Philox is built and re-keyed per stream: key
-    [master_seed, id], counter 0, empty buffer. The same generator
-    object is yielded every time, so a yielded generator is valid only
-    until the next one is yielded.
+    [master_seed, id], counter 0, empty buffer. The state dict and its
+    key array are built once per call and only the key's stream id is
+    set per stream; the state setter copies the values. The same
+    generator object is yielded every time, so a yielded generator is
+    valid only until the next one is yielded.
     """
     if not stream_ids:
         return
     # the ends of a range bound every id in it
     RngStream(master_seed, stream_ids[-1])
     gen = RngStream(master_seed, stream_ids[0]).generator()
+    key = np.array([master_seed, 0], dtype=np.uint64)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
     for stream_id in stream_ids:
-        gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64),
-                      "key": np.array([master_seed, stream_id],
-                                      dtype=np.uint64)},
-            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0}
+        key[1] = stream_id
+        gen.bit_generator.state = state
         yield gen
 
 
@@ -156,29 +160,53 @@ def lp_ball_points(p: float, n: int, count: int, rng: RngLike) -> np.ndarray:
     return signs * gam ** (1.0 / p) / radius[:, None]
 
 
+# laws drawn as raw standard normals or uniforms, then finished as a block
+_BLOCK_KINDS = ("sphere", "gauss", "cube", "cgauss")
+
+
+def _fill_raw(law: VectorLaw, gen: np.random.Generator, re: np.ndarray,
+              im: np.ndarray | None) -> None:
+    """Write a block law's raw draws into re, then (cgauss) into im."""
+    if law.kind == "cube":
+        gen.random(out=re)
+        return
+    gen.standard_normal(out=re)
+    if im is not None:
+        gen.standard_normal(out=im)
+
+
+def _finish(law: VectorLaw, n: int, re: np.ndarray,
+            im: np.ndarray | None) -> np.ndarray:
+    """A block law's vectors (one per row) from its raw draws, in place
+    for the real laws."""
+    if law.kind == "sphere":
+        re /= np.linalg.norm(re, axis=1)[:, None]
+    elif law.kind == "gauss":
+        re /= math.sqrt(n)
+    elif law.kind == "cube":
+        # Generator.uniform(-a, a) is -a + (a - (-a)) * random()
+        a = math.sqrt(3.0 / n)
+        re *= a - (-a)
+        re += -a
+    else:
+        return (re + 1j * im) / math.sqrt(2.0 * n)
+    return re
+
+
 def sample_vectors(law: VectorLaw, n: int, count: int, rng: RngLike) -> np.ndarray:
     """Draw `count` isotropic vectors, shape (count, n)."""
     if n < 1:
         raise InvalidDimension(f"dimension must be positive, got {n}")
     gen = as_generator(rng)
-    if law.kind == "sphere":
-        g = gen.standard_normal((count, n))
-        norms = np.linalg.norm(g, axis=1)
-        return g / norms[:, None]
-    if law.kind == "gauss":
-        return gen.standard_normal((count, n)) / math.sqrt(n)
-    if law.kind == "cube":
-        a = math.sqrt(3.0 / n)
-        return gen.uniform(-a, a, size=(count, n))
+    if law.kind in _BLOCK_KINDS:
+        re = np.empty((count, n))
+        im = np.empty_like(re) if law.is_complex else None
+        _fill_raw(law, gen, re, im)
+        return _finish(law, n, re, im)
     if law.kind == "laplace":
         return gen.laplace(0.0, 1.0 / math.sqrt(2.0 * n), size=(count, n))
     if law.kind == "lp":
         return lp_ball_points(law.p, n, count, gen) * lp_scale(law.p, n)
-    if law.kind == "cgauss":
-        scale = math.sqrt(2.0 * n)
-        re = gen.standard_normal((count, n))
-        im = gen.standard_normal((count, n))
-        return (re + 1j * im) / scale
     raise ValueError(f"unhandled law {law.kind!r}")
 
 
@@ -187,13 +215,59 @@ def sample_vector(law: VectorLaw, n: int, rng: RngLike) -> np.ndarray:
     return sample_vectors(law, n, 1, rng)[0]
 
 
-def sample_tau(sigma, rng: RngLike, size: int | None = None):
-    """Draw amplitudes by inverse CDF over the law's cumulative weights."""
-    gen = as_generator(rng)
+def keyed_vectors(law: VectorLaw, n: int, master_seed: int,
+                  stream_ids: range) -> np.ndarray:
+    """One vector per stream (master_seed, id), as the rows of a C-ordered
+    (len(stream_ids), n) block.
+
+    Row i equals `sample_vector(law, n, RngStream(master_seed,
+    stream_ids[i]))` bit for bit. Each stream writes its raw draws
+    straight into its row (cgauss: a real row, then an imaginary row),
+    and the law's finishing step, the sphere's row norms or a scale,
+    then runs once on the whole block. laplace and lp rows are drawn
+    whole, one stream at a time.
+    """
+    if n < 1:
+        raise InvalidDimension(f"dimension must be positive, got {n}")
+    rows = np.empty((len(stream_ids), n))
+    gens = stream_generators(master_seed, stream_ids)
+    if law.kind not in _BLOCK_KINDS:
+        for row, gen in zip(rows, gens):
+            row[:] = sample_vectors(law, n, 1, gen)[0]
+        return rows
+    im = np.empty_like(rows) if law.is_complex else None
+    for alpha, gen in enumerate(gens):
+        _fill_raw(law, gen, rows[alpha], None if im is None else im[alpha])
+    return _finish(law, n, rows, im)
+
+
+def _tau_lookup(sigma, u: np.ndarray) -> np.ndarray:
+    """Inverse CDF over the law's cumulative weights at uniforms u."""
     cum = np.cumsum(sigma.weights)
     cum[-1] = 1.0
-    u = gen.random(size if size is not None else 1)
     idx = np.minimum(np.searchsorted(cum, u, side="right"),
                      sigma.tau_values.size - 1)
-    out = sigma.tau_values[idx]
+    return sigma.tau_values[idx]
+
+
+def sample_tau(sigma, rng: RngLike, size: int | None = None):
+    """Draw amplitudes by inverse CDF over the law's cumulative weights."""
+    u = as_generator(rng).random(size if size is not None else 1)
+    out = _tau_lookup(sigma, u)
     return out if size is not None else float(out[0])
+
+
+def keyed_taus(sigma, master_seed: int, stream_ids: range) -> np.ndarray:
+    """One amplitude per stream (master_seed, id), each equal to
+    `sample_tau(sigma, RngStream(master_seed, id))`.
+
+    Each stream gives one uniform, and one inverse-CDF lookup maps them
+    all. A law with a single atom fills the amplitudes directly, since
+    every draw would return that atom.
+    """
+    if sigma.tau_values.size == 1:
+        return np.full(len(stream_ids), sigma.tau_values[0])
+    u = np.fromiter((gen.random() for gen in
+                     stream_generators(master_seed, stream_ids)),
+                    dtype=float, count=len(stream_ids))
+    return _tau_lookup(sigma, u)

@@ -307,6 +307,17 @@ def test_malformed_flag_value_exits_2(tmp_path, capsys, monkeypatch, argv,
     assert not out.exists()
 
 
+def test_failed_eigensolve_exits_2(tmp_path, capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    out = tmp_path / "s"
+    assert run(["simulate", "--n", 8, "--m", 8, "--out", out]) == 2
+    assert ("error: dense eigensolve failed: Eigenvalues did not converge"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_simulate_rejects_a_nan_in_the_h0_file(tmp_path, capsys):
     path = tmp_path / "h0.txt"
     path.write_text("3\n1 0 0\n0 nan 0\n0 0 1\n")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rank1spec import ensemble
 from rank1spec.ensemble import (EnsembleConfig, H0Diagonal, H0File, H0Zero,
                                 SymMatrix, _draw_components, _gram_factor,
                                 assemble_matrix, build_matrix,
@@ -9,7 +10,8 @@ from rank1spec.ensemble import (EnsembleConfig, H0Diagonal, H0File, H0Zero,
                                 gram_counting_relation, gram_matrix, parse_h0,
                                 read_h0_file, read_spectrum_csv, resolve_h0,
                                 resolvent_traces, write_spectrum_csv)
-from rank1spec.errors import H0Mismatch, RealAxisEvaluation, ShapeMismatch
+from rank1spec.errors import (EigensolveFailed, H0Mismatch,
+                              RealAxisEvaluation, ShapeMismatch)
 from rank1spec.measures import AmplitudeLaw, EmpiricalSpectrum
 from rank1spec.samplers import RngStream, VectorLaw, sample_tau, sample_vector
 
@@ -259,25 +261,100 @@ def test_single_atom_law_fills_draws_unchanged():
     assert taus.tolist() == drawn
 
 
-@pytest.mark.parametrize("sigma", [
+KEYING_SIGMAS = pytest.mark.parametrize("sigma", [
     AmplitudeLaw([(1.0, 1.0)]),
     AmplitudeLaw([(1.0, 0.5), (-0.5, 0.5)]),
     AmplitudeLaw([(0.0, 0.3), (2.0, 0.7)]),
 ], ids=["single-atom", "signed-two-atom", "atom-at-zero"])
-@pytest.mark.parametrize("law", ["sphere", "gauss", "cube", "laplace", "lp:1",
-                                 "lp:1.5", "cgauss"])
-def test_draws_follow_the_documented_keying(law, sigma):
-    n, m, seed = 6, 5, 21
+KEYING_LAWS = pytest.mark.parametrize("law", [
+    "sphere", "gauss", "cube", "laplace", "lp:1", "lp:1.5", "cgauss"])
+
+
+def check_documented_keying(law, sigma, n, m):
+    seed = 21
     cfg = sphere_config(n, m, seed=seed, sigma=sigma, law=law)
     for t in (0, 2):
         vectors, taus = _draw_components(cfg, t)
         assert vectors.shape == (n, m)
-        assert vectors.flags.c_contiguous
+        # the (n, m) view of the C-ordered (m, n) block the streams fill
+        assert vectors.T.flags.c_contiguous
         for a in range(m):
             want = sample_vector(cfg.law, n, RngStream(seed, t * 2**32 + a))
             assert np.array_equal(vectors[:, a], want)
             want = sample_tau(sigma, RngStream(seed, t * 2**32 + 2**31 + a))
             assert np.array_equal(taus[a], want)
+
+
+@KEYING_SIGMAS
+@KEYING_LAWS
+def test_draws_follow_the_documented_keying(law, sigma):
+    check_documented_keying(law, sigma, 6, 5)
+
+
+@KEYING_SIGMAS
+@KEYING_LAWS
+@pytest.mark.parametrize("n, m", [(400, 4), (1024, 3)])
+def test_draws_follow_the_documented_keying_past_the_summation_block(
+        law, sigma, n, m):
+    # numpy sums in pairwise blocks of 128, so a block row norm that summed
+    # in another order than a single vector's norm would show here
+    check_documented_keying(law, sigma, n, m)
+
+
+def layout_guard_cases(tmp):
+    signed = AmplitudeLaw([(1.0, 0.5), (-0.5, 0.5)])
+    with_zero = AmplitudeLaw([(0.0, 0.3), (2.0, 0.7)])
+    diag = parse_h0("diag:" + ",".join(str((-1.0) ** i) for i in range(30)))
+    return [
+        sphere_config(40, 16, seed=3),
+        sphere_config(30, 45, seed=3),
+        sphere_config(40, 16, seed=4, law="gauss", sigma=with_zero),
+        sphere_config(40, 16, seed=4, law="cgauss", sigma=with_zero),
+        sphere_config(30, 45, seed=5, law="cgauss", sigma=signed),
+        sphere_config(30, 12, seed=5, law="gauss", sigma=signed, h0=diag),
+        sphere_config(30, 45, seed=6, sigma=with_zero, h0=diag),
+        sphere_config(30, 12, seed=6, law="cube", sigma=signed,
+                      h0=file_base(tmp / "h0.txt", 30)),
+        sphere_config(30, 45, seed=7, law="cgauss", sigma=with_zero,
+                      h0=file_base(tmp / "h0.txt", 30)),
+    ]
+
+
+def layout_sensitive_outputs(cfg):
+    """Every output computed from a trial's vectors, as arrays."""
+    return [eigenvalues_sym(build_matrix(cfg, trial=1)).eigenvalues,
+            eigenvalues_sym(build_matrix(cfg, trial=1).array).eigenvalues,
+            counting_fractions(cfg, (0.25, 1.5), [0, 1, 2]),
+            resolvent_traces(cfg, 0.5 + 0.2j, [0, 1, 2]),
+            gram_matrix(cfg, trial=2).array]
+
+
+def test_outputs_do_not_depend_on_the_vector_layout(tmp_path, monkeypatch):
+    # the draws hand out a transposed (F-ordered) view; a C-ordered copy of
+    # the same values must give the same bits everywhere downstream
+    configs = layout_guard_cases(tmp_path)
+    want = [layout_sensitive_outputs(cfg) for cfg in configs]
+    draw = ensemble._draw_components
+
+    def c_ordered(config, trial):
+        vectors, taus = draw(config, trial)
+        assert not vectors.flags.c_contiguous
+        return np.ascontiguousarray(vectors), taus
+
+    monkeypatch.setattr(ensemble, "_draw_components", c_ordered)
+    for cfg, outputs in zip(configs, want):
+        for got, expected in zip(layout_sensitive_outputs(cfg), outputs):
+            assert np.array_equal(got, expected)
+
+
+def test_eigensolve_failure_is_typed():
+    diagonal = np.eye(4)
+    diagonal[1, 1] = np.nan
+    off_diagonal = np.eye(4)
+    off_diagonal[1, 2] = off_diagonal[2, 1] = np.nan
+    for matrix in (diagonal, off_diagonal):
+        with pytest.raises(EigensolveFailed):
+            eigenvalues_sym(matrix)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])

@@ -116,6 +116,29 @@ def test_single_vector_matches_block():
     assert np.array_equal(a, b)
 
 
+def textbook_vectors(kind, n, count, gen):
+    """The block laws written as plain numpy draws, for reference."""
+    if kind == "sphere":
+        g = gen.standard_normal((count, n))
+        return g / np.linalg.norm(g, axis=1)[:, None]
+    if kind == "gauss":
+        return gen.standard_normal((count, n)) / np.sqrt(n)
+    if kind == "cube":
+        a = np.sqrt(3.0 / n)
+        return gen.uniform(-a, a, size=(count, n))
+    re = gen.standard_normal((count, n))
+    im = gen.standard_normal((count, n))
+    return (re + 1j * im) / np.sqrt(2.0 * n)
+
+
+@pytest.mark.parametrize("kind", ["sphere", "gauss", "cube", "cgauss"])
+@pytest.mark.parametrize("n, count", [(6, 3), (400, 3)])
+def test_block_laws_match_their_textbook_draws(kind, n, count):
+    got = sample_vectors(VectorLaw(kind), n, count, RngStream(4, 1))
+    want = textbook_vectors(kind, n, count, RngStream(4, 1).generator())
+    assert np.array_equal(got, want)
+
+
 def test_dimension_validation():
     with pytest.raises(InvalidDimension):
         sample_vectors(VectorLaw.parse("gauss"), 0, 5, RngStream(0, 0))
