@@ -16,14 +16,13 @@ from .errors import (EigensolveFailed, EmptySpectrum, H0Mismatch,
                      PoleHit, Rank1SpecError, RealAxisEvaluation,
                      ShapeMismatch, UnsupportedOrder)
 from .measures import (AmplitudeLaw, EmpiricalSpectrum, SpectralMeasure, cdf,
-                       cdf_left, ks_distance, load_measure_json, moment,
-                       read_density_csv, save_measure_json,
+                       cdf_left, ks_distance, moment, save_measure_json,
                        stieltjes_of_measure, write_density_csv)
 from .samplers import (RngStream, VectorLaw, lp_ball_points, lp_scale,
                        sample_tau, sample_vectors)
 from .solver import (ModelSpec, SolverOptions, limit_density, mp_closed_form,
-                     mp_limit_measure, mp_stieltjes_oracle,
-                     normalization_check, solve_mpe_at, solve_mpe_grid)
+                     mp_limit_measure, mp_stieltjes_oracle, solve_mpe_at,
+                     solve_mpe_grid)
 from .verify import (Report, convergence_study, isotropy_estimate,
                      verify_counting_variance, verify_norm_tail,
                      verify_quadratic_form, verify_stieltjes_variance)
@@ -40,10 +39,8 @@ __all__ = [
     "assemble_matrix", "build_matrix", "cdf", "cdf_left", "convergence_study",
     "counting_measure", "eigenvalues_sym", "gram_counting_relation",
     "gram_matrix", "isotropy_estimate", "ks_distance", "limit_density",
-    "load_measure_json", "lp_ball_points", "lp_scale", "moment",
-    "mp_closed_form", "mp_limit_measure", "mp_stieltjes_oracle",
-    "normalization_check", "parse_h0", "read_density_csv",
-    "read_spectrum_csv", "resolve_h0", "sample_tau", "sample_vectors",
+    "lp_ball_points", "lp_scale", "moment", "mp_closed_form",
+    "mp_limit_measure", "mp_stieltjes_oracle", "parse_h0", "read_spectrum_csv", "resolve_h0", "sample_tau", "sample_vectors",
     "save_measure_json", "solve_mpe_at", "solve_mpe_grid",
     "stieltjes_of_measure", "verify_counting_variance", "verify_norm_tail",
     "verify_quadratic_form", "verify_stieltjes_variance", "write_density_csv",

@@ -6,6 +6,14 @@ gridded density as the trapezoid rule's nodes. Temporaries of shape
 (points x nodes) or (points x amplitude atoms) are built in point chunks
 of at most CHUNK_ELEMENTS elements, so large bases stay bounded in memory.
 
+Sums over nodes or atoms give the bits of numpy's `.sum(axis=1)` on a
+row-major array. Up to SMALL_WIDTH complex columns they add whole columns
+left to right onto zero, which is the order numpy uses for rows of under
+8 doubles, and those narrow temporaries are column-major, so that each
+column is one contiguous run. Wider ones stay row-major and call
+`.sum(axis=1)`, which keeps its pairwise order. Each point's sum reads
+only its own row, so the bits do not depend on the chunking.
+
 Status codes returned per point by `picard_solve`:
 
 ====  =========================================
@@ -23,14 +31,54 @@ import numpy as np
 USE_NUMBA = False
 
 POLE_TOL = 1e-14
-CHUNK_ELEMENTS = 1 << 18
+# 512 KiB per complex temporary, so that a chunk's work stays in cache
+CHUNK_ELEMENTS = 1 << 15
+# widest complex row that numpy sums left to right
+SMALL_WIDTH = 3
 # weight of f0(w) in the Picard step a point takes when Newton fails it
 DAMPING = 0.5
 
 
+def _step(width: int) -> int:
+    return max(1, CHUNK_ELEMENTS // max(width, 1))
+
+
 def _chunks(points: int, width: int):
-    step = max(1, CHUNK_ELEMENTS // max(width, 1))
+    step = _step(width)
     return [slice(i, i + step) for i in range(0, points, step)]
+
+
+def _by_chunks(kernel, x, width, *args):
+    """kernel(x, *args) over point chunks of `x`, each output joined."""
+    if x.size <= _step(width):
+        return kernel(x, *args)
+    parts = [kernel(x[part], *args) for part in _chunks(x.size, width)]
+    return tuple(np.concatenate(out) for out in zip(*parts))
+
+
+def _order(width: int) -> str:
+    """Memory order of a (points x width) temporary."""
+    return "F" if width <= SMALL_WIDTH else "C"
+
+
+def _row_sum(a):
+    """a.sum(axis=1) bit for bit, one whole column at a time when narrow."""
+    if a.shape[1] > SMALL_WIDTH:
+        return a.sum(axis=1)
+    out = a[:, 0] + 0.0
+    for k in range(1, a.shape[1]):
+        out += a[:, k]
+    return out
+
+
+def _row_any(a):
+    """a.any(axis=1) for a boolean array, one whole column at a time."""
+    if a.shape[1] > SMALL_WIDTH:
+        return a.any(axis=1)
+    out = a[:, 0].copy()
+    for k in range(1, a.shape[1]):
+        out |= a[:, k]
+    return out
 
 
 def base_nodes(atom_loc, atom_mass, grid, vals):
@@ -50,39 +98,38 @@ def base_nodes(atom_loc, atom_mass, grid, vals):
             np.concatenate([atom_mass, weights * vals]))
 
 
+def _base_part(w, loc, mass):
+    r = 1.0 / np.subtract(loc, w[:, None], order=_order(loc.size))
+    rm = r * mass
+    return _row_sum(rm), _row_sum(rm * r)
+
+
 def base_transform(w, loc, mass):
     """f0(w) = sum mass/(loc - w) and f0'(w) = sum mass/(loc - w)^2."""
-    g = np.zeros(w.shape, dtype=np.complex128)
-    dg = np.zeros(w.shape, dtype=np.complex128)
-    if loc.size:
-        for part in _chunks(w.size, loc.size):
-            r = 1.0 / (loc - w[part, None])
-            rm = r * mass
-            g[part] = rm.sum(axis=1)
-            dg[part] = (rm * r).sum(axis=1)
-    return g, dg
+    if not loc.size:
+        return (np.zeros(w.shape, dtype=np.complex128),
+                np.zeros(w.shape, dtype=np.complex128))
+    return _by_chunks(_base_part, w, loc.size, loc, mass)
 
 
-def shift_terms(f, tau, tau_w, c):
+def _shift_part(f, tau, tw, c):
+    den = 1.0 + np.multiply(f[:, None], tau, order=_order(tau.size))
+    pole = _row_any(np.abs(den) < POLE_TOL)
+    inv = 1.0 / den
+    inv_tw = inv * tw
+    return (-c * _row_sum(inv_tw), c * _row_sum(inv_tw * inv * tau), pole)
+
+
+def shift_terms(f, tau, tw, c):
     """Shift -c*sum(tau q/(1 + tau f)), its f-derivative, and the pole mask.
 
-    The derivative is c*sum(tau^2 q/(1 + tau f)^2). The pole mask marks
-    the points where some 1 + tau*f lies within POLE_TOL of zero; their
-    other entries are not meaningful.
+    `tw` is tau * q, the amplitudes times their weights. The derivative is
+    c*sum(tau^2 q/(1 + tau f)^2). The pole mask marks the points where
+    some 1 + tau*f lies within POLE_TOL of zero; their other entries are
+    not meaningful, and dividing by zero there raises numpy's warnings
+    unless the caller silences them.
     """
-    shift = np.zeros(f.shape, dtype=np.complex128)
-    dshift = np.zeros(f.shape, dtype=np.complex128)
-    pole = np.zeros(f.shape, dtype=bool)
-    tw = tau * tau_w
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for part in _chunks(f.size, tau.size):
-            den = 1.0 + f[part, None] * tau
-            pole[part] = (np.abs(den) < POLE_TOL).any(axis=1)
-            inv = 1.0 / den
-            inv_tw = inv * tw
-            shift[part] = -c * inv_tw.sum(axis=1)
-            dshift[part] = c * (inv_tw * inv * tau).sum(axis=1)
-    return shift, dshift, pole
+    return _by_chunks(_shift_part, f, tau.size, tau, tw, c)
 
 
 def stieltjes_many(zs, atom_loc, atom_mass, grid, vals):
@@ -113,33 +160,33 @@ def picard_solve(z, f, tol, max_iter, tau, tau_w, c, loc, mass):
     f = np.where(f.imag * sgn < 0.0, f.conj(), f)
     iters = np.full(z.shape, int(max_iter), dtype=np.int64)
     status = np.ones(z.shape, dtype=np.int8)
+    tw = tau * tau_w
     idx = np.arange(z.size)
     za, fa, sa = z, f, sgn
-    for it in range(1, int(max_iter) + 1):
-        if not idx.size:
-            break
-        shift, dshift, pole = shift_terms(fa, tau, tau_w, c)
-        # a point at a pole has no meaningful w; it stops below
-        with np.errstate(invalid="ignore"):
+    # a point at a pole has no meaningful w and stops below; a Newton step
+    # that divides by zero or overflows falls back to Picard
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for it in range(1, int(max_iter) + 1):
+            if not idx.size:
+                break
+            shift, dshift, pole = shift_terms(fa, tau, tw, c)
             g, dg = base_transform(za + shift, loc, mass)
-        r = fa - g
-        conv = ~pole & (np.abs(r) <= tol)
-        stop = pole | conv
-        if stop.any():
-            ends = idx[stop]
-            iters[ends] = it
-            f[ends] = fa[stop]
-            status[ends] = np.where(pole[stop], 2, 0)
-            go = ~stop
-            idx, za, fa, sa = idx[go], za[go], fa[go], sa[go]
-            r, g, dg, dshift = r[go], g[go], dg[go], dshift[go]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            r = fa - g
+            stop = pole | (np.abs(r) <= tol)
+            if stop.any():
+                ends = idx[stop]
+                iters[ends] = it
+                f[ends] = fa[stop]
+                status[ends] = np.where(pole[stop], 2, 0)
+                go = ~stop
+                idx, za, fa, sa = idx[go], za[go], fa[go], sa[go]
+                r, g, dg, dshift = r[go], g[go], dg[go], dshift[go]
             step = fa - r / (1.0 - dg * dshift)
-        off = ~np.isfinite(step) | (step.imag * sa < 0.0)
-        if off.any():
-            picard = (1.0 - DAMPING) * fa[off] + DAMPING * g[off]
-            step[off] = np.where(picard.imag * sa[off] < 0.0,
-                                 picard.conj(), picard)
-        fa = step
+            off = ~np.isfinite(step) | (step.imag * sa < 0.0)
+            if off.any():
+                picard = (1.0 - DAMPING) * fa[off] + DAMPING * g[off]
+                step[off] = np.where(picard.imag * sa[off] < 0.0,
+                                     picard.conj(), picard)
+            fa = step
     f[idx] = fa
     return f, int(iters.sum()), iters, status

@@ -51,11 +51,16 @@ def parse_grid(text: str) -> np.ndarray:
         if count < 1 or not -math.inf < a < b < math.inf:
             raise ValueError
     except ValueError:
-        raise ValueError(f"expected a:b:count with finite a < b and "
+        raise ValueError(f"--grid: expected a:b:count with finite a < b and "
                          f"count >= 1, got {text!r}") from None
-    grid = np.linspace(a, b, count)
+    # b - a can overflow; the check below rejects what that leaves
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(a, b, count)
     grid[0] += GRID_NUDGE
     grid[-1] -= GRID_NUDGE
+    if not (np.isfinite(grid).all() and np.all(np.diff(grid) > 0.0)):
+        raise ValueError(f"--grid {text!r} does not give finite, strictly "
+                         f"increasing nodes")
     return grid
 
 

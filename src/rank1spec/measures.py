@@ -12,7 +12,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import csv
 import json
 from typing import Iterable
 
@@ -309,33 +308,17 @@ def moment(measure: SpectralMeasure, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 def write_density_csv(measure: SpectralMeasure, path) -> None:
-    """Write the density part as a two-column CSV (lambda, rho)."""
+    """Write the density part as a two-column CSV (lambda, rho).
+
+    Each row is two `repr` floats ending in CRLF, the bytes `csv.writer`
+    writes for them.
+    """
+    rows = "".join(f"{x!r},{v!r}\r\n" for x, v in
+                   zip(measure.grid.tolist(), measure.values.tolist()))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "rho"])
-        for x, v in zip(measure.grid, measure.values):
-            writer.writerow([repr(float(x)), repr(float(v))])
-
-
-def read_density_csv(path) -> SpectralMeasure:
-    """Read a two-column density CSV back into a measure."""
-    grid, values = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip() for h in header] != ["lambda", "rho"]:
-            raise ValueError(f"unexpected density CSV header: {header}")
-        for row in reader:
-            grid.append(float(row[0]))
-            values.append(float(row[1]))
-    return SpectralMeasure(grid=grid, values=values, validate_mass=False)
+        fh.write("lambda,rho\r\n" + rows)
 
 
 def save_measure_json(measure: SpectralMeasure, path) -> None:
     with open(path, "w") as fh:
         fh.write(measure.to_json())
-
-
-def load_measure_json(path, **kwargs) -> SpectralMeasure:
-    with open(path) as fh:
-        return SpectralMeasure.from_json(fh.read(), **kwargs)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -263,13 +262,6 @@ def mp_stieltjes_oracle(z: complex, c: float) -> complex:
     roots = (q / z, 1.0 / q)
     s = 1.0 if z.imag > 0 else -1.0
     return complex(max(roots, key=lambda r: r.imag * s))
-
-
-def normalization_check(f_eval: Callable[[complex], complex], y: float) -> float:
-    """Total-mass probe y * |f(iy)| high up the imaginary axis."""
-    if y < 1e3:
-        raise ValueError("normalization check requires y >= 1e3")
-    return float(y * abs(f_eval(complex(0.0, y))))
 
 
 def mp_limit_measure(c: float, grid) -> SpectralMeasure:

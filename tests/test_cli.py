@@ -9,7 +9,7 @@ import pytest
 from rank1spec import cli, ensemble, solver, verify
 from rank1spec.cli import main, parse_grid, parse_measure_atoms, parse_sigma
 from rank1spec.ensemble import read_spectrum_csv
-from rank1spec.measures import load_measure_json, read_density_csv
+from rank1spec.measures import SpectralMeasure
 
 
 def run(args):
@@ -60,10 +60,12 @@ def test_density_outputs_roundtrip(tmp_path):
     rc = run(["density", "--c", 0.25, "--grid", "0.01:3.99:120",
               "--out", out])
     assert rc == 0
-    meas_csv = read_density_csv(out / "density.csv")
-    meas_json = load_measure_json(out / "measure.json")
-    assert np.array_equal(meas_csv.grid, meas_json.grid)
-    assert np.array_equal(meas_csv.values, meas_json.values)
+    text = (out / "density.csv").read_text()
+    assert text.splitlines()[0] == "lambda,rho"
+    table = np.loadtxt(out / "density.csv", delimiter=",", skiprows=1)
+    meas_json = SpectralMeasure.from_json((out / "measure.json").read_text())
+    assert np.array_equal(table[:, 0], meas_json.grid)
+    assert np.array_equal(table[:, 1], meas_json.values)
     man = manifest(out)
     assert man["command"] == "density"
     assert man["diagnostics"]["atoms"] == [[0.0, 0.75]]
@@ -97,7 +99,7 @@ def test_density_custom_base_spectrum(tmp_path):
     rc = run(["density", "--c", 0.2, "--h0-spectrum", src,
               "--grid=-2:3:80", "--out", out])
     assert rc == 0
-    meas = load_measure_json(out / "measure.json")
+    meas = SpectralMeasure.from_json((out / "measure.json").read_text())
     # rank fraction 0.2 moves ~0.4 of the mass into two continuous
     # bulks; the residual atoms at +-1 sit between grid points
     assert 0.3 < meas.total_mass < 0.6
@@ -276,6 +278,8 @@ def test_zero_seeds_or_trials_exits_2(tmp_path, capsys, argv):
     (["density", "--c", "nan", "--grid", "0.1:3:5"],
      "c must be finite and nonnegative"),
     (["density", "--c", 1, "--grid", "0:inf:5"], "expected a:b:count"),
+    (["density", "--c", 1, "--grid=-1e308:1e308:3"],
+     "--grid '-1e308:1e308:3' does not give finite"),
     (["verify", "--check", "counting-var", "--n", 40, "--m", 20,
       "--trials", 5, "--interval", "0,nan"], "needs a < b"),
     (["verify", "--check", "stieltjes-var", "--n", 40, "--m", 20,

@@ -44,7 +44,7 @@ def test_status_codes():
 def test_newton_leaving_half_plane_falls_back_to_picard():
     z = np.array([0.14794 + 0.43943j])
     f_start = np.array([-1.21196 + 0.29807j])
-    shift, dshift, _ = _kernels.shift_terms(f_start, TAU, TAU_W, 1.0)
+    shift, dshift, _ = _kernels.shift_terms(f_start, TAU, TAU * TAU_W, 1.0)
     g, dg = _kernels.base_transform(z + shift, LOC, MASS)
     newton = f_start - (f_start - g) / (1.0 - dg * dshift)
     assert newton[0].imag < 0.0
@@ -90,3 +90,82 @@ def test_transform_batch_matches_trapezoid_reference():
         ref = np.sum(atom_mass / (atom_loc - z))
         ref += np.trapezoid(vals / (grid - z), grid)
         assert value == pytest.approx(ref, abs=1e-14)
+
+
+def awkward_complex(rng, shape):
+    """Complex entries from 1e-8 to 1e8 in size, with +-0, inf and nan."""
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    parts = []
+    for _ in range(2):
+        part = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        hit = rng.random(shape) < 0.2
+        part[hit] = rng.choice(specials, hit.sum())
+        parts.append(part)
+    out = np.empty(shape, dtype=np.complex128)
+    out.real, out.imag = parts
+    return out
+
+
+def same_bits(got, want):
+    """Equal bit for bit, except that a nan may carry any payload."""
+    got, want = got.view(np.float64), want.view(np.float64)
+    nan = np.isnan(want)
+    return (np.array_equal(nan, np.isnan(got))
+            and np.array_equal(got[~nan].view(np.uint64),
+                               want[~nan].view(np.uint64)))
+
+
+@pytest.mark.parametrize("rows", [1, 7, 400])
+@pytest.mark.parametrize("width", range(1, 7))
+def test_row_reductions_match_numpy(rows, width):
+    # the kernels' results must not move when numpy's reduction order does
+    rng = np.random.default_rng(100 * rows + width)
+    a = awkward_complex(rng, (rows, width))
+    with np.errstate(invalid="ignore"):
+        want = a.sum(axis=1)
+        got = _kernels._row_sum(a)
+        # narrow temporaries are column-major; their sums must not move
+        got_f = _kernels._row_sum(np.asfortranarray(a))
+    assert np.array_equal(got, want, equal_nan=True)
+    assert same_bits(got, want)
+    if width <= _kernels.SMALL_WIDTH:
+        assert same_bits(got_f, want)
+    flags = rng.random((rows, width)) < 0.3
+    assert np.array_equal(_kernels._row_any(flags), flags.any(axis=1))
+    assert np.array_equal(_kernels._row_any(np.zeros_like(flags)),
+                          np.zeros(rows, dtype=bool))
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("width", range(1, 6))
+def test_transforms_match_textbook_sums(monkeypatch, width, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(_kernels, "CHUNK_ELEMENTS", chunk)
+    rng = np.random.default_rng(width)
+    w = np.linspace(-3.0, 3.0, 400) + 1j * np.geomspace(1e-6, 2.0, 400)
+    loc = np.sort(rng.uniform(-2.0, 2.0, width))
+    # a zero weight makes signed-zero terms
+    mass = np.where(np.arange(width) == 1, 0.0, rng.random(width))
+    r = 1.0 / (loc - w[:, None])
+    g, dg = _kernels.base_transform(w, loc, mass)
+    assert np.array_equal(g, (r * mass).sum(axis=1))
+    assert np.array_equal(dg, (r * mass * r).sum(axis=1))
+    assert same_bits(g, (r * mass).sum(axis=1))
+    assert same_bits(dg, (r * mass * r).sum(axis=1))
+
+    tau = rng.uniform(-1.0, 2.0, width)
+    tau_w = rng.random(width)
+    # points with 1 + tau*f at or near zero hit the pole mask
+    f = (np.linspace(-2.0, 1.0, 400) + 1j * np.geomspace(1e-20, 1.0, 400))
+    f[::50] = -1.0 / tau[0]
+    den = 1.0 + f[:, None] * tau
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift, dshift, pole = _kernels.shift_terms(f, tau, tau * tau_w, 0.3)
+        inv = 1.0 / den
+        want_shift = -0.3 * (inv * (tau * tau_w)).sum(axis=1)
+        want_dshift = 0.3 * (inv * (tau * tau_w) * inv * tau).sum(axis=1)
+    want_pole = (np.abs(den) < _kernels.POLE_TOL).any(axis=1)
+    assert pole.any()
+    assert np.array_equal(pole, want_pole)
+    assert same_bits(shift, want_shift)
+    assert same_bits(dshift, want_dshift)

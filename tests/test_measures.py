@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -7,9 +9,8 @@ from rank1spec.errors import (EmptySpectrum, RealAxisEvaluation,
                               UnsupportedOrder)
 from rank1spec.measures import (AmplitudeLaw, EmpiricalSpectrum,
                                 SpectralMeasure, cdf, cdf_left, ks_distance,
-                                load_measure_json, moment, read_density_csv,
-                                save_measure_json, stieltjes_of_measure,
-                                write_density_csv)
+                                moment, save_measure_json,
+                                stieltjes_of_measure, write_density_csv)
 from rank1spec.solver import (ModelSpec, SolverOptions, limit_density,
                               mp_closed_form, mp_limit_measure)
 
@@ -87,7 +88,7 @@ def test_roundtrip_dict_json(tmp_path):
     assert m3.total_mass == pytest.approx(m.total_mass, abs=0)
     path = tmp_path / "m.json"
     save_measure_json(m, path)
-    m4 = load_measure_json(path)
+    m4 = SpectralMeasure.from_json(path.read_text())
     assert np.array_equal(m4.values, m.values)
     assert json.loads(path.read_text())["atoms"] == [[0.0, 0.25]]
 
@@ -360,6 +361,22 @@ def test_density_csv_roundtrip(tmp_path):
     write_density_csv(m, path)
     header = path.read_text().splitlines()[0]
     assert header == "lambda,rho"
-    m2 = read_density_csv(path)
-    assert np.array_equal(m2.grid, m.grid)
-    assert np.array_equal(m2.values, m.values)
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(table[:, 0], m.grid)
+    assert np.array_equal(table[:, 1], m.values)
+
+
+def test_density_csv_bytes_match_csv_writer(tmp_path):
+    grid = np.array([-2.0, -1e-300, 0.0, 5e-324, 0.1, 1e22])
+    values = np.array([0.0, 5e-324, 2.2250738585072014e-308, 1e-05,
+                       1.0 / 3.0, 2.5e16])
+    m = SpectralMeasure(grid=grid, values=values, validate_mass=False)
+    path = tmp_path / "density.csv"
+    write_density_csv(m, path)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["lambda", "rho"])
+    for x, v in zip(grid, values):
+        writer.writerow([repr(float(x)), repr(float(v))])
+    assert path.read_bytes() == buf.getvalue().encode()
+    assert path.read_bytes().count(b"\r\n") == grid.size + 1

@@ -9,8 +9,8 @@ from rank1spec.measures import AmplitudeLaw, SpectralMeasure, cdf, moment, \
     stieltjes_of_measure
 from rank1spec.solver import (ModelSpec, SolverOptions, limit_density,
                               mp_closed_form, mp_limit_measure,
-                              mp_stieltjes_oracle, normalization_check,
-                              solve_mpe_at, solve_mpe_grid)
+                              mp_stieltjes_oracle, solve_mpe_at,
+                              solve_mpe_grid)
 
 
 def mp_model(c: float) -> ModelSpec:
@@ -36,8 +36,10 @@ def test_model_validation():
 
 def shift(f, c: float):
     """(shift, pole) of the unit amplitude law at the points `f`."""
-    value, _, pole = shift_terms(np.atleast_1d(np.asarray(f, dtype=complex)),
-                                 np.array([1.0]), np.array([1.0]), c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value, _, pole = shift_terms(
+            np.atleast_1d(np.asarray(f, dtype=complex)), np.array([1.0]),
+            np.array([1.0]), c)
     return value, pole
 
 
@@ -291,6 +293,13 @@ def test_limit_density_windowed_zoom():
     assert not meas.probability
     mid = meas.values[10]
     assert abs(mid - mp_closed_form(1.0, 2.0)) < 1e-3
+
+
+def normalization_check(f_eval, y: float) -> float:
+    """Total-mass probe y * |f(iy)| high up the imaginary axis."""
+    if y < 1e3:
+        raise ValueError("normalization check requires y >= 1e3")
+    return float(y * abs(f_eval(complex(0.0, y))))
 
 
 def test_normalization_check_values():
