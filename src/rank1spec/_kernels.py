@@ -62,7 +62,8 @@ def _order(width: int) -> str:
 
 
 def _row_sum(a):
-    """a.sum(axis=1) bit for bit, one whole column at a time when narrow."""
+    """The bits of a.sum(axis=1) on a row-major `a`; narrow rows add whole
+    columns."""
     if a.shape[1] > SMALL_WIDTH:
         return a.sum(axis=1)
     out = a[:, 0] + 0.0
