@@ -25,6 +25,8 @@ Status codes returned per point by `picard_solve`:
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 # numba is not used; kept because benchmark reports read this flag
@@ -138,7 +140,27 @@ def stieltjes_many(zs, atom_loc, atom_mass, grid, vals):
     return base_transform(zs, *base_nodes(atom_loc, atom_mass, grid, vals))[0]
 
 
-def picard_solve(z, f, tol, max_iter, tau, tau_w, c, loc, mass):
+class Stage(NamedTuple):
+    """One continuation stage's result, as `picard_solve` returns it.
+
+    f, iters, status, dfdz and residual are per point: the final values,
+    the residual evaluations each point made, its status code (see the
+    module docstring), df/dz = f0'(w)/(1 - f0'(w) shift'(f)) and |r| at
+    the point's last evaluation. updates is iters.sum() and fallbacks the
+    number of damped Picard steps taken, both as Python ints. updates
+    stays at index 1 because profiling reads it there.
+    """
+
+    f: np.ndarray
+    updates: int
+    iters: np.ndarray
+    status: np.ndarray
+    dfdz: np.ndarray
+    fallbacks: int
+    residual: np.ndarray
+
+
+def picard_solve(z, f, tol, max_iter, tau, tau_w, c, loc, mass) -> Stage:
     """Solve f = f0(z + shift(f)) at every point of the array `z` at once.
 
     Each update is the Newton step f <- f - r/(1 - f0'(w) shift'(f)) with
@@ -147,13 +169,11 @@ def picard_solve(z, f, tol, max_iter, tau, tau_w, c, loc, mass):
     Picard step f <- (1 - DAMPING) f + DAMPING f0(w) instead, reflected
     into the half-plane. A point stops at the first residual evaluation
     with |r| <= tol, or at a pole, and counts every evaluation it made.
+    Its df/dz comes from the derivatives of that same evaluation, so the
+    caller can predict the next stage's start at no extra cost.
 
     The base measure comes as `base_nodes` output. The name is older than
     the Newton step and stays because profiling wraps it.
-
-    Returns (f, updates, iters, status): the final values, the point
-    updates of the whole call as a Python int, and the per-point counts
-    and status codes (see the module docstring).
     """
     z = np.asarray(z, dtype=np.complex128)
     f = np.asarray(f, dtype=np.complex128)
@@ -161,9 +181,12 @@ def picard_solve(z, f, tol, max_iter, tau, tau_w, c, loc, mass):
     f = np.where(f.imag * sgn < 0.0, f.conj(), f)
     iters = np.full(z.shape, int(max_iter), dtype=np.int64)
     status = np.ones(z.shape, dtype=np.int8)
+    dfdz = np.zeros(z.shape, dtype=np.complex128)
+    residual = np.full(z.shape, np.inf)
+    fallbacks = 0
     tw = tau * tau_w
     idx = np.arange(z.size)
-    za, fa, sa = z, f, sgn
+    za, fa, sa, abs_r = z, f, sgn, residual
     # a point at a pole has no meaningful w and stops below; a Newton step
     # that divides by zero or overflows falls back to Picard
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -173,21 +196,29 @@ def picard_solve(z, f, tol, max_iter, tau, tau_w, c, loc, mass):
             shift, dshift, pole = shift_terms(fa, tau, tw, c)
             g, dg = base_transform(za + shift, loc, mass)
             r = fa - g
-            stop = pole | (np.abs(r) <= tol)
+            abs_r = np.abs(r)
+            stop = pole | (abs_r <= tol)
             if stop.any():
                 ends = idx[stop]
                 iters[ends] = it
                 f[ends] = fa[stop]
                 status[ends] = np.where(pole[stop], 2, 0)
+                dg_end = dg[stop]
+                dfdz[ends] = dg_end / (1.0 - dg_end * dshift[stop])
+                residual[ends] = abs_r[stop]
                 go = ~stop
                 idx, za, fa, sa = idx[go], za[go], fa[go], sa[go]
                 r, g, dg, dshift = r[go], g[go], dg[go], dshift[go]
+                abs_r = abs_r[go]
             step = fa - r / (1.0 - dg * dshift)
             off = ~np.isfinite(step) | (step.imag * sa < 0.0)
             if off.any():
+                fallbacks += int(np.count_nonzero(off))
                 picard = (1.0 - DAMPING) * fa[off] + DAMPING * g[off]
                 step[off] = np.where(picard.imag * sa[off] < 0.0,
                                      picard.conj(), picard)
             fa = step
     f[idx] = fa
-    return f, int(iters.sum()), iters, status
+    residual[idx] = abs_r
+    return Stage(f, int(iters.sum()), iters, status, dfdz, fallbacks,
+                 residual)

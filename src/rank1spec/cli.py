@@ -173,7 +173,8 @@ def cmd_density(args) -> int:
     model = ModelSpec(c=args.c, sigma=parse_sigma(args.sigma), n0=n0)
     opts = _solver_options(args)
     grid = parse_grid(args.grid)
-    f_vals, iterations = solve_mpe_grid(grid, model, opts)
+    f_vals, iterations, report = solve_mpe_grid(grid, model, opts,
+                                                report=True)
     # the grid may be a deliberate zoom window, so partial mass is fine
     measure = limit_density(model, grid, opts, require_mass=False,
                             f_vals=f_vals)
@@ -184,6 +185,7 @@ def cmd_density(args) -> int:
     save_measure_json(measure, measure_path)
     diagnostics = {
         "iterations": [int(k) for k in iterations],
+        **report._asdict(),
         "atoms": measure.to_dict()["atoms"],
         "total_mass": measure.total_mass,
         "probability": measure.probability,

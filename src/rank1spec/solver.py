@@ -9,26 +9,35 @@ with isotropic vectors Y_a. The limit's Stieltjes transform f solves
 
 where f0 is the transform of the limiting spectrum of H0. The solver
 runs continuation from high in the upper half-plane down to the target
-smoothing height, solving every grid point at once at each height. Each
-update is a Newton step on f - f0(z + shift(f)); where that step is not
-finite or leaves the Stieltjes class (Im f * Im z >= 0), the point takes
-a damped Picard step instead.
+smoothing height, a quarter of the height at a time, solving every grid
+point at once at each height. Each stage after the first starts from the
+Euler predictor f + i*(eps_next - eps)*df/dz, with df/dz taken from the
+derivatives the previous stage's last evaluation already holds (Allgower
+& Georg, Numerical Continuation Methods, 1990). Each update is a Newton
+step on f - f0(z + shift(f)); where that step is not finite or leaves the
+Stieltjes class (Im f * Im z >= 0), the point takes a damped Picard step
+instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import base_nodes, picard_solve
+from ._kernels import Stage, base_nodes, picard_solve
 from .errors import MassDeficit, NonConvergence, PoleHit, RealAxisEvaluation
 from .measures import AmplitudeLaw, SpectralMeasure, stieltjes_of_measure
 
 LIMIT_PROBABILITY_TOL = 5e-3
 MASS_DEFICIT_FLOOR = 0.9
-EPS_FACTOR = 0.5
+# ratio of successive continuation heights; the predictor keeps a stage
+# this wide at the Newton steps a halving ladder needs without it
+EPS_FACTOR = 0.25
+# int64 holds the per-point update counts
+MAX_ITER_LIMIT = 2 ** 63 - 1
 
 
 @dataclass(frozen=True)
@@ -56,7 +65,8 @@ class SolverOptions:
 
     The continuation ladder starts at 1 + 2*max|tau|^2, high enough that
     the fixed-point map is a strong contraction at the first stage
-    regardless of the amplitude law, and halves eps down to eps_final.
+    regardless of the amplitude law, and multiplies eps by EPS_FACTOR
+    (a quarter) at each stage down to eps_final.
     """
 
     tol: float = 1e-10
@@ -67,8 +77,9 @@ class SolverOptions:
         # written so that NaN fails every comparison
         if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
-        if not self.max_iter >= 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if not 1 <= self.max_iter <= MAX_ITER_LIMIT:
+            raise ValueError(f"max_iter must be in [1, 2^63 - 1], "
+                             f"got {self.max_iter}")
         if not 0.0 < self.eps_final < math.inf:
             raise ValueError(f"eps_final must be finite and positive, "
                              f"got {self.eps_final}")
@@ -92,13 +103,24 @@ class SolverOptions:
         return out
 
 
+class SolveReport(NamedTuple):
+    """What a grid solve did: the eps ladder, the point updates of each
+    stage, the damped Picard fallbacks over all stages, and the largest
+    |f - f0(z + shift(f))| of the returned values."""
+
+    stages: list[float]
+    updates_per_stage: list[int]
+    fallbacks: int
+    max_residual: float
+
+
 def _solve_stage(z: np.ndarray, f: np.ndarray, c: float, sigma: AmplitudeLaw,
-                 nodes: tuple, opts: SolverOptions):
+                 nodes: tuple, opts: SolverOptions) -> Stage:
     """One continuation stage at every point of `z`; raises at the first
     point that fails."""
-    f, _, iters, status = picard_solve(
-        z, f, opts.tol, int(opts.max_iter),
-        sigma.tau_values, sigma.weights, float(c), *nodes)
+    stage = picard_solve(z, f, opts.tol, int(opts.max_iter),
+                         sigma.tau_values, sigma.weights, float(c), *nodes)
+    status = stage.status
     failed = np.flatnonzero(status)
     if failed.size:
         k = failed[0]
@@ -109,7 +131,7 @@ def _solve_stage(z: np.ndarray, f: np.ndarray, c: float, sigma: AmplitudeLaw,
                 f"lambda={zk.real:.6g}, eps={zk.imag:.6g}",
                 lam=zk.real, eps=zk.imag)
         raise PoleHit(f"1 + tau*f vanished during iteration at z={zk:.6g}")
-    return f, iters
+    return stage
 
 
 def _nodes(n0: SpectralMeasure) -> tuple:
@@ -140,23 +162,25 @@ def solve_mpe_at(z: complex, model: ModelSpec,
     if z.imag == 0.0:
         raise RealAxisEvaluation("solver requires Im z != 0")
     f0 = stieltjes_of_measure(model.n0, z)
-    f, _ = _solve_stage(np.array([z]), np.array([f0]), model.c, model.sigma,
-                        _nodes(model.n0), opts)
-    return complex(f[0])
+    stage = _solve_stage(np.array([z]), np.array([f0]), model.c, model.sigma,
+                         _nodes(model.n0), opts)
+    return complex(stage.f[0])
 
 
 def solve_mpe_grid(lambdas, model: ModelSpec,
-                   opts: SolverOptions | None = None):
+                   opts: SolverOptions | None = None, report: bool = False):
     """Solve along a real grid with smoothing-height continuation.
 
     Every grid point starts from f0 at the first height of
     `opts.eps_schedule` and is solved at lambda + i*eps down that ladder
-    to eps_final, one array solve per stage, each stage starting from
-    the previous one's values.
+    to eps_final, one array solve per stage. Each later stage starts from
+    the previous stage's f moved along its tangent,
+    f + i*(eps_next - eps)*df/dz, or from f itself where that is not
+    finite.
 
     Returns (f, iterations): the complex f(lambda + i*eps_final) array
     and the per-point update totals over all stages, both shaped like
-    `lambdas`.
+    `lambdas`. With report=True, returns (f, iterations, SolveReport).
     """
     opts = opts or SolverOptions()
     lambdas = np.asarray(lambdas, dtype=float)
@@ -165,11 +189,23 @@ def solve_mpe_grid(lambdas, model: ModelSpec,
     lam = lambdas.ravel()
     f = stieltjes_of_measure(model.n0, lam + 1j * schedule[0])
     iterations = np.zeros(lam.size, dtype=np.int64)
-    for eps in schedule:
-        f, iters = _solve_stage(lam + 1j * eps, f, model.c, model.sigma,
-                                nodes, opts)
-        iterations += iters
-    return f.reshape(lambdas.shape), iterations.reshape(lambdas.shape)
+    updates, fallbacks = [], 0
+    for k, eps in enumerate(schedule):
+        if k:
+            guess = f + 1j * (eps - schedule[k - 1]) * stage.dfdz
+            f = np.where(np.isfinite(guess), guess, f)
+        stage = _solve_stage(lam + 1j * eps, f, model.c, model.sigma,
+                             nodes, opts)
+        f = stage.f
+        iterations += stage.iters
+        updates.append(stage.updates)
+        fallbacks += stage.fallbacks
+    f, iterations = f.reshape(lambdas.shape), iterations.reshape(lambdas.shape)
+    if not report:
+        return f, iterations
+    max_residual = float(stage.residual.max()) if lam.size else 0.0
+    return f, iterations, SolveReport(schedule, updates, fallbacks,
+                                      max_residual)
 
 
 def limit_density(model: ModelSpec, grid,

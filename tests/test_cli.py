@@ -73,6 +73,21 @@ def test_density_outputs_roundtrip(tmp_path):
     assert all(k >= 1 for k in man["diagnostics"]["iterations"])
 
 
+def test_density_manifest_reports_the_solve(tmp_path):
+    out = tmp_path / "d"
+    assert run(["density", "--c", 0.25, "--sigma", "atoms:1:0.5,-0.5:0.5",
+                "--n0", "atoms:-1:0.5,1:0.5", "--grid=-3:3:60",
+                "--eps-final", 1e-5, "--out", out]) == 0
+    diag = manifest(out)["diagnostics"]
+    schedule = solver.SolverOptions(eps_final=1e-5).eps_schedule(
+        parse_sigma("atoms:1:0.5,-0.5:0.5"))
+    assert diag["stages"] == schedule
+    assert len(diag["stages"]) == len(diag["updates_per_stage"])
+    assert sum(diag["updates_per_stage"]) == sum(diag["iterations"])
+    assert isinstance(diag["fallbacks"], int) and diag["fallbacks"] >= 0
+    assert 0.0 <= diag["max_residual"] <= 1e-10
+
+
 def test_density_manifest_hashes_verify(tmp_path):
     out = tmp_path / "d"
     assert run(["density", "--c", 1.0, "--grid", "0.1:3.9:40",
@@ -296,7 +311,12 @@ def test_zero_seeds_or_trials_exits_2(tmp_path, capsys, argv):
      "--sigma amplitude 1e+200 is too large"),
     (["verify", "--check", "stieltjes-var", "--n", 10, "--m", 5,
       "--trials", 3, "--z", "0,1e-300", "--law", "gauss"],
-     "--z 0.0,1e-300: Im z is too small")])
+     "--z 0.0,1e-300: Im z is too small"),
+    (["density", "--c", 1, "--grid", "0.5:3.5:5", "--max-iter",
+      "9223372036854775808"], "max_iter must be in [1, 2^63 - 1]"),
+    (["compare", "--c", 1, "--grid", "0.5:3.5:5", "--dims", "16,32",
+      "--max-iter", "9223372036854775808"],
+     "max_iter must be in [1, 2^63 - 1]")])
 def test_malformed_flag_value_exits_2(tmp_path, capsys, monkeypatch, argv,
                                       message):
     def no_spectrum(*args, **kwargs):

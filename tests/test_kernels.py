@@ -19,7 +19,7 @@ def stage(z, f, tol=1e-10, max_iter=100_000):
 
 def test_kernel_reaches_mp_quadratic():
     zs = np.array([1j, 2j, 0.5 + 0.25j, -1 + 0.5j, 2.0 - 0.3j])
-    f, _, iters, status = stage(zs, np.full(zs.shape, 1j))
+    f, _, iters, status = stage(zs, np.full(zs.shape, 1j))[:4]
     assert np.all(status == 0)
     assert np.all(iters >= 1)
     # each value must satisfy z f^2 + z f + 1 = 0 (c = 1 quadratic)
@@ -31,12 +31,12 @@ def test_status_codes():
     # a starved budget reports status 1 without raising
     zs = np.array([0.5 + 1e-4j, 3.0 + 1e-4j])
     _, updates, iters, status = stage(zs, np.full(2, 1j), tol=1e-15,
-                                      max_iter=2)
+                                      max_iter=2)[:4]
     assert np.all(status == 1)
     assert np.all(iters == 2)
     assert updates == 4
     # 1 + tau*f = 0 at f = -1
-    _, _, iters, status = stage(np.array([1j]), np.array([-1.0 + 0j]))
+    _, _, iters, status = stage(np.array([1j]), np.array([-1.0 + 0j]))[:4]
     assert status.tolist() == [2]
     assert iters.tolist() == [1]
 
@@ -48,15 +48,35 @@ def test_newton_leaving_half_plane_falls_back_to_picard():
     g, dg = _kernels.base_transform(z + shift, LOC, MASS)
     newton = f_start - (f_start - g) / (1.0 - dg * dshift)
     assert newton[0].imag < 0.0
-    f, _, _, status = stage(z, f_start)
+    f, _, _, status = stage(z, f_start)[:4]
     assert status.tolist() == [0]
     assert abs(f[0] - mp_stieltjes_oracle(z[0], 1.0)) < 1e-12
+
+
+def test_stage_reports_tangent_residual_and_fallbacks():
+    zs = np.array([1j, 0.5 + 0.25j, -1 + 0.5j, 2.0 - 0.3j])
+    got = stage(zs, np.full(zs.shape, 1j))
+    f = got.f
+    # implicit derivative of the c = 1 quadratic z f^2 + z f + 1 = 0
+    want = -(f * f + f) / (2.0 * zs * f + zs)
+    assert np.max(np.abs(got.dfdz - want)) < 1e-8
+    assert np.all(got.residual <= 1e-10)
+    # a starved point reports the residual of its last evaluation
+    starved = stage(np.array([0.5 + 1e-4j]), np.array([1j]), tol=1e-15,
+                    max_iter=2)
+    assert starved.status.tolist() == [1]
+    assert starved.residual[0] > 1e-15
+    # the start of the Picard-fallback case above takes a fallback
+    picard = stage(np.array([0.14794 + 0.43943j]),
+                   np.array([-1.21196 + 0.29807j]))
+    assert picard.fallbacks >= 1
+    assert got.fallbacks == 0
 
 
 def test_updates_equal_sum_of_point_counts():
     zs = np.array([1j, 0.5 + 1e-3j, 1j, 3.0 + 0.1j])
     starts = np.array([1j, 1j, -1.0 + 0j, 0.5j])
-    _, updates, iters, status = stage(zs, starts, max_iter=5)
+    _, updates, iters, status = stage(zs, starts, max_iter=5)[:4]
     assert isinstance(updates, int)
     assert updates == int(iters.sum())
     assert 2 in status.tolist()

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from rank1spec import solver
+from rank1spec import _kernels, solver
 from rank1spec._kernels import shift_terms
+from rank1spec.cli import measure_from_spectrum_file
 from rank1spec.errors import (MassDeficit, NonConvergence, PoleHit,
                               RealAxisEvaluation)
 from rank1spec.measures import AmplitudeLaw, SpectralMeasure, cdf, moment, \
@@ -219,6 +220,101 @@ def test_grid_solver_ends_at_eps_final_above_ladder_start():
     vals, _ = solve_mpe_grid(grid, mp_model(1.0), opts)
     oracle = [mp_stieltjes_oracle(lam + 50j, 1.0) for lam in grid]
     assert np.max(np.abs(vals - oracle)) < 1e-9
+
+
+def halving_ladder(lambdas, model: ModelSpec, opts: SolverOptions,
+                   factor: float = 0.5):
+    """Reference continuation without a predictor: eps halves (or shrinks
+    by `factor`) from the same start down to eps_final, and each stage
+    starts from the previous stage's f. Returns (f, total point updates)."""
+    sigma = model.sigma
+    schedule = [max(1.0 + 2.0 * sigma.max_abs_tau ** 2, opts.eps_final)]
+    while schedule[-1] > opts.eps_final:
+        schedule.append(max(factor * schedule[-1], opts.eps_final))
+    n0 = model.n0
+    nodes = _kernels.base_nodes(n0.atom_locations, n0.atom_masses, n0.grid,
+                                n0.values)
+    f = stieltjes_of_measure(n0, lambdas + 1j * schedule[0])
+    updates = 0
+    for eps in schedule:
+        stage = _kernels.picard_solve(lambdas + 1j * eps, f, opts.tol,
+                                      opts.max_iter, sigma.tau_values,
+                                      sigma.weights, float(model.c), *nodes)
+        assert np.all(stage.status == 0)
+        f = stage.f
+        updates += stage.updates
+    return f, updates
+
+
+def two_sided() -> ModelSpec:
+    # the README example: signed amplitudes over base atoms at -1 and 1
+    return ModelSpec(c=0.25, sigma=AmplitudeLaw([(1.0, 0.5), (-0.5, 0.5)]),
+                     n0=SpectralMeasure(atoms=[(-1.0, 0.5), (1.0, 0.5)]))
+
+
+def spectrum_file_base(path) -> SpectralMeasure:
+    # 150 distinct eigenvalues in two clusters, read as --h0-spectrum does
+    ev = np.concatenate([np.linspace(-1.0, 0.5, 75),
+                         np.linspace(1.0, 2.5, 75)])
+    path.write_text("".join(f"{x!r}\n" for x in ev.tolist()))
+    return measure_from_spectrum_file(str(path))
+
+
+@pytest.mark.parametrize("c", [0.05, 0.25, 1.0, 4.0])
+def test_predicted_ladder_matches_halving_ladder_on_mp(c):
+    grid = np.linspace(0.01, (1.0 + c ** 0.5) ** 2 + 1.0, 300)
+    opts = SolverOptions()
+    f, _ = solve_mpe_grid(grid, mp_model(c), opts)
+    ref, _ = halving_ladder(grid, mp_model(c), opts)
+    assert np.max(np.abs(f - ref)) < 1e-8
+
+
+@pytest.mark.parametrize("eps_final", [1e-4, 1e-6])
+def test_predicted_ladder_halves_updates_on_two_sided_model(eps_final):
+    grid = np.linspace(-3.0, 3.0, 600)
+    opts = SolverOptions(eps_final=eps_final)
+    f, iterations = solve_mpe_grid(grid, two_sided(), opts)
+    ref, ref_updates = halving_ladder(grid, two_sided(), opts)
+    assert np.max(np.abs(f - ref)) < 1e-8
+    assert iterations.sum() <= 0.6 * ref_updates
+    # the predictor, not only the wider ladder, saves updates
+    _, restart_updates = halving_ladder(grid, two_sided(), opts, factor=0.25)
+    assert iterations.sum() <= 0.9 * restart_updates
+
+
+@pytest.mark.parametrize("base", ["delta0", "file"])
+def test_predicted_ladder_matches_halving_ladder_on_other_bases(tmp_path,
+                                                                base):
+    if base == "file":
+        model = ModelSpec(c=0.5, sigma=AmplitudeLaw([(1.0, 1.0)]),
+                          n0=spectrum_file_base(tmp_path / "eig.csv"))
+        grid = np.linspace(-2.0, 4.0, 200)
+    else:
+        # signed amplitudes, one of them zero
+        model = ModelSpec(c=0.5,
+                          sigma=AmplitudeLaw([(1.0, 0.4), (0.0, 0.3),
+                                              (-2.0, 0.3)]),
+                          n0=SpectralMeasure(atoms=[(0.0, 1.0)]))
+        grid = np.linspace(-8.0, 4.0, 400)
+    opts = SolverOptions()
+    f, _ = solve_mpe_grid(grid, model, opts)
+    ref, _ = halving_ladder(grid, model, opts)
+    assert np.max(np.abs(f - ref)) < 1e-8
+
+
+def test_solve_report_accounts_for_every_update():
+    grid = np.linspace(-3.0, 3.0, 120)
+    opts = SolverOptions(eps_final=1e-5)
+    f, iterations, report = solve_mpe_grid(grid, two_sided(), opts,
+                                           report=True)
+    assert report.stages == opts.eps_schedule(two_sided().sigma)
+    assert sum(report.updates_per_stage) == iterations.sum()
+    assert len(report.updates_per_stage) == len(report.stages)
+    assert report.fallbacks >= 0
+    assert 0.0 <= report.max_residual <= opts.tol
+    plain, plain_iterations = solve_mpe_grid(grid, two_sided(), opts)
+    assert np.array_equal(plain, f)
+    assert np.array_equal(plain_iterations, iterations)
 
 
 def half_aspect(sig: AmplitudeLaw) -> ModelSpec:
