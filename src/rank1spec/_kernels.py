@@ -135,11 +135,6 @@ def shift_terms(f, tau, tw, c):
     return _by_chunks(_shift_part, f, tau.size, tau, tw, c)
 
 
-def stieltjes_many(zs, atom_loc, atom_mass, grid, vals):
-    """sum_k m_k/(loc_k - z) + trapezoid integral of vals/(grid - z)."""
-    return base_transform(zs, *base_nodes(atom_loc, atom_mass, grid, vals))[0]
-
-
 class Stage(NamedTuple):
     """One continuation stage's result, as `picard_solve` returns it.
 

@@ -173,11 +173,9 @@ def cmd_density(args) -> int:
     model = ModelSpec(c=args.c, sigma=parse_sigma(args.sigma), n0=n0)
     opts = _solver_options(args)
     grid = parse_grid(args.grid)
-    f_vals, iterations, report = solve_mpe_grid(grid, model, opts,
-                                                report=True)
+    f_vals, iterations, report = solve_mpe_grid(grid, model, opts)
     # the grid may be a deliberate zoom window, so partial mass is fine
-    measure = limit_density(model, grid, opts, require_mass=False,
-                            f_vals=f_vals)
+    measure = limit_density(model, grid, f_vals, require_mass=False)
     out_dir = _output_dir(args)
     density_path = out_dir / "density.csv"
     measure_path = out_dir / "measure.json"

@@ -11,8 +11,8 @@ fills row alpha of one C-ordered (m, n) trial block in place, the law's
 finishing step runs once on the block, and a trial's vectors V are the
 (n, m) transposed view of that block; only the dense assembly copies V.
 
-`build_matrix` keeps a trial's factors (H0, V, tau) and assembles the
-dense n x n matrix only when `.array` is read. With H0 = 0 and k < n
+`build_matrix` returns a trial's factors (H0, V, tau), which assemble
+the dense n x n matrix each time `.array` is read. With H0 = 0 and k < n
 nonzero amplitudes of one sign s, `eigenvalues_sym` solves the k x k
 Gram side instead: the nonzero eigenvalues of V T V^T are those of
 s W^H W with W = V |T|^(1/2), and the other n - k are exactly zero.
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -154,49 +154,23 @@ class EnsembleConfig:
         return mat
 
 
-class SymMatrix:
-    """Symmetric (hermitian) matrix, dense or kept as its factors.
+class TrialFactors(NamedTuple):
+    """One trial's H = H0 + V diag(tau) V^H as its factors: H0 (None for
+    a zero base), the (n, m) vectors V and the amplitudes tau."""
 
-    `SymMatrix(array)` validates the symmetry of a dense array. Matrices
-    made by `assemble_matrix` and `build_matrix` are symmetric by
-    construction and skip that O(n^2) check; those of `build_matrix`
-    keep H0 (None for a zero base), the vectors V and the amplitudes
-    tau, and assemble `.array` on first read.
-    """
-
-    __slots__ = ("_array", "h0", "vectors", "taus")
-
-    def __init__(self, array):
-        arr = np.asarray(array)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("matrix must be square")
-        if np.max(np.abs(arr - arr.conj().T), initial=0.0) > HERMITIAN_TOL:
-            raise ValueError(f"matrix not hermitian within {HERMITIAN_TOL}")
-        self._array = arr
-        self.h0 = self.vectors = self.taus = None
-
-    @classmethod
-    def _trusted(cls, array=None, h0=None, vectors=None, taus=None):
-        obj = cls.__new__(cls)
-        obj._array, obj.h0, obj.vectors, obj.taus = array, h0, vectors, taus
-        return obj
-
-    @property
-    def array(self) -> np.ndarray:
-        if self._array is None:
-            h0 = self.h0 if self.h0 is not None else np.zeros((self.n, self.n))
-            self._array = assemble_matrix(h0, self.taus, self.vectors).array
-        return self._array
+    h0: np.ndarray | None
+    vectors: np.ndarray
+    taus: np.ndarray
 
     @property
     def n(self) -> int:
-        if self._array is not None:
-            return self._array.shape[0]
         return self.vectors.shape[0]
 
-    def __repr__(self) -> str:
-        dtype = self._array.dtype if self._array is not None else self.vectors.dtype
-        return f"SymMatrix(n={self.n}, dtype={dtype})"
+    @property
+    def array(self) -> np.ndarray:
+        """The dense matrix, assembled on each read."""
+        h0 = self.h0 if self.h0 is not None else np.zeros((self.n, self.n))
+        return assemble_matrix(h0, self.taus, self.vectors)
 
 
 def _draw_components(config: EnsembleConfig, trial: int):
@@ -217,7 +191,7 @@ def _draw_components(config: EnsembleConfig, trial: int):
     return rows.T, taus
 
 
-def assemble_matrix(h0: np.ndarray, taus, vectors) -> SymMatrix:
+def assemble_matrix(h0: np.ndarray, taus, vectors) -> np.ndarray:
     """H0 + sum_a tau_a y_a y_a^H from explicit components.
 
     The product is formed from a C-ordered copy of V (none is made when V
@@ -229,25 +203,23 @@ def assemble_matrix(h0: np.ndarray, taus, vectors) -> SymMatrix:
     h = np.asarray(h0, dtype=vectors.dtype if np.iscomplexobj(vectors) else float)
     if taus.size:
         h = h + (vectors * taus[None, :]) @ vectors.conj().T
-    h = 0.5 * (h + h.conj().T)
-    return SymMatrix._trusted(array=h)
+    return 0.5 * (h + h.conj().T)
 
 
-def build_matrix(config: EnsembleConfig, trial: int = 0) -> SymMatrix:
+def build_matrix(config: EnsembleConfig, trial: int = 0) -> TrialFactors:
     """Realize H = H0 + sum_a tau_a (Y_a x Y_a) for one trial, as factors."""
     h0 = None if isinstance(config.h0, H0Zero) else config.h0_array
-    vectors, taus = _draw_components(config, trial)
-    return SymMatrix._trusted(h0=h0, vectors=vectors, taus=taus)
+    return TrialFactors(h0, *_draw_components(config, trial))
 
 
-def _gram_factor(matrix: SymMatrix):
+def _gram_factor(matrix: TrialFactors):
     """(W, s) with H = s W W^H and W of k < n columns, or None.
 
     Needs a zero base and nonzero amplitudes of one sign; columns with
     zero amplitude are dropped. W is V itself when no column is dropped
     and every |tau| is 1.
     """
-    if matrix.vectors is None or matrix.h0 is not None:
+    if matrix.h0 is not None:
         return None
     w, kept = _nonzero_columns(matrix.vectors, matrix.taus)
     if kept.size >= matrix.n:
@@ -285,12 +257,12 @@ def eigenvalues_sym(matrix) -> EmpiricalSpectrum:
     one that returns non-finite eigenvalues (a NaN or infinite entry),
     raises EigensolveFailed.
     """
-    gram = _gram_factor(matrix) if isinstance(matrix, SymMatrix) else None
+    gram = _gram_factor(matrix) if isinstance(matrix, TrialFactors) else None
     if gram is not None:
         w, sign = gram
         arr = w.conj().T @ w
     else:
-        arr = matrix.array if isinstance(matrix, SymMatrix) else np.asarray(matrix)
+        arr = matrix.array if isinstance(matrix, TrialFactors) else np.asarray(matrix)
     try:
         ev = np.linalg.eigvalsh(arr)
     except np.linalg.LinAlgError as exc:
@@ -410,12 +382,11 @@ def resolvent_traces(config: EnsembleConfig, z: complex, trials) -> np.ndarray:
     return out
 
 
-def gram_matrix(config: EnsembleConfig, trial: int = 0) -> SymMatrix:
+def gram_matrix(config: EnsembleConfig, trial: int = 0) -> np.ndarray:
     """Gram matrix of the trial's vectors (same streams as build_matrix)."""
     vectors, _ = _draw_components(config, trial)
     gram = vectors.conj().T @ vectors
-    gram = 0.5 * (gram + gram.conj().T)
-    return SymMatrix(gram)
+    return 0.5 * (gram + gram.conj().T)
 
 
 def gram_counting_relation(gram_spectrum: EmpiricalSpectrum,

@@ -17,11 +17,11 @@ from typing import Iterable
 
 import numpy as np
 
-from ._kernels import stieltjes_many
+from ._kernels import base_nodes, base_transform
 from .errors import EmptySpectrum, RealAxisEvaluation, UnsupportedOrder
 
-MASS_CAP_TOL = 1e-6
-PROBABILITY_TOL = 1e-6
+# a measure whose total mass lies this close to 1 is a probability measure
+LIMIT_PROBABILITY_TOL = 5e-3
 WEIGHT_SUM_TOL = 1e-12
 
 
@@ -48,22 +48,16 @@ class SpectralMeasure:
     grid, values : array-like, optional
         Strictly increasing sample points and nonnegative density values.
         Both or neither must be given.
-    probability : bool
-        Marks the measure as a probability measure; asserted to ``prob_tol``.
-    prob_tol : float
-        Tolerance for the probability assertion (|total - 1|).
-    validate_mass : bool
-        Enforce total mass <= 1 + 1e-6. Producers whose contracts allow a
-        quadrature overshoot (density files, limit solves) disable this
-        and apply their own mass checks.
+
+    The total mass is not bounded here: a windowed or coarse grid can
+    hold less or a little more than 1, and callers that need a
+    probability measure check `total_mass` or `probability` themselves.
     """
 
     __slots__ = ("atom_locations", "atom_masses", "grid", "values",
-                 "probability", "total_mass")
+                 "total_mass")
 
-    def __init__(self, atoms: Iterable = (), grid=None, values=None,
-                 probability: bool = False, prob_tol: float = PROBABILITY_TOL,
-                 validate_mass: bool = True):
+    def __init__(self, atoms: Iterable = (), grid=None, values=None):
         locs, masses = _as_pairs(atoms)
         if np.any(masses < 0):
             raise ValueError("atom masses must be nonnegative")
@@ -91,22 +85,23 @@ class SpectralMeasure:
         if grid.size > 1:
             mass += float(np.trapezoid(values, grid))
         self.total_mass = mass
-        if validate_mass and not (0.0 <= mass <= 1.0 + MASS_CAP_TOL):
-            raise ValueError(f"total mass {mass} outside [0, 1 + {MASS_CAP_TOL}]")
-        if probability and abs(mass - 1.0) > prob_tol:
-            raise ValueError(f"probability flag set but total mass is {mass}")
-        self.probability = bool(probability)
+
+    @property
+    def probability(self) -> bool:
+        """Whether the total mass lies within LIMIT_PROBABILITY_TOL of 1."""
+        return abs(self.total_mass - 1.0) <= LIMIT_PROBABILITY_TOL
 
     @property
     def has_density(self) -> bool:
         return self.grid.size > 0
 
-    def is_point_mass_at(self, location: float, tol: float = 1e-12) -> bool:
-        """True when the measure is a single unit atom at `location`."""
+    def is_point_mass_at(self, location: float) -> bool:
+        """True when the measure is a single unit atom at `location`, to
+        1e-12."""
         return (not self.has_density
                 and self.atom_locations.size == 1
-                and abs(self.atom_locations[0] - location) <= tol
-                and abs(self.atom_masses[0] - 1.0) <= tol)
+                and abs(self.atom_locations[0] - location) <= 1e-12
+                and abs(self.atom_masses[0] - 1.0) <= 1e-12)
 
     # -- serialization ------------------------------------------------------
 
@@ -118,21 +113,8 @@ class SpectralMeasure:
             "values": [float(v) for v in self.values],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict, **kwargs) -> "SpectralMeasure":
-        grid = data.get("grid") or None
-        values = data.get("values") or None
-        # parsers accept whatever the serializers emitted, including
-        # partial or slightly overshooting masses
-        kwargs.setdefault("validate_mass", False)
-        return cls(atoms=data.get("atoms", []), grid=grid, values=values, **kwargs)
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str, **kwargs) -> "SpectralMeasure":
-        return cls.from_dict(json.loads(text), **kwargs)
 
     def __repr__(self) -> str:
         return (f"SpectralMeasure(atoms={self.atom_locations.size}, "
@@ -230,9 +212,9 @@ def stieltjes_of_measure(measure: SpectralMeasure, z):
     zs = np.atleast_1d(zs)
     if np.any(zs.imag == 0.0):
         raise RealAxisEvaluation("Stieltjes transform requested on the real axis")
-    out = stieltjes_many(np.ascontiguousarray(zs.ravel()),
-                         measure.atom_locations, measure.atom_masses,
-                         measure.grid, measure.values)
+    nodes = base_nodes(measure.atom_locations, measure.atom_masses,
+                       measure.grid, measure.values)
+    out = base_transform(np.ascontiguousarray(zs.ravel()), *nodes)[0]
     out = out.reshape(zs.shape)
     return complex(out[0]) if scalar else out
 

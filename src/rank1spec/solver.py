@@ -31,7 +31,6 @@ from ._kernels import Stage, base_nodes, picard_solve
 from .errors import MassDeficit, NonConvergence, PoleHit, RealAxisEvaluation
 from .measures import AmplitudeLaw, SpectralMeasure, stieltjes_of_measure
 
-LIMIT_PROBABILITY_TOL = 5e-3
 MASS_DEFICIT_FLOOR = 0.9
 # ratio of successive continuation heights; the predictor keeps a stage
 # this wide at the Newton steps a halving ladder needs without it
@@ -134,10 +133,6 @@ def _solve_stage(z: np.ndarray, f: np.ndarray, c: float, sigma: AmplitudeLaw,
     return stage
 
 
-def _nodes(n0: SpectralMeasure) -> tuple:
-    return base_nodes(n0.atom_locations, n0.atom_masses, n0.grid, n0.values)
-
-
 def solve_mpe_at(z: complex, model: ModelSpec,
                  opts: SolverOptions | None = None) -> complex:
     """Solve the fixed-point equation at one off-axis point, from f0(z).
@@ -161,14 +156,16 @@ def solve_mpe_at(z: complex, model: ModelSpec,
     z = complex(z)
     if z.imag == 0.0:
         raise RealAxisEvaluation("solver requires Im z != 0")
-    f0 = stieltjes_of_measure(model.n0, z)
+    n0 = model.n0
+    f0 = stieltjes_of_measure(n0, z)
     stage = _solve_stage(np.array([z]), np.array([f0]), model.c, model.sigma,
-                         _nodes(model.n0), opts)
+                         base_nodes(n0.atom_locations, n0.atom_masses,
+                                    n0.grid, n0.values), opts)
     return complex(stage.f[0])
 
 
 def solve_mpe_grid(lambdas, model: ModelSpec,
-                   opts: SolverOptions | None = None, report: bool = False):
+                   opts: SolverOptions | None = None):
     """Solve along a real grid with smoothing-height continuation.
 
     Every grid point starts from f0 at the first height of
@@ -178,16 +175,17 @@ def solve_mpe_grid(lambdas, model: ModelSpec,
     f + i*(eps_next - eps)*df/dz, or from f itself where that is not
     finite.
 
-    Returns (f, iterations): the complex f(lambda + i*eps_final) array
-    and the per-point update totals over all stages, both shaped like
-    `lambdas`. With report=True, returns (f, iterations, SolveReport).
+    Returns (f, iterations, report): the complex f(lambda + i*eps_final)
+    array and the per-point update totals over all stages, both shaped
+    like `lambdas`, and the SolveReport.
     """
     opts = opts or SolverOptions()
     lambdas = np.asarray(lambdas, dtype=float)
     schedule = opts.eps_schedule(model.sigma)
-    nodes = _nodes(model.n0)
+    n0 = model.n0
+    nodes = base_nodes(n0.atom_locations, n0.atom_masses, n0.grid, n0.values)
     lam = lambdas.ravel()
-    f = stieltjes_of_measure(model.n0, lam + 1j * schedule[0])
+    f = stieltjes_of_measure(n0, lam + 1j * schedule[0])
     iterations = np.zeros(lam.size, dtype=np.int64)
     updates, fallbacks = [], 0
     for k, eps in enumerate(schedule):
@@ -201,40 +199,30 @@ def solve_mpe_grid(lambdas, model: ModelSpec,
         updates.append(stage.updates)
         fallbacks += stage.fallbacks
     f, iterations = f.reshape(lambdas.shape), iterations.reshape(lambdas.shape)
-    if not report:
-        return f, iterations
     max_residual = float(stage.residual.max()) if lam.size else 0.0
     return f, iterations, SolveReport(schedule, updates, fallbacks,
                                       max_residual)
 
 
-def limit_density(model: ModelSpec, grid,
-                  opts: SolverOptions | None = None,
-                  require_mass: bool = True,
-                  f_vals=None) -> SpectralMeasure:
-    """Recover the limiting spectral measure on a grid.
+def limit_density(model: ModelSpec, grid, f_vals,
+                  require_mass: bool = True) -> SpectralMeasure:
+    """The limiting spectral measure on a grid, from its solved transform.
 
-    The density is Im f(lambda + i*eps_final)/pi. Pass `f_vals`, the
-    transform that `solve_mpe_grid(grid, model, opts)` returns, to reuse
-    a grid solve already done; otherwise the grid is solved here. When
-    n0 is a unit atom at zero, the rank-one sum leaves a kernel of
-    relative dimension 1 - c_eff where c_eff = c * (weight of nonzero
-    amplitudes); that point mass is added exactly whenever c_eff < 1.
-    The result is flagged as a probability measure iff its total mass
-    lies within 5e-3 of 1.
+    `f_vals` is the transform f(lambda + i*eps) on `grid`, as
+    `solve_mpe_grid(grid, model, opts)` returns it; the density is
+    Im f/pi. When n0 is a unit atom at zero, the rank-one sum leaves a
+    kernel of relative dimension 1 - c_eff where c_eff = c * (weight of
+    nonzero amplitudes); that point mass is added exactly whenever
+    c_eff < 1.
 
     Raises MassDeficit when the recovered total mass falls below 0.9;
     pass require_mass=False for deliberately windowed grids.
     """
-    opts = opts or SolverOptions()
     grid = np.asarray(grid, dtype=float)
-    if f_vals is None:
-        f_vals, _ = solve_mpe_grid(grid, model, opts)
-    else:
-        f_vals = np.asarray(f_vals, dtype=complex)
-        if f_vals.shape != grid.shape:
-            raise ValueError(f"f_vals has shape {f_vals.shape}, grid has "
-                             f"shape {grid.shape}")
+    f_vals = np.asarray(f_vals, dtype=complex)
+    if f_vals.shape != grid.shape:
+        raise ValueError(f"f_vals has shape {f_vals.shape}, grid has "
+                         f"shape {grid.shape}")
     density = np.maximum(f_vals.imag / math.pi, 0.0)
     atoms = []
     sigma = model.sigma
@@ -249,11 +237,7 @@ def limit_density(model: ModelSpec, grid,
     total = atom_mass + float(np.trapezoid(density, grid)) if grid.size > 1 else atom_mass
     if require_mass and total < MASS_DEFICIT_FLOOR:
         raise MassDeficit(f"recovered mass {total:.4f} below {MASS_DEFICIT_FLOOR}")
-    probability = abs(total - 1.0) <= LIMIT_PROBABILITY_TOL
-    return SpectralMeasure(atoms=atoms, grid=grid, values=density,
-                           probability=probability,
-                           prob_tol=LIMIT_PROBABILITY_TOL,
-                           validate_mass=False)
+    return SpectralMeasure(atoms=atoms, grid=grid, values=density)
 
 
 def mp_closed_form(c: float, lam):
@@ -305,5 +289,4 @@ def mp_limit_measure(c: float, grid) -> SpectralMeasure:
     grid = np.asarray(grid, dtype=float)
     values = mp_closed_form(c, grid)
     atoms = [(0.0, 1.0 - c)] if c < 1.0 else []
-    return SpectralMeasure(atoms=atoms, grid=grid, values=values,
-                           validate_mass=False)
+    return SpectralMeasure(atoms=atoms, grid=grid, values=values)

@@ -21,7 +21,7 @@ from .ensemble import (EnsembleConfig, H0Zero, build_matrix, counting_fractions,
                        resolvent_traces)
 from .measures import EmpiricalSpectrum, SpectralMeasure, ks_distance
 from .samplers import RngLike, RngStream, VectorLaw, as_generator, sample_vectors
-from .solver import ModelSpec, SolverOptions, limit_density
+from .solver import ModelSpec, SolverOptions, limit_density, solve_mpe_grid
 
 # Ceiling for the mean KS at the largest study dimension. At c = 0.5 and
 # n = 1024 the mean over 5 seeds is 0.0027-0.0029 for sphere, gauss, lp:1
@@ -57,7 +57,7 @@ class Report:
 
     kind: str
     params: dict
-    estimate: float
+    estimate: float | None
     bound: float
     se: float
     passed: bool
@@ -178,8 +178,9 @@ def verify_quadratic_form(law: VectorLaw, dims, samples: int,
     Fits the least-squares slope of log variance against log n; the
     concentration criterion is slope <= -0.2, and the estimate is the
     largest slope. A matrix whose variances all sit below 1e-20
-    concentrates exactly: its slope is None and it passes by convention.
-    Each row is [matrix, n, variance, variance_se].
+    concentrates exactly: its slope is None and it passes by convention;
+    when both do, the estimate is None too. Each row is [matrix, n,
+    variance, variance_se].
     """
     if samples < 2:
         raise ValueError(f"a variance needs at least 2 samples, got {samples}")
@@ -202,13 +203,13 @@ def verify_quadratic_form(law: VectorLaw, dims, samples: int,
             np.log(dims), np.log(np.maximum(variances, EXACT_VARIANCE_FLOOR)),
             1)[0])
     estimate = max((s for s in slopes.values() if s is not None),
-                   default=float("-inf"))
+                   default=None)
     return Report(
         kind="quadform",
         params={"law": law.encode(), "dims": dims, "samples": samples,
                 "exact": exact},
         estimate=estimate, bound=QUADFORM_SLOPE_BOUND, se=0.0,
-        passed=estimate <= QUADFORM_SLOPE_BOUND,
+        passed=estimate is None or estimate <= QUADFORM_SLOPE_BOUND,
         detail={"slopes": slopes, "rows": rows})
 
 
@@ -217,11 +218,15 @@ def verify_norm_tail(law: VectorLaw, n: int, samples: int, master_seed: int,
     """Empirical P{|Y| >= C t} against exp(-t sqrt(n)), C = 2 median|Y|.
 
     Rows are [t, empirical, envelope, binomial_se]; the estimate is the
-    largest excess of an empirical tail over its envelope.
+    largest excess of an empirical tail over its envelope. A t that is
+    not finite raises ValueError before any draw.
     """
     if samples < 1:
         raise ValueError(f"the tail check needs at least 1 sample, "
                          f"got {samples}")
+    bad = [t for t in t_values if not math.isfinite(t)]
+    if bad:
+        raise ValueError(f"--t-values must be finite, got {bad[0]!r}")
     rng = RngStream(master_seed, 0).generator()
     norms = np.linalg.norm(sample_vectors(law, n, samples, rng), axis=1)
     scale = 2.0 * float(np.median(norms))
@@ -253,7 +258,9 @@ def isotropy_estimate(law, n: int, samples: int, rng: RngLike,
     Each covariance entry is compared against its own estimated standard
     error; the criterion is max |dev|/SE <= 5 together with
     |sample mean| <= 5 * sqrt(trace(cov)/samples). The estimate is that
-    largest ratio; `max_cov_deviation` gives the deviation itself.
+    largest ratio; `max_cov_deviation` gives the deviation itself. A
+    deviation whose standard error is zero makes the ratio infinite,
+    which fails the check and is reported as None.
 
     A single sample has no spread to test against, so at least two are
     needed.
@@ -301,10 +308,13 @@ def isotropy_estimate(law, n: int, samples: int, rng: RngLike,
     mean_norm = float(np.linalg.norm(mean))
     mean_thr = 5.0 * math.sqrt(max(np.trace(cov), 0.0) / samples)
     max_ratio = float(np.max(ratio))
+    passed = mean_norm <= mean_thr and max_ratio <= ISOTROPY_RATIO_BOUND
+    if math.isinf(max_ratio):
+        max_ratio = None
     return Report(
         kind="isotropy", params={"law": str(law), "n": n, "samples": samples},
         estimate=max_ratio, bound=ISOTROPY_RATIO_BOUND, se=0.0,
-        passed=mean_norm <= mean_thr and max_ratio <= ISOTROPY_RATIO_BOUND,
+        passed=passed,
         detail={"mean_norm": mean_norm,
                 "max_cov_deviation": float(np.max(np.abs(dev))),
                 "max_ratio": max_ratio})
@@ -343,11 +353,11 @@ def convergence_study(law: VectorLaw, model: ModelSpec, dims, seeds: int,
     if h0_factory is None and not model.n0.is_point_mass_at(0.0):
         raise ValueError("without an h0_factory the ensembles have H0 = 0, "
                          "so n0 must be the unit atom at zero")
-    opts = opts or SolverOptions()
     if model.c == 0.0:
         reference: SpectralMeasure = model.n0
     else:
-        reference = limit_density(model, grid, opts)
+        f_vals, _, _ = solve_mpe_grid(grid, model, opts)
+        reference = limit_density(model, grid, f_vals)
     rows = []
     for n in [int(d) for d in dims]:
         m = int(round(model.c * n))

@@ -17,7 +17,7 @@ from rank1spec.ensemble import (EnsembleConfig, H0Zero, build_matrix,
 from rank1spec.measures import AmplitudeLaw, SpectralMeasure
 from rank1spec.samplers import RngStream, VectorLaw, sample_vectors
 from rank1spec.solver import (ModelSpec, SolverOptions, limit_density,
-                              mp_stieltjes_oracle, solve_mpe_at)
+                              mp_stieltjes_oracle, solve_mpe_at, solve_mpe_grid)
 from rank1spec.verify import (convergence_study, isotropy_estimate,
                               verify_counting_variance, verify_quadratic_form,
                               verify_stieltjes_variance)
@@ -87,7 +87,9 @@ def test_criterion_02_density_command_closed_form(criterion, tmp_path):
 def test_criterion_03_mass_accounting(criterion):
     with criterion(3, "quarter-aspect limit carries atom (0, 0.75) with "
                       "unit total mass, and y|f(iy)| -> 1"):
-        meas = limit_density(mp_model(0.25), np.linspace(0.01, 3.99, 400))
+        grid = np.linspace(0.01, 3.99, 400)
+        meas = limit_density(mp_model(0.25), grid,
+                             solve_mpe_grid(grid, mp_model(0.25))[0])
         assert meas.to_dict()["atoms"] == [[0.0, 0.75]]
         assert abs(meas.total_mass - 1.0) <= 5e-3
         assert meas.probability

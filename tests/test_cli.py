@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,9 @@ from rank1spec import cli, ensemble, solver, verify
 from rank1spec.cli import main, parse_grid, parse_measure_atoms, parse_sigma
 from rank1spec.ensemble import read_spectrum_csv
 from rank1spec.measures import SpectralMeasure
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(args):
@@ -63,7 +68,7 @@ def test_density_outputs_roundtrip(tmp_path):
     text = (out / "density.csv").read_text()
     assert text.splitlines()[0] == "lambda,rho"
     table = np.loadtxt(out / "density.csv", delimiter=",", skiprows=1)
-    meas_json = SpectralMeasure.from_json((out / "measure.json").read_text())
+    meas_json = SpectralMeasure(**json.loads((out / "measure.json").read_text()))
     assert np.array_equal(table[:, 0], meas_json.grid)
     assert np.array_equal(table[:, 1], meas_json.values)
     man = manifest(out)
@@ -114,7 +119,7 @@ def test_density_custom_base_spectrum(tmp_path):
     rc = run(["density", "--c", 0.2, "--h0-spectrum", src,
               "--grid=-2:3:80", "--out", out])
     assert rc == 0
-    meas = SpectralMeasure.from_json((out / "measure.json").read_text())
+    meas = SpectralMeasure(**json.loads((out / "measure.json").read_text()))
     # rank fraction 0.2 moves ~0.4 of the mass into two continuous
     # bulks; the residual atoms at +-1 sit between grid points
     assert 0.3 < meas.total_mass < 0.6
@@ -136,25 +141,26 @@ def test_density_solves_grid_once(tmp_path, monkeypatch):
     # every binding a density run could reach
     monkeypatch.setattr(cli, "solve_mpe_grid", counted)
     monkeypatch.setattr(solver, "solve_mpe_grid", counted)
+    out = tmp_path / "d"
     assert run(["density", "--c", 0.25, "--grid", "0.01:3.99:60",
-                "--out", tmp_path / "d"]) == 0
+                "--out", out]) == 0
     assert len(calls) == 1
 
-    # the reused transform gives the measure a fresh solve gives
+    # the written measure is the one a fresh solve gives
     model = solver.ModelSpec(c=0.25, sigma=parse_sigma("atoms:1:1"),
                              n0=parse_measure_atoms("atoms:0:1"))
     opts = solver.SolverOptions()
     grid = parse_grid("0.01:3.99:60")
-    fresh = solver.limit_density(model, grid, opts, require_mass=False)
-    reused = solver.limit_density(model, grid, opts, require_mass=False,
-                                  f_vals=solve(grid, model, opts)[0])
+    fresh = solver.limit_density(model, grid, solve(grid, model, opts)[0],
+                                 require_mass=False)
+    reused = SpectralMeasure(**json.loads((out / "measure.json").read_text()))
     assert np.array_equal(reused.atom_locations, fresh.atom_locations)
     assert np.array_equal(reused.atom_masses, fresh.atom_masses)
     assert np.array_equal(reused.values, fresh.values)
     assert reused.total_mass == fresh.total_mass
     assert reused.probability == fresh.probability
     with pytest.raises(ValueError):
-        solver.limit_density(model, grid, opts, f_vals=np.zeros(3, complex))
+        solver.limit_density(model, grid, np.zeros(3, complex))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +322,13 @@ def test_zero_seeds_or_trials_exits_2(tmp_path, capsys, argv):
       "9223372036854775808"], "max_iter must be in [1, 2^63 - 1]"),
     (["compare", "--c", 1, "--grid", "0.5:3.5:5", "--dims", "16,32",
       "--max-iter", "9223372036854775808"],
-     "max_iter must be in [1, 2^63 - 1]")])
+     "max_iter must be in [1, 2^63 - 1]"),
+    (["verify", "--check", "tail", "--n", 4, "--samples", 10,
+      "--t-values", "nan"], "--t-values must be finite, got nan"),
+    (["verify", "--check", "tail", "--n", 4, "--samples", 10,
+      "--t-values", "1,inf"], "--t-values must be finite, got inf"),
+    (["density", "--c", 1, "--grid", "0.1:3:5", "--n0", "atoms:0:1.5"],
+     "n0 must be a probability measure")])
 def test_malformed_flag_value_exits_2(tmp_path, capsys, monkeypatch, argv,
                                       message):
     def no_spectrum(*args, **kwargs):
@@ -329,6 +341,27 @@ def test_malformed_flag_value_exits_2(tmp_path, capsys, monkeypatch, argv,
     assert run(argv + ["--out", out]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "--check", "isotropy", "--law", "sphere", "--n", 1,
+      "--samples", 2, "--seed", 1], 3),
+    (["verify", "--check", "quadform", "--law", "lp:1e300", "--dims", "4,8",
+      "--samples", 3], 0)], ids=["isotropy", "quadform"])
+def test_infinite_estimates_are_written_as_null(tmp_path, argv, code):
+    # an isotropy ratio over a zero standard error, and the slope of two
+    # matrices that both concentrate exactly
+    out = tmp_path / "v"
+    assert run(argv + ["--out", out]) == code
+    report = json.loads((out / "report.json").read_text(),
+                        parse_constant=reject_constant)
+    assert report["estimate"] is None
+    assert report.get("max_ratio") is None
+    assert report["pass"] == (code == 0)
 
 
 def test_failed_eigensolve_exits_2(tmp_path, capsys, monkeypatch):
@@ -580,9 +613,12 @@ def test_unknown_law_exits_2(tmp_path, capsys):
 
 def test_console_script_entry_point(tmp_path):
     out = tmp_path / "d"
+    # the checkout's sources, not an installed copy, on the child's path
+    path = [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     proc = subprocess.run(
         [sys.executable, "-m", "rank1spec.cli", "density", "--c", "1.0",
          "--grid", "0.5:3.5:8", "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
     assert proc.returncode == 0
     assert (out / "density.csv").exists()

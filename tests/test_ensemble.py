@@ -3,7 +3,7 @@ import pytest
 
 from rank1spec import ensemble
 from rank1spec.ensemble import (EnsembleConfig, H0Diagonal, H0File, H0Zero,
-                                SymMatrix, _draw_components, _gram_factor,
+                                _draw_components, _gram_factor,
                                 assemble_matrix, build_matrix,
                                 counting_fractions, counting_measure,
                                 eigenvalues_sym,
@@ -105,11 +105,6 @@ def test_h0_array_is_resolved_once_and_read_only(tmp_path, monkeypatch):
         cfg.h0_array[0, 0] = 5.0
 
 
-def test_symmetric_wrapper_rejects_asymmetry():
-    with pytest.raises(ValueError):
-        SymMatrix(np.array([[0.0, 1.0], [0.5, 0.0]]))
-
-
 # ---------------------------------------------------------------------------
 # ensemble assembly
 # ---------------------------------------------------------------------------
@@ -147,7 +142,7 @@ def test_assemble_matches_manual_sum():
     taus = np.array([0.5, -1.0, 2.0])
     H = assemble_matrix(np.zeros((n, n)), taus, ys)
     manual = sum(t * np.outer(ys[:, k], ys[:, k]) for k, t in enumerate(taus))
-    assert np.allclose(H.array, manual, atol=1e-12)
+    assert np.allclose(H, manual, atol=1e-12)
 
 
 def test_build_diag_base_enters_spectrum():
@@ -249,7 +244,7 @@ def test_dense_path_outside_gram_conditions(cfg):
 ], ids=["zero-base", "cgauss-signed", "diag-base"])
 def test_factored_array_equals_assembled(cfg):
     vectors, taus = _draw_components(cfg, 2)
-    want = assemble_matrix(resolve_h0(cfg.h0, cfg.n), taus, vectors).array
+    want = assemble_matrix(resolve_h0(cfg.h0, cfg.n), taus, vectors)
     assert np.array_equal(build_matrix(cfg, trial=2).array, want)
 
 
@@ -326,7 +321,7 @@ def layout_sensitive_outputs(cfg):
             eigenvalues_sym(build_matrix(cfg, trial=1).array).eigenvalues,
             counting_fractions(cfg, (0.25, 1.5), [0, 1, 2]),
             resolvent_traces(cfg, 0.5 + 0.2j, [0, 1, 2]),
-            gram_matrix(cfg, trial=2).array]
+            gram_matrix(cfg, trial=2)]
 
 
 def test_outputs_do_not_depend_on_the_vector_layout(tmp_path, monkeypatch):
@@ -385,7 +380,7 @@ def test_eigenvalues_match_characteristic_polynomial():
     dets = [np.linalg.det(M - t * np.eye(5)) for t in pts]
     coeffs = np.polyfit(pts, dets, 5)
     roots = np.sort(np.real(np.roots(coeffs)))
-    ev = eigenvalues_sym(SymMatrix(M)).eigenvalues
+    ev = eigenvalues_sym(M).eigenvalues
     assert np.max(np.abs(roots - ev)) < 1e-8
 
 

@@ -12,7 +12,7 @@ from rank1spec.measures import (AmplitudeLaw, EmpiricalSpectrum,
                                 moment, save_measure_json,
                                 stieltjes_of_measure, write_density_csv)
 from rank1spec.solver import (ModelSpec, SolverOptions, limit_density,
-                              mp_closed_form, mp_limit_measure)
+                              mp_closed_form, mp_limit_measure, solve_mpe_grid)
 
 
 def delta0() -> SpectralMeasure:
@@ -42,18 +42,18 @@ def test_masses_and_densities_nonnegative():
 
 
 def test_total_mass_cap():
-    with pytest.raises(ValueError):
-        SpectralMeasure(atoms=[(0.0, 1.5)])
-    # cap can be bypassed for intermediate (unnormalized) objects
-    m = SpectralMeasure(atoms=[(0.0, 1.5)], validate_mass=False)
+    # a measure holds any mass; a model's base must be a probability
+    m = SpectralMeasure(atoms=[(0.0, 1.5)])
     assert m.total_mass == 1.5
+    with pytest.raises(ValueError, match="n0 must be a probability measure"):
+        ModelSpec(c=0.5, sigma=AmplitudeLaw([(1.0, 1.0)]), n0=m)
 
 
 def test_probability_flag_tolerance():
-    m = SpectralMeasure(atoms=[(0.0, 1.0 + 5e-7)], probability=True)
-    assert m.probability
-    with pytest.raises(ValueError):
-        SpectralMeasure(atoms=[(0.0, 0.9)], probability=True)
+    assert SpectralMeasure(atoms=[(0.0, 1.0 + 5e-7)]).probability
+    assert SpectralMeasure(atoms=[(0.0, 1.0 - 4e-3)]).probability
+    assert not SpectralMeasure(atoms=[(0.0, 1.0 + 6e-3)]).probability
+    assert not SpectralMeasure(atoms=[(0.0, 0.9)]).probability
 
 
 def test_half_mass_point():
@@ -80,15 +80,15 @@ def test_single_point_grid_carries_no_mass():
 def test_roundtrip_dict_json(tmp_path):
     m = SpectralMeasure(atoms=[(0.0, 0.25)], grid=np.linspace(1, 2, 5),
                         values=[0.1, 0.2, 0.3, 0.2, 0.1])
-    m2 = SpectralMeasure.from_dict(m.to_dict())
+    m2 = SpectralMeasure(**m.to_dict())
     assert m2.atom_locations.tolist() == [0.0]
     assert np.array_equal(m2.grid, m.grid)
     assert np.array_equal(m2.values, m.values)
-    m3 = SpectralMeasure.from_json(m.to_json())
+    m3 = SpectralMeasure(**json.loads(m.to_json()))
     assert m3.total_mass == pytest.approx(m.total_mass, abs=0)
     path = tmp_path / "m.json"
     save_measure_json(m, path)
-    m4 = SpectralMeasure.from_json(path.read_text())
+    m4 = SpectralMeasure(**json.loads(path.read_text()))
     assert np.array_equal(m4.values, m.values)
     assert json.loads(path.read_text())["atoms"] == [[0.0, 0.25]]
 
@@ -153,16 +153,17 @@ def test_invert_error_halves_with_eps():
     lam = np.array([1.5])
     errs = []
     for eps in (2e-3, 1e-3):
-        got = limit_density(mp_model(0.5), lam, SolverOptions(eps_final=eps),
-                            require_mass=False)
+        f_vals, _, _ = solve_mpe_grid(lam, mp_model(0.5),
+                                      SolverOptions(eps_final=eps))
+        got = limit_density(mp_model(0.5), lam, f_vals, require_mass=False)
         errs.append(abs(got.values[0] - mp_closed_form(0.5, 1.5)))
     assert 1.7 <= errs[0] / errs[1] <= 2.3
 
 
 def test_invert_clips_negative_noise():
     grid = np.array([0.0, 1.0])
-    got = limit_density(mp_model(1.0), grid, require_mass=False,
-                        f_vals=np.full(grid.shape, -0.5 - 1e-3j))
+    got = limit_density(mp_model(1.0), grid, np.full(grid.shape, -0.5 - 1e-3j),
+                        require_mass=False)
     assert np.all(got.values >= 0.0)
 
 
@@ -224,8 +225,7 @@ def _cdf_probe_points(measure):
 @pytest.mark.parametrize("measure", [
     SpectralMeasure(atoms=[(0.0, 0.25), (0.75, 0.1)],
                     grid=np.linspace(0.0, 1.5, 61),
-                    values=0.5 + 0.3 * np.sin(np.linspace(0.0, 9.0, 61)),
-                    validate_mass=False),
+                    values=0.5 + 0.3 * np.sin(np.linspace(0.0, 9.0, 61))),
     SpectralMeasure(atoms=[(-2.0, 0.125), (-1.0, 0.5), (3.0, 0.375)]),
     SpectralMeasure(grid=[-1.0, 0.5, 0.75, 2.0], values=[0.2, 0.0, 0.6, 0.1]),
 ], ids=["atoms-and-density", "atoms-only", "density-only"])
@@ -370,7 +370,7 @@ def test_density_csv_bytes_match_csv_writer(tmp_path):
     grid = np.array([-2.0, -1e-300, 0.0, 5e-324, 0.1, 1e22])
     values = np.array([0.0, 5e-324, 2.2250738585072014e-308, 1e-05,
                        1.0 / 3.0, 2.5e16])
-    m = SpectralMeasure(grid=grid, values=values, validate_mass=False)
+    m = SpectralMeasure(grid=grid, values=values)
     path = tmp_path / "density.csv"
     write_density_csv(m, path)
     buf = io.StringIO(newline="")

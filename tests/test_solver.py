@@ -67,7 +67,10 @@ def test_solver_turns_pole_status_into_pole_hit():
     model = mp_model(1.0)
     with pytest.raises(PoleHit):
         solver._solve_stage(np.array([1.0 + 0.1j]), np.array([-1.0 + 0j]),
-                            model.c, model.sigma, solver._nodes(model.n0),
+                            model.c, model.sigma,
+                            _kernels.base_nodes(model.n0.atom_locations,
+                                                model.n0.atom_masses,
+                                                model.n0.grid, model.n0.values),
                             SolverOptions())
 
 
@@ -165,7 +168,7 @@ def test_grid_solver_matches_pointwise():
     model = mp_model(0.5)
     grid = np.linspace(0.5, 2.5, 9)
     opts = SolverOptions(eps_final=1e-4)
-    vals, iters = solve_mpe_grid(grid, model, opts)
+    vals, iters, _ = solve_mpe_grid(grid, model, opts)
     assert vals.shape == grid.shape
     assert iters.shape == grid.shape
     assert np.all(iters >= 1)
@@ -177,8 +180,8 @@ def test_grid_solver_matches_pointwise():
 def test_grid_solver_matches_oracle_on_fine_grid():
     # the convergence study's limit: 3000 points down to eps = 1e-5
     grid = np.linspace(0.02, 3.2, 3000)
-    vals, _ = solve_mpe_grid(grid, mp_model(0.5),
-                             SolverOptions(eps_final=1e-5))
+    vals, _, _ = solve_mpe_grid(grid, mp_model(0.5),
+                                SolverOptions(eps_final=1e-5))
     oracle = np.array([mp_stieltjes_oracle(lam + 1e-5j, 0.5) for lam in grid])
     assert np.max(np.abs(vals - oracle)) < 1e-8
 
@@ -217,7 +220,7 @@ def test_grid_solver_ends_at_eps_final_above_ladder_start():
     opts = SolverOptions(eps_final=50.0)
     assert opts.eps_schedule(AmplitudeLaw([(1.0, 1.0)])) == [50.0]
     grid = np.array([0.5, 2.0, 4.0])
-    vals, _ = solve_mpe_grid(grid, mp_model(1.0), opts)
+    vals, _, _ = solve_mpe_grid(grid, mp_model(1.0), opts)
     oracle = [mp_stieltjes_oracle(lam + 50j, 1.0) for lam in grid]
     assert np.max(np.abs(vals - oracle)) < 1e-9
 
@@ -264,7 +267,7 @@ def spectrum_file_base(path) -> SpectralMeasure:
 def test_predicted_ladder_matches_halving_ladder_on_mp(c):
     grid = np.linspace(0.01, (1.0 + c ** 0.5) ** 2 + 1.0, 300)
     opts = SolverOptions()
-    f, _ = solve_mpe_grid(grid, mp_model(c), opts)
+    f, _, _ = solve_mpe_grid(grid, mp_model(c), opts)
     ref, _ = halving_ladder(grid, mp_model(c), opts)
     assert np.max(np.abs(f - ref)) < 1e-8
 
@@ -273,7 +276,7 @@ def test_predicted_ladder_matches_halving_ladder_on_mp(c):
 def test_predicted_ladder_halves_updates_on_two_sided_model(eps_final):
     grid = np.linspace(-3.0, 3.0, 600)
     opts = SolverOptions(eps_final=eps_final)
-    f, iterations = solve_mpe_grid(grid, two_sided(), opts)
+    f, iterations, _ = solve_mpe_grid(grid, two_sided(), opts)
     ref, ref_updates = halving_ladder(grid, two_sided(), opts)
     assert np.max(np.abs(f - ref)) < 1e-8
     assert iterations.sum() <= 0.6 * ref_updates
@@ -297,7 +300,7 @@ def test_predicted_ladder_matches_halving_ladder_on_other_bases(tmp_path,
                           n0=SpectralMeasure(atoms=[(0.0, 1.0)]))
         grid = np.linspace(-8.0, 4.0, 400)
     opts = SolverOptions()
-    f, _ = solve_mpe_grid(grid, model, opts)
+    f, _, _ = solve_mpe_grid(grid, model, opts)
     ref, _ = halving_ladder(grid, model, opts)
     assert np.max(np.abs(f - ref)) < 1e-8
 
@@ -305,14 +308,13 @@ def test_predicted_ladder_matches_halving_ladder_on_other_bases(tmp_path,
 def test_solve_report_accounts_for_every_update():
     grid = np.linspace(-3.0, 3.0, 120)
     opts = SolverOptions(eps_final=1e-5)
-    f, iterations, report = solve_mpe_grid(grid, two_sided(), opts,
-                                           report=True)
+    f, iterations, report = solve_mpe_grid(grid, two_sided(), opts)
     assert report.stages == opts.eps_schedule(two_sided().sigma)
     assert sum(report.updates_per_stage) == iterations.sum()
     assert len(report.updates_per_stage) == len(report.stages)
     assert report.fallbacks >= 0
     assert 0.0 <= report.max_residual <= opts.tol
-    plain, plain_iterations = solve_mpe_grid(grid, two_sided(), opts)
+    plain, plain_iterations, _ = solve_mpe_grid(grid, two_sided(), opts)
     assert np.array_equal(plain, f)
     assert np.array_equal(plain_iterations, iterations)
 
@@ -341,10 +343,16 @@ def test_truncation_active_changes_model():
 # limiting measure
 # ---------------------------------------------------------------------------
 
+def solved_density(model, grid, opts=None, **kwargs):
+    """limit_density on the grid's solved transform."""
+    return limit_density(model, grid, solve_mpe_grid(grid, model, opts)[0],
+                         **kwargs)
+
+
 def test_limit_density_quarter_aspect():
     model = mp_model(0.25)
     grid = np.linspace(0.01, 3.99, 400)
-    meas = limit_density(model, grid)
+    meas = solved_density(model, grid)
     atoms = meas.to_dict()["atoms"]
     assert atoms == [[0.0, 0.75]]
     assert meas.total_mass == pytest.approx(1.0, abs=5e-3)
@@ -353,14 +361,14 @@ def test_limit_density_quarter_aspect():
 
 def test_limit_density_square_aspect_no_atom():
     model = mp_model(1.0)
-    meas = limit_density(model, np.linspace(0.01, 3.99, 200))
+    meas = solved_density(model, np.linspace(0.01, 3.99, 200))
     assert not meas.atom_locations.size
 
 
 def test_limit_density_matches_closed_form_interior():
     model = mp_model(0.5)
     grid = np.linspace(0.3, 2.7, 60)
-    meas = limit_density(model, grid)
+    meas = solved_density(model, grid)
     for lam, rho in zip(grid, meas.values):
         assert abs(rho - mp_closed_form(0.5, lam)) < 1e-3
 
@@ -371,7 +379,7 @@ def test_limit_density_zero_amplitudes_dilute_rank():
     sig = AmplitudeLaw([(0.0, 0.3), (1.0, 0.7)])
     model = ModelSpec(c=0.5, sigma=sig,
                       n0=SpectralMeasure(atoms=[(0.0, 1.0)]))
-    meas = limit_density(model, np.linspace(0.02, 3.0, 400))
+    meas = solved_density(model, np.linspace(0.02, 3.0, 400))
     assert meas.to_dict()["atoms"] == [[0.0, 1.0 - 0.35]]
     assert meas.total_mass == pytest.approx(1.0, abs=5e-3)
 
@@ -380,12 +388,12 @@ def test_limit_density_mass_deficit_raises():
     # grid far away from the support carries almost no mass
     model = mp_model(1.0)
     with pytest.raises(MassDeficit):
-        limit_density(model, np.linspace(10.0, 12.0, 50))
+        solved_density(model, np.linspace(10.0, 12.0, 50))
 
 
 def test_limit_density_windowed_zoom():
     model = mp_model(1.0)
-    meas = limit_density(model, np.linspace(1.9, 2.1, 21), require_mass=False)
+    meas = solved_density(model, np.linspace(1.9, 2.1, 21), require_mass=False)
     assert not meas.probability
     mid = meas.values[10]
     assert abs(mid - mp_closed_form(1.0, 2.0)) < 1e-3
