@@ -7,12 +7,13 @@ gridded density as the trapezoid rule's nodes. Temporaries of shape
 of at most CHUNK_ELEMENTS elements, so large bases stay bounded in memory.
 
 Sums over nodes or atoms give the bits of numpy's `.sum(axis=1)` on a
-row-major array. Up to SMALL_WIDTH complex columns they add whole columns
-left to right onto zero, which is the order numpy uses for rows of under
-8 doubles, and those narrow temporaries are column-major, so that each
-column is one contiguous run. Wider ones stay row-major and call
-`.sum(axis=1)`, which keeps its pairwise order. Each point's sum reads
-only its own row, so the bits do not depend on the chunking.
+row-major array. Up to SMALL_WIDTH nodes or atoms, the sums build no
+(points x width) temporary: each node or atom adds its term, one 1-D
+array over the points, onto zero from left to right, which is the order
+numpy uses for rows of under 8 doubles. Wider rows are row-major
+temporaries and call `.sum(axis=1)`, which keeps its pairwise order.
+Each point's sum reads only its own row, so the bits do not depend on
+the chunking.
 
 Status codes returned per point by `picard_solve`:
 
@@ -58,32 +59,6 @@ def _by_chunks(kernel, x, width, *args):
     return tuple(np.concatenate(out) for out in zip(*parts))
 
 
-def _order(width: int) -> str:
-    """Memory order of a (points x width) temporary."""
-    return "F" if width <= SMALL_WIDTH else "C"
-
-
-def _row_sum(a):
-    """The bits of a.sum(axis=1) on a row-major `a`; narrow rows add whole
-    columns."""
-    if a.shape[1] > SMALL_WIDTH:
-        return a.sum(axis=1)
-    out = a[:, 0] + 0.0
-    for k in range(1, a.shape[1]):
-        out += a[:, k]
-    return out
-
-
-def _row_any(a):
-    """a.any(axis=1) for a boolean array, one whole column at a time."""
-    if a.shape[1] > SMALL_WIDTH:
-        return a.any(axis=1)
-    out = a[:, 0].copy()
-    for k in range(1, a.shape[1]):
-        out |= a[:, k]
-    return out
-
-
 def base_nodes(atom_loc, atom_mass, grid, vals):
     """Nodes and weights whose sums give the base measure's transform.
 
@@ -102,25 +77,43 @@ def base_nodes(atom_loc, atom_mass, grid, vals):
 
 
 def _base_part(w, loc, mass):
-    r = 1.0 / np.subtract(loc, w[:, None], order=_order(loc.size))
-    rm = r * mass
-    return _row_sum(rm), _row_sum(rm * r)
+    if loc.size > SMALL_WIDTH:
+        r = 1.0 / np.subtract(loc, w[:, None], order="C")
+        rm = r * mass
+        return rm.sum(axis=1), (rm * r).sum(axis=1)
+    f0 = np.zeros(w.shape, dtype=np.complex128)
+    df0 = np.zeros(w.shape, dtype=np.complex128)
+    for x, m in zip(loc.tolist(), mass.tolist()):
+        r = 1.0 / (x - w)
+        rm = r * m
+        f0 += rm
+        df0 += rm * r
+    return f0, df0
 
 
 def base_transform(w, loc, mass):
     """f0(w) = sum mass/(loc - w) and f0'(w) = sum mass/(loc - w)^2."""
-    if not loc.size:
-        return (np.zeros(w.shape, dtype=np.complex128),
-                np.zeros(w.shape, dtype=np.complex128))
     return _by_chunks(_base_part, w, loc.size, loc, mass)
 
 
 def _shift_part(f, tau, tw, c):
-    den = 1.0 + np.multiply(f[:, None], tau, order=_order(tau.size))
-    pole = _row_any(np.abs(den) < POLE_TOL)
-    inv = 1.0 / den
-    inv_tw = inv * tw
-    return (-c * _row_sum(inv_tw), c * _row_sum(inv_tw * inv * tau), pole)
+    if tau.size > SMALL_WIDTH:
+        den = 1.0 + np.multiply(f[:, None], tau, order="C")
+        inv = 1.0 / den
+        inv_tw = inv * tw
+        return (-c * inv_tw.sum(axis=1), c * (inv_tw * inv * tau).sum(axis=1),
+                (np.abs(den) < POLE_TOL).any(axis=1))
+    total = np.zeros(f.shape, dtype=np.complex128)
+    slope = np.zeros(f.shape, dtype=np.complex128)
+    pole = np.zeros(f.shape, dtype=bool)
+    for t, q in zip(tau.tolist(), tw.tolist()):
+        den = 1.0 + f * t
+        pole |= np.abs(den) < POLE_TOL
+        inv = 1.0 / den
+        inv_tw = inv * q
+        total += inv_tw
+        slope += inv_tw * inv * t
+    return -c * total, c * slope, pole
 
 
 def shift_terms(f, tau, tw, c):
@@ -181,7 +174,8 @@ def picard_solve(z, f, tol, max_iter, tau, tau_w, c, loc, mass) -> Stage:
     fallbacks = 0
     tw = tau * tau_w
     idx = np.arange(z.size)
-    za, fa, sa, abs_r = z, f, sgn, residual
+    za, fa, sa = z, f, sgn
+    abs_r, stopped = residual, False
     # a point at a pole has no meaningful w and stops below; a Newton step
     # that divides by zero or overflows falls back to Picard
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -192,28 +186,32 @@ def picard_solve(z, f, tol, max_iter, tau, tau_w, c, loc, mass) -> Stage:
             g, dg = base_transform(za + shift, loc, mass)
             r = fa - g
             abs_r = np.abs(r)
+            slope = 1.0 - dg * dshift
+            step = fa - r / slope
+            off = ~np.isfinite(step) | (step.imag * sa < 0.0)
             stop = pole | (abs_r <= tol)
-            if stop.any():
+            # stopped points keep fa; the others move to step
+            stopped = stop.any()
+            if stopped:
                 ends = idx[stop]
                 iters[ends] = it
                 f[ends] = fa[stop]
                 status[ends] = np.where(pole[stop], 2, 0)
-                dg_end = dg[stop]
-                dfdz[ends] = dg_end / (1.0 - dg_end * dshift[stop])
+                dfdz[ends] = dg[stop] / slope[stop]
                 residual[ends] = abs_r[stop]
                 go = ~stop
-                idx, za, fa, sa = idx[go], za[go], fa[go], sa[go]
-                r, g, dg, dshift = r[go], g[go], dg[go], dshift[go]
-                abs_r = abs_r[go]
-            step = fa - r / (1.0 - dg * dshift)
-            off = ~np.isfinite(step) | (step.imag * sa < 0.0)
+                off &= go
             if off.any():
                 fallbacks += int(np.count_nonzero(off))
                 picard = (1.0 - DAMPING) * fa[off] + DAMPING * g[off]
                 step[off] = np.where(picard.imag * sa[off] < 0.0,
                                      picard.conj(), picard)
-            fa = step
+            if stopped:
+                idx, za, sa, fa = idx[go], za[go], sa[go], step[go]
+            else:
+                fa = step
+    # the points that ran out of updates, with their last residual
     f[idx] = fa
-    residual[idx] = abs_r
+    residual[idx] = abs_r[go] if stopped else abs_r
     return Stage(f, int(iters.sum()), iters, status, dfdz, fallbacks,
                  residual)

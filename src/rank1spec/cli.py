@@ -27,8 +27,8 @@ import numpy as np
 from .ensemble import (EnsembleConfig, H0Zero, build_matrix, eigenvalues_sym,
                        parse_h0, read_spectrum_csv, write_spectrum_csv)
 from .errors import NonConvergence, Rank1SpecError
-from .measures import (AmplitudeLaw, SpectralMeasure, save_measure_json,
-                       write_density_csv)
+from .measures import (AmplitudeLaw, SpectralMeasure, density_columns,
+                       save_measure_json, write_density_csv)
 from .samplers import RngStream, VectorLaw
 from .solver import ModelSpec, SolverOptions, limit_density, solve_mpe_grid
 from .verify import (convergence_study, isotropy_estimate,
@@ -117,14 +117,10 @@ def parse_float_list(text: str) -> list[float]:
 # output helpers
 # ---------------------------------------------------------------------------
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
-
-
-def _write_json(path: Path, data) -> None:
-    path.write_text(json.dumps(data, sort_keys=True, indent=1) + "\n")
+def _write_json(path: Path, data) -> bytes:
+    text = (json.dumps(data, sort_keys=True, indent=1) + "\n").encode()
+    path.write_bytes(text)
+    return text
 
 
 def _output_dir(args) -> Path:
@@ -135,12 +131,17 @@ def _output_dir(args) -> Path:
 
 
 def write_manifest(out_dir: Path, command: str, flags: dict, seed,
-                   outputs: list[Path], diagnostics: dict | None = None) -> Path:
+                   outputs: dict[Path, bytes],
+                   diagnostics: dict | None = None) -> Path:
+    """Write manifest.json; `outputs` maps each written file to its bytes,
+    which are hashed here rather than read back."""
     manifest = {
         "command": command,
         "flags": {k: flags[k] for k in sorted(flags)},
         "seed": seed,
-        "outputs": [{"path": p.name, "sha256": _sha256(p)} for p in outputs],
+        "outputs": [{"path": p.name,
+                     "sha256": hashlib.sha256(data).hexdigest()}
+                    for p, data in outputs.items()],
     }
     if diagnostics is not None:
         manifest["diagnostics"] = diagnostics
@@ -149,11 +150,15 @@ def write_manifest(out_dir: Path, command: str, flags: dict, seed,
     return path
 
 
-def write_histogram_csv(path: Path, edges: np.ndarray, mass: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("bin_left,bin_right,mass\n")
-        for left, right, m in zip(edges[:-1], edges[1:], mass):
-            fh.write(f"{float(left)!r},{float(right)!r},{float(m)!r}\n")
+def write_histogram_csv(path: Path, edges: np.ndarray,
+                        mass: np.ndarray) -> bytes:
+    edges = edges.tolist()
+    text = "bin_left,bin_right,mass\n" + "".join(
+        f"{left!r},{right!r},{m!r}\n"
+        for left, right, m in zip(edges[:-1], edges[1:], mass.tolist()))
+    data = text.encode()
+    path.write_bytes(data)
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -179,18 +184,19 @@ def cmd_density(args) -> int:
     out_dir = _output_dir(args)
     density_path = out_dir / "density.csv"
     measure_path = out_dir / "measure.json"
-    write_density_csv(measure, density_path)
-    save_measure_json(measure, measure_path)
+    columns = density_columns(measure)
+    outputs = {density_path: write_density_csv(measure, density_path, columns),
+               measure_path: save_measure_json(measure, measure_path, columns)}
     diagnostics = {
-        "iterations": [int(k) for k in iterations],
+        "iterations": iterations.tolist(),
         **report._asdict(),
-        "atoms": measure.to_dict()["atoms"],
+        "atoms": measure.atoms,
         "total_mass": measure.total_mass,
         "probability": measure.probability,
         "eps_final": opts.eps_final,
     }
-    write_manifest(out_dir, "density", _flags_dict(args), None,
-                   [density_path, measure_path], diagnostics)
+    write_manifest(out_dir, "density", _flags_dict(args), None, outputs,
+                   diagnostics)
     return 0
 
 
@@ -208,14 +214,12 @@ def cmd_simulate(args) -> int:
     counts, edges = np.histogram(pooled, bins=args.bins)
     mass = counts / pooled.size
     out_dir = _output_dir(args)
-    outputs = []
+    outputs = {}
     for trial, spectrum in enumerate(spectra):
         path = out_dir / f"eigenvalues_{trial:03d}.csv"
-        write_spectrum_csv(spectrum, path)
-        outputs.append(path)
+        outputs[path] = write_spectrum_csv(spectrum, path)
     hist_path = out_dir / "histogram.csv"
-    write_histogram_csv(hist_path, edges, mass)
-    outputs.append(hist_path)
+    outputs[hist_path] = write_histogram_csv(hist_path, edges, mass)
     write_manifest(out_dir, "simulate", _flags_dict(args), args.seed, outputs)
     return 0
 
@@ -230,9 +234,8 @@ def cmd_compare(args) -> int:
                                args.seeds, args.seed, grid, opts)
     out_dir = _output_dir(args)
     json_path = out_dir / "convergence.json"
-    _write_json(json_path, report.to_dict())
     write_manifest(out_dir, "compare", _flags_dict(args), args.seed,
-                   [json_path])
+                   {json_path: _write_json(json_path, report.to_dict())})
     if not report.passed:
         print("convergence criterion failed", file=sys.stderr)
         return 3
@@ -299,9 +302,8 @@ def cmd_verify(args) -> int:
                                    RngStream(args.seed, 0))
     out_dir = _output_dir(args)
     json_path = out_dir / "report.json"
-    _write_json(json_path, report.to_dict())
     write_manifest(out_dir, "verify", _flags_dict(args), args.seed,
-                   [json_path])
+                   {json_path: _write_json(json_path, report.to_dict())})
     return 0 if report.passed else 3
 
 
@@ -326,12 +328,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iter", dest="max_iter", type=int, default=100_000)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="rank1spec")
-    parser.add_argument("--config", default=None, help=argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("density", help="solve the limiting density on a grid")
+def _add_density_flags(p: argparse.ArgumentParser) -> None:
     _add_solver_flags(p)
     base = p.add_mutually_exclusive_group()
     base.add_argument("--n0", default="atoms:0:1")
@@ -340,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_density)
 
-    p = sub.add_parser("simulate", help="sample finite-n ensembles")
+
+def _add_simulate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--law", default="sphere")
@@ -352,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("compare", help="convergence study of H0 = 0 "
-                                       "ensembles")
+
+def _add_compare_flags(p: argparse.ArgumentParser) -> None:
     _add_solver_flags(p)
     p.add_argument("--law", default="sphere")
     p.add_argument("--seed", type=int, default=0)
@@ -362,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("verify", help="concentration, isotropy and Gram "
-                                      "duality checks")
+
+def _add_verify_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--check", required=True, choices=VERIFY_CHECKS)
     p.add_argument("--law", default="sphere")
     p.add_argument("--seed", type=int, default=0)
@@ -374,6 +372,34 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{flag}", type=kind, default=argparse.SUPPRESS)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_verify)
+
+
+# each subcommand's help line and the function that adds its flags
+SUBCOMMANDS = {
+    "density": ("solve the limiting density on a grid", _add_density_flags),
+    "simulate": ("sample finite-n ensembles", _add_simulate_flags),
+    "compare": ("convergence study of H0 = 0 ensembles", _add_compare_flags),
+    "verify": ("concentration, isotropy and Gram duality checks",
+               _add_verify_flags),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone.
+
+    Both parse an argument list that starts with `command` alike, with
+    the same messages: the one-subcommand parser names all four in its
+    usage line. Building the other subcommands' parsers is most of the
+    full parser's build time.
+    """
+    parser = argparse.ArgumentParser(prog="rank1spec")
+    parser.add_argument("--config", default=None, help=argparse.SUPPRESS)
+    # None lets argparse list the subcommands it holds
+    metavar = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (text, add_flags) in SUBCOMMANDS.items():
+        if command in (None, name):
+            add_flags(sub.add_parser(name, help=text))
     return parser
 
 
@@ -400,7 +426,10 @@ def _apply_config(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(_apply_config(argv))
+        argv = _apply_config(argv)
+        # help, a missing or an unknown subcommand need the full parser
+        command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+        args = build_parser(command).parse_args(argv)
         return args.func(args)
     except NonConvergence as exc:
         print(f"solver failed at lambda={exc.lam:.9g}, eps={exc.eps:.9g}",

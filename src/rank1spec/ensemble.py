@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -316,7 +317,8 @@ def counting_fractions(config: EnsembleConfig, interval, trials) -> np.ndarray:
     keep a full spectrum per trial: with H0 = 0 and nonzero amplitudes of
     one sign `eigenvalues_sym` solves the Gram side once for both ends,
     and when a or b lies within roundoff of an eigenvalue of H0 each
-    trial is solved densely.
+    trial is solved densely. A failed eigensolve, or one that returns
+    non-finite eigenvalues, raises EigensolveFailed.
     """
     a, b = float(interval[0]), float(interval[1])
     atoms = config.sigma.tau_values
@@ -337,13 +339,19 @@ def counting_fractions(config: EnsembleConfig, interval, trials) -> np.ndarray:
         if q is not None:
             u = q.T @ u
         ut = u * t
+        # an overflow is reported below as non-finite eigenvalues
         try:
-            neg_a, neg_b = (np.count_nonzero(np.linalg.eigvalsh(
-                np.diag(t) + ut.conj().T @ (r[:, None] * ut)) < 0.0)
-                for r in resolvents)
+            with np.errstate(over="ignore", invalid="ignore"):
+                ev_a, ev_b = (np.linalg.eigvalsh(
+                    np.diag(t) + ut.conj().T @ (r[:, None] * ut))
+                    for r in resolvents)
         except np.linalg.LinAlgError as exc:
             raise EigensolveFailed(f"inertia eigensolve failed: {exc}") from exc
-        out[i] = (inside + neg_a - neg_b) / config.n
+        if not (np.all(np.isfinite(ev_a)) and np.all(np.isfinite(ev_b))):
+            raise EigensolveFailed("inertia eigensolve returned non-finite "
+                                   "eigenvalues; an entry overflowed")
+        out[i] = (inside + np.count_nonzero(ev_a < 0.0)
+                  - np.count_nonzero(ev_b < 0.0)) / config.n
     return out
 
 
@@ -424,11 +432,11 @@ def gram_counting_relation(gram_spectrum: EmpiricalSpectrum,
 # spectrum CSV files
 # ---------------------------------------------------------------------------
 
-def write_spectrum_csv(spectrum: EmpiricalSpectrum, path) -> None:
-    """One eigenvalue per line."""
-    with open(path, "w", newline="") as fh:
-        for v in spectrum.eigenvalues:
-            fh.write(repr(float(v)) + "\n")
+def write_spectrum_csv(spectrum: EmpiricalSpectrum, path) -> bytes:
+    """One eigenvalue per line. Returns the bytes written."""
+    data = "".join(f"{v!r}\n" for v in spectrum.eigenvalues.tolist()).encode()
+    Path(path).write_bytes(data)
+    return data
 
 
 def read_spectrum_csv(path) -> EmpiricalSpectrum:

@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -105,16 +106,15 @@ class SpectralMeasure:
 
     # -- serialization ------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return {
-            "atoms": [[float(l), float(m)] for l, m in
-                      zip(self.atom_locations, self.atom_masses)],
-            "grid": [float(x) for x in self.grid],
-            "values": [float(v) for v in self.values],
-        }
+    @property
+    def atoms(self) -> list[list[float]]:
+        """The atoms as [location, mass] pairs of Python floats."""
+        return [[l, m] for l, m in zip(self.atom_locations.tolist(),
+                                        self.atom_masses.tolist())]
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+    def to_dict(self) -> dict:
+        return {"atoms": self.atoms, "grid": self.grid.tolist(),
+                "values": self.values.tolist()}
 
     def __repr__(self) -> str:
         return (f"SpectralMeasure(atoms={self.atom_locations.size}, "
@@ -289,18 +289,39 @@ def moment(measure: SpectralMeasure, k: int) -> float:
 # file round-trips
 # ---------------------------------------------------------------------------
 
-def write_density_csv(measure: SpectralMeasure, path) -> None:
+# json's spellings of the floats whose repr it does not write
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def density_columns(measure: SpectralMeasure) -> tuple[list[str], list[str]]:
+    """The repr of every grid node and of every density value, the text
+    that both `write_density_csv` and `save_measure_json` write."""
+    return (list(map(repr, measure.grid.tolist())),
+            list(map(repr, measure.values.tolist())))
+
+
+def write_density_csv(measure: SpectralMeasure, path, columns=None) -> bytes:
     """Write the density part as a two-column CSV (lambda, rho).
 
     Each row is two `repr` floats ending in CRLF, the bytes `csv.writer`
-    writes for them.
+    writes for them. `columns` is `density_columns(measure)`, for a
+    caller that already holds it. Returns the bytes written.
     """
-    rows = "".join(f"{x!r},{v!r}\r\n" for x, v in
-                   zip(measure.grid.tolist(), measure.values.tolist()))
-    with open(path, "w", newline="") as fh:
-        fh.write("lambda,rho\r\n" + rows)
+    grid, values = density_columns(measure) if columns is None else columns
+    data = ("lambda,rho\r\n"
+            + "".join(map("{},{}\r\n".format, grid, values))).encode()
+    Path(path).write_bytes(data)
+    return data
 
 
-def save_measure_json(measure: SpectralMeasure, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(measure.to_json())
+def save_measure_json(measure: SpectralMeasure, path, columns=None) -> bytes:
+    """Write `json.dumps(measure.to_dict(), sort_keys=True)`, built from
+    `columns` as in `write_density_csv`. Returns the bytes written."""
+    grid, values = density_columns(measure) if columns is None else columns
+    text = '{"atoms": %s, "grid": [%s], "values": [%s]}' % (
+        json.dumps(measure.atoms),
+        ", ".join(map(_JSON_SPELLING.get, grid, grid)),
+        ", ".join(map(_JSON_SPELLING.get, values, values)))
+    data = text.encode()
+    Path(path).write_bytes(data)
+    return data

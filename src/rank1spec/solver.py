@@ -10,11 +10,13 @@ with isotropic vectors Y_a. The limit's Stieltjes transform f solves
 where f0 is the transform of the limiting spectrum of H0. The solver
 runs continuation from high in the upper half-plane down to the target
 smoothing height, a quarter of the height at a time, solving every grid
-point at once at each height. Each stage after the first starts from the
-Euler predictor f + i*(eps_next - eps)*df/dz, with df/dz taken from the
-derivatives the previous stage's last evaluation already holds (Allgower
-& Georg, Numerical Continuation Methods, 1990). Each update is a Newton
-step on f - f0(z + shift(f)); where that step is not finite or leaves the
+point at once at each height. Each stage after the first starts from a
+predictor in eps (Allgower & Georg, Numerical Continuation Methods,
+1990): the Euler step f + i*(eps_next - eps)*df/dz at the second stage,
+and the cubic Hermite extrapolation through the last two stages at the
+later ones, with df/dz taken from the derivatives each stage's last
+evaluation already holds. Each update is a Newton step on
+f - f0(z + shift(f)); where that step is not finite or leaves the
 Stieltjes class (Im f * Im z >= 0), the point takes a damped Picard step
 instead.
 """
@@ -22,7 +24,7 @@ instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -58,7 +60,8 @@ class ModelSpec:
 class SolverOptions:
     """Solver controls.
 
-    tol is the residual |f - f0(z + shift(f))| at which a point stops.
+    tol is the residual |f - f0(z + shift(f))| at which a point stops at
+    eps_final; the stages above it stop at max(tol, sqrt(tol)).
     max_iter bounds the updates of each point at each continuation stage.
     eps_final is the smoothing height of the returned transform.
 
@@ -164,16 +167,29 @@ def solve_mpe_at(z: complex, model: ModelSpec,
     return complex(stage.f[0])
 
 
+def _hermite(eps: float, e0: float, f0, d0, e1: float, f1, d1):
+    """The cubic in eps through f0 at e0 and f1 at e1 with slopes d0 and
+    d1 there, evaluated at eps."""
+    h = e1 - e0
+    t = (eps - e0) / h
+    return (((2.0 * t - 3.0) * t * t + 1.0) * f0 + (t - 1.0) ** 2 * t * h * d0
+            + (3.0 - 2.0 * t) * t * t * f1 + (t - 1.0) * t * t * h * d1)
+
+
 def solve_mpe_grid(lambdas, model: ModelSpec,
                    opts: SolverOptions | None = None):
     """Solve along a real grid with smoothing-height continuation.
 
     Every grid point starts from f0 at the first height of
     `opts.eps_schedule` and is solved at lambda + i*eps down that ladder
-    to eps_final, one array solve per stage. Each later stage starts from
-    the previous stage's f moved along its tangent,
-    f + i*(eps_next - eps)*df/dz, or from f itself where that is not
-    finite.
+    to eps_final, one array solve per stage. Along the ladder
+    df/deps = i*df/dz, which each stage returns. The second stage starts
+    from the previous stage's f moved along that tangent; each later one
+    from the cubic Hermite extrapolation through the last two stages' f
+    and df/deps. Where the start is not finite, the stage starts from
+    the previous stage's f. Every stage but the last stops each point at
+    residual max(tol, sqrt(tol)), since the next stage moves f by more
+    than that; the last stops it at tol.
 
     Returns (f, iterations, report): the complex f(lambda + i*eps_final)
     array and the per-point update totals over all stages, both shaped
@@ -182,18 +198,25 @@ def solve_mpe_grid(lambdas, model: ModelSpec,
     opts = opts or SolverOptions()
     lambdas = np.asarray(lambdas, dtype=float)
     schedule = opts.eps_schedule(model.sigma)
+    loose = replace(opts, tol=max(opts.tol, math.sqrt(opts.tol)))
     n0 = model.n0
     nodes = base_nodes(n0.atom_locations, n0.atom_masses, n0.grid, n0.values)
     lam = lambdas.ravel()
     f = stieltjes_of_measure(n0, lam + 1j * schedule[0])
     iterations = np.zeros(lam.size, dtype=np.int64)
     updates, fallbacks = [], 0
+    prev = stage = None
     for k, eps in enumerate(schedule):
+        if k == 1:
+            guess = f + 1j * (eps - schedule[0]) * stage.dfdz
+        elif k:
+            guess = _hermite(eps, schedule[k - 2], prev.f, 1j * prev.dfdz,
+                             schedule[k - 1], f, 1j * stage.dfdz)
         if k:
-            guess = f + 1j * (eps - schedule[k - 1]) * stage.dfdz
             f = np.where(np.isfinite(guess), guess, f)
-        stage = _solve_stage(lam + 1j * eps, f, model.c, model.sigma,
-                             nodes, opts)
+        prev, stage = stage, _solve_stage(
+            lam + 1j * eps, f, model.c, model.sigma, nodes,
+            opts if k == len(schedule) - 1 else loose)
         f = stage.f
         iterations += stage.iters
         updates.append(stage.updates)

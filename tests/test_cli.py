@@ -1,6 +1,9 @@
+import csv
 import hashlib
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +14,9 @@ import pytest
 from rank1spec import cli, ensemble, solver, verify
 from rank1spec.cli import main, parse_grid, parse_measure_atoms, parse_sigma
 from rank1spec.ensemble import read_spectrum_csv
-from rank1spec.measures import SpectralMeasure
+from rank1spec.measures import (SpectralMeasure, density_columns,
+                                save_measure_json, write_density_csv)
+from test_readme import command_lines
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -275,7 +280,8 @@ def test_zero_seeds_or_trials_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv,message", [
+# one malformed flag value per row, and the message its exit 2 prints
+MALFORMED = [
     (["density", "--c", 1, "--grid", "0:1"], "expected a:b:count"),
     (["density", "--c", 1, "--grid", "0:1:x"], "expected a:b:count"),
     (["compare", "--c", 0.5, "--grid", "0:1:10", "--dims", "16,x"],
@@ -328,7 +334,15 @@ def test_zero_seeds_or_trials_exits_2(tmp_path, capsys, argv):
     (["verify", "--check", "tail", "--n", 4, "--samples", 10,
       "--t-values", "1,inf"], "--t-values must be finite, got inf"),
     (["density", "--c", 1, "--grid", "0.1:3:5", "--n0", "atoms:0:1.5"],
-     "n0 must be a probability measure")])
+     "n0 must be a probability measure"),
+    # the inertia matrix overflows, and its eigenvalues are NaN
+    (["verify", "--check", "counting-var", "--n", 4, "--m", 2, "--trials", 3,
+      "--h0", "diag:-1,-1,1,1", "--interval=-0.5,0.5", "--sigma",
+      "atoms:1e300:1"], "inertia eigensolve returned non-finite eigenvalues"),
+]
+
+
+@pytest.mark.parametrize("argv,message", MALFORMED)
 def test_malformed_flag_value_exits_2(tmp_path, capsys, monkeypatch, argv,
                                       message):
     def no_spectrum(*args, **kwargs):
@@ -554,6 +568,143 @@ def test_verify_failure_exits_3(tmp_path, monkeypatch):
     rc = run(["verify", "--check", "counting-var", "--n", 10, "--m", 5,
               "--trials", 5, "--out", tmp_path / "v"])
     assert rc == 3
+
+
+# ---------------------------------------------------------------------------
+# the one-subcommand parser
+# ---------------------------------------------------------------------------
+
+def parsed_by_both(argv, capsys):
+    """What the full parser and `main`'s parser for argv[0] make of argv:
+    the namespace or the exit code, with what each printed."""
+    argv = cli._apply_config([str(a) for a in argv])
+    results = []
+    for parser in (cli.build_parser(), cli.build_parser(argv[0])):
+        try:
+            # repr, so that a NaN flag value compares equal
+            outcome = repr(vars(parser.parse_args(argv)))
+        except SystemExit as exc:
+            outcome = exc.code
+        results.append((outcome, *capsys.readouterr()))
+    return results
+
+
+def verify_row_argv(check):
+    """A verify run passing every flag of the check's VERIFY_CHECKS row."""
+    argv = ["verify", "--check", check, "--law", "gauss", "--seed", 4]
+    for flag in cli.VERIFY_CHECKS[check]:
+        argv += [f"--{flag.replace('_', '-')}", VERIFY_VALUES[flag]]
+    return argv
+
+
+def test_one_subcommand_parser_reads_argv_as_the_full_parser(tmp_path,
+                                                            capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("c=1.0\ngrid=0.1:3.9:50\ntol=1e-8\n")
+    sim_cfg = tmp_path / "sim.cfg"
+    sim_cfg.write_text("# comment\n\nn=30\nm=15\nseed=9\n")
+    cases = [shlex.split(line)[1:] for line in command_lines()]
+    cases += [verify_row_argv(check) for check in cli.VERIFY_CHECKS]
+    cases += [["verify", "--check", check, *VERIFY_RUNS[check]]
+              for check in cli.VERIFY_CHECKS]
+    cases += [["density", "--config", cfg, "--grid", "0.1:3.9:10"],
+              ["simulate", "--config", sim_cfg, "--n", 4]]
+    cases += [argv for argv, _ in MALFORMED]
+    # errors that argparse reports, from the subcommand's parser and from
+    # the top-level one
+    cases += [["density"], ["density", "--c", "x", "--grid", "0:1:3"],
+              ["density", "--c", 1, "--grid", "0:1:3", "--bogus", 2],
+              ["density", "--c", 1, "--grid", "0:1:3", "--n0", "atoms:0:1",
+               "--h0-spectrum", "eig.csv"],
+              ["verify", "--check", "nope"], ["simulate", "--n", 4]]
+    parsed = 0
+    for argv in cases:
+        full, one = parsed_by_both(argv, capsys)
+        assert one == full, argv
+        parsed += isinstance(full[0], str)
+    assert parsed == len(cases) - 6
+
+
+@pytest.mark.parametrize("argv", [[], ["nope"], ["-h"], ["--help"],
+                                  ["--c", "1"]])
+def test_missing_or_unknown_subcommand_reads_as_before(capsys, argv):
+    try:
+        want = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        want = exc.code
+    printed = capsys.readouterr()
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert got == want
+    assert capsys.readouterr() == printed
+
+
+@pytest.mark.parametrize("command", [None, *cli.SUBCOMMANDS])
+def test_help_text_of_every_parser(capsys, command):
+    argv = ["--help"] if command is None else [command, "--help"]
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == 0
+    want = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == want
+    if command is None:
+        assert "{density,simulate,compare,verify}" in want
+    else:
+        assert want.startswith(f"usage: rank1spec {command} [-h]")
+
+
+# ---------------------------------------------------------------------------
+# the write path
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("atoms", [[], [(-1.0, 0.25), (0.0, 0.125)]])
+def test_measure_json_bytes_are_those_of_json_dumps(tmp_path, atoms):
+    grid = np.array([-1e300, -2.5, -1e-300, 0.0, 5e-324, 0.1, 1e22])
+    values = np.array([np.nan, 0.0, np.inf, 5e-324, 1.0 / 3.0, 2.5e16,
+                       2.2250738585072014e-308])
+    m = SpectralMeasure(atoms=atoms, grid=grid, values=values)
+    want = json.dumps(m.to_dict(), sort_keys=True).encode()
+    path = tmp_path / "measure.json"
+    assert save_measure_json(m, path) == want
+    assert path.read_bytes() == want
+    assert b"NaN" in want and b"Infinity" in want
+    # from the columns the density CSV is written from, too
+    columns = density_columns(m)
+    assert save_measure_json(m, path, columns) == want
+    assert path.read_bytes() == want
+
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["lambda", "rho"])
+    for x, v in zip(grid, values):
+        writer.writerow([repr(float(x)), repr(float(v))])
+    csv_path = tmp_path / "density.csv"
+    assert write_density_csv(m, csv_path, columns) == buf.getvalue().encode()
+    assert csv_path.read_bytes() == buf.getvalue().encode()
+    assert b"nan" in csv_path.read_bytes() and b"inf" in csv_path.read_bytes()
+
+
+# test_density_manifest_hashes_verify covers density
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", 12, "--m", 6, "--trials", 2, "--bins", 5],
+    ["compare", "--c", 0.5, "--grid", "0.02:3.2:50", "--dims", "16,32",
+     "--seeds", 2],
+    ["verify", "--check", "gram", "--n", 20, "--m", 10]],
+    ids=["simulate", "compare", "verify"])
+def test_manifest_hashes_are_those_of_the_files_on_disk(tmp_path, argv):
+    out = tmp_path / "o"
+    assert run(argv + ["--out", out]) in (0, 3)
+    outputs = manifest(out)["outputs"]
+    assert {entry["path"] for entry in outputs} == {
+        p.name for p in out.iterdir()} - {"manifest.json"}
+    for entry in outputs:
+        digest = hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest()
+        assert digest == entry["sha256"]
 
 
 # ---------------------------------------------------------------------------

@@ -139,22 +139,25 @@ def same_bits(got, want):
 @pytest.mark.parametrize("rows", [1, 7, 400])
 @pytest.mark.parametrize("width", range(1, 7))
 def test_row_reductions_match_numpy(rows, width):
-    # the kernels' results must not move when numpy's reduction order does
+    # the kernels' sums over nodes and atoms, narrow ones added a column at
+    # a time, must keep the bits of numpy's row sums on any input
     rng = np.random.default_rng(100 * rows + width)
-    a = awkward_complex(rng, (rows, width))
-    with np.errstate(invalid="ignore"):
-        want = a.sum(axis=1)
-        got = _kernels._row_sum(a)
-        # narrow temporaries are column-major; their sums must not move
-        got_f = _kernels._row_sum(np.asfortranarray(a))
-    assert np.array_equal(got, want, equal_nan=True)
-    assert same_bits(got, want)
-    if width <= _kernels.SMALL_WIDTH:
-        assert same_bits(got_f, want)
-    flags = rng.random((rows, width)) < 0.3
-    assert np.array_equal(_kernels._row_any(flags), flags.any(axis=1))
-    assert np.array_equal(_kernels._row_any(np.zeros_like(flags)),
-                          np.zeros(rows, dtype=bool))
+    w = awkward_complex(rng, rows)
+    loc = rng.choice([-1.0, 1.0], width) * 10.0 ** rng.uniform(-8, 8, width)
+    mass = np.where(rng.random(width) < 0.3, 0.0, rng.random(width))
+    tau = np.where(rng.random(width) < 0.2, 0.0, rng.uniform(-2.0, 2.0, width))
+    tw = tau * rng.random(width)
+    with np.errstate(all="ignore"):
+        r = 1.0 / (loc - w[:, None])
+        g, dg = _kernels.base_transform(w, loc, mass)
+        assert same_bits(g, (r * mass).sum(axis=1))
+        assert same_bits(dg, (r * mass * r).sum(axis=1))
+        den = 1.0 + w[:, None] * tau
+        inv = 1.0 / den
+        shift, dshift, pole = _kernels.shift_terms(w, tau, tw, 0.7)
+        assert same_bits(shift, -0.7 * (inv * tw).sum(axis=1))
+        assert same_bits(dshift, 0.7 * (inv * tw * inv * tau).sum(axis=1))
+    assert np.array_equal(pole, (np.abs(den) < _kernels.POLE_TOL).any(axis=1))
 
 
 @pytest.mark.parametrize("chunk", [None, 7])

@@ -1,18 +1,27 @@
-"""The layered benchmark's tracer still finds every name it wraps."""
+"""The layered benchmark's tracer still finds every name it wraps, and
+its sweep-count check holds."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 from rank1spec import _kernels, cli, ensemble, measures, samplers, solver, verify
 
-TRACER = Path(__file__).resolve().parent.parent / "layerbench" / "tracer.py"
+LAYERBENCH = Path(__file__).resolve().parent.parent / "layerbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("layerbench_tracer", TRACER)
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(f"layerbench_{name}",
+                                                  LAYERBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer():
+    return load("tracer")
 
 
 def bindings() -> dict:
@@ -39,3 +48,35 @@ def test_tracer_installs_and_restores_every_original():
     assert all(after[key] is before[key] for key in before)
     # the benchmark's machine record reads this flag
     assert isinstance(_kernels.USE_NUMBA, bool)
+
+
+@pytest.mark.parametrize("argv_name", ["MP_ARGV", "SIGNED_ARGV"])
+def test_sweep_count_check_holds(tmp_path, monkeypatch, argv_name):
+    # with --trace 1 the benchmark counts the updates of every
+    # solver.picard_solve call and compares them with the manifest
+    argv = getattr(load("workloads"), argv_name)
+    stages = []
+    kernel = solver.picard_solve
+
+    def counted(*args):
+        stages.append(kernel(*args))
+        return stages[-1]
+
+    monkeypatch.setattr(solver, "picard_solve", counted)
+    args = cli.build_parser().parse_args(argv)
+    model = solver.ModelSpec(c=args.c, sigma=cli.parse_sigma(args.sigma),
+                             n0=cli.parse_measure_atoms(args.n0))
+    opts = cli._solver_options(args)
+    _, iterations, report = solver.solve_mpe_grid(cli.parse_grid(args.grid),
+                                                  model, opts)
+    assert len(stages) == len(opts.eps_schedule(model.sigma))
+    assert (sum(stage.updates for stage in stages) == iterations.sum()
+            == sum(report.updates_per_stage))
+
+    stages.clear()
+    out = tmp_path / "d"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert diag["iterations"] == iterations.tolist()
+    assert sum(stage.updates for stage in stages) == iterations.sum()
+    assert diag["max_residual"] <= opts.tol

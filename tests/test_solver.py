@@ -305,6 +305,35 @@ def test_predicted_ladder_matches_halving_ladder_on_other_bases(tmp_path,
     assert np.max(np.abs(f - ref)) < 1e-8
 
 
+def test_hermite_start_reproduces_a_cubic():
+    # the start of a stage is exact when f is a cubic in eps
+    def f(e):
+        return (0.3 - 0.2j) + (1.5 + 0.5j) * e - 0.7j * e ** 2 + 0.25 * e ** 3
+
+    def slope(e):
+        return (1.5 + 0.5j) - 1.4j * e + 0.75 * e ** 2
+
+    start = solver._hermite(0.0625, 1.0, f(1.0), slope(1.0), 0.25, f(0.25),
+                            slope(0.25))
+    assert abs(start - f(0.0625)) < 1e-14
+
+
+def test_stages_above_the_last_stop_at_sqrt_tol(monkeypatch):
+    tols = []
+    kernel = solver.picard_solve
+
+    def recorded(z, f, tol, *args):
+        tols.append(tol)
+        return kernel(z, f, tol, *args)
+
+    monkeypatch.setattr(solver, "picard_solve", recorded)
+    opts = SolverOptions(tol=1e-12, eps_final=1e-3)
+    _, _, report = solve_mpe_grid(np.linspace(0.1, 3.9, 50), mp_model(1.0),
+                                  opts)
+    assert tols == [1e-6] * (len(report.stages) - 1) + [1e-12]
+    assert report.max_residual <= 1e-12
+
+
 def test_solve_report_accounts_for_every_update():
     grid = np.linspace(-3.0, 3.0, 120)
     opts = SolverOptions(eps_final=1e-5)
