@@ -77,11 +77,17 @@ def parse_atoms(text: str) -> list[tuple[float, float]]:
 
 def parse_sigma(text: str) -> AmplitudeLaw:
     """'atoms:t1:w1,t2:w2,...' -> AmplitudeLaw."""
-    return AmplitudeLaw(parse_atoms(text))
+    try:
+        return AmplitudeLaw(parse_atoms(text))
+    except ValueError as exc:
+        raise ValueError(f"--sigma: {exc}") from None
 
 
 def parse_measure_atoms(text: str) -> SpectralMeasure:
-    return SpectralMeasure(atoms=sorted(parse_atoms(text)))
+    try:
+        return SpectralMeasure(atoms=sorted(parse_atoms(text)))
+    except ValueError as exc:
+        raise ValueError(f"--n0: {exc}") from None
 
 
 def measure_from_spectrum_file(path: str) -> SpectralMeasure:
@@ -99,11 +105,14 @@ def parse_pair(text: str) -> tuple[float, float]:
         raise ValueError(f"expected a,b, got {text!r}") from None
 
 
-def parse_int_list(text: str) -> list[int]:
+def parse_dims(text: str) -> list[int]:
     try:
-        return [int(v) for v in text.split(",")]
+        dims = [int(v) for v in text.split(",")]
     except ValueError:
         raise ValueError(f"expected integers n1,n2,..., got {text!r}") from None
+    if min(dims) < 1:
+        raise ValueError(f"--dims {text!r}: dimensions must be positive")
+    return dims
 
 
 def parse_float_list(text: str) -> list[float]:
@@ -178,9 +187,9 @@ def cmd_density(args) -> int:
     model = ModelSpec(c=args.c, sigma=parse_sigma(args.sigma), n0=n0)
     opts = _solver_options(args)
     grid = parse_grid(args.grid)
-    f_vals, iterations, report = solve_mpe_grid(grid, model, opts)
+    solve = solve_mpe_grid(grid, model, opts)
     # the grid may be a deliberate zoom window, so partial mass is fine
-    measure = limit_density(model, grid, f_vals, require_mass=False)
+    measure = limit_density(model, grid, solve.f, require_mass=False)
     out_dir = _output_dir(args)
     density_path = out_dir / "density.csv"
     measure_path = out_dir / "measure.json"
@@ -188,8 +197,8 @@ def cmd_density(args) -> int:
     outputs = {density_path: write_density_csv(measure, density_path, columns),
                measure_path: save_measure_json(measure, measure_path, columns)}
     diagnostics = {
-        "iterations": iterations.tolist(),
-        **report._asdict(),
+        "iterations": solve.iterations.tolist(),
+        **solve.report._asdict(),
         "atoms": measure.atoms,
         "total_mass": measure.total_mass,
         "probability": measure.probability,
@@ -230,7 +239,7 @@ def cmd_compare(args) -> int:
     opts = _solver_options(args)
     law = VectorLaw.parse(args.law)
     grid = parse_grid(args.grid)
-    report = convergence_study(law, model, parse_int_list(args.dims),
+    report = convergence_study(law, model, parse_dims(args.dims),
                                args.seeds, args.seed, grid, opts)
     out_dir = _output_dir(args)
     json_path = out_dir / "convergence.json"
@@ -292,7 +301,7 @@ def cmd_verify(args) -> int:
             n=args.n, m=args.m, law=law, sigma=AmplitudeLaw([(1.0, 1.0)]),
             h0=H0Zero(), seed=args.seed))
     elif check == "quadform":
-        report = verify_quadratic_form(law, parse_int_list(args.dims),
+        report = verify_quadratic_form(law, parse_dims(args.dims),
                                        args.samples, args.seed)
     elif check == "tail":
         report = verify_norm_tail(law, args.n, args.samples, args.seed,

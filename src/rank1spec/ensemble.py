@@ -140,9 +140,9 @@ class EnsembleConfig:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("n must be positive")
+            raise ValueError(f"n must be positive, got {self.n!r}")
         if self.m < 0:
-            raise ValueError("m must be nonnegative")
+            raise ValueError(f"m must be nonnegative, got {self.m!r}")
         if (not isinstance(self.seed, (int, np.integer))
                 or not 0 <= self.seed < 2 ** 64):
             raise ValueError("seed must be an integer in [0, 2^64)")

@@ -146,21 +146,6 @@ class AmplitudeLaw:
     def max_abs_tau(self) -> float:
         return float(np.max(np.abs(self.tau_values)))
 
-    def truncate(self, threshold: float) -> "AmplitudeLaw":
-        """Send every amplitude with |tau| >= threshold to zero."""
-        keep = np.abs(self.tau_values) < threshold
-        if keep.all():
-            return self
-        moved = float(self.weights[~keep].sum())
-        atoms = [(t, w) for t, w in zip(self.tau_values[keep], self.weights[keep])]
-        zero = [i for i, (t, _) in enumerate(atoms) if t == 0.0]
-        if zero:
-            t, w = atoms[zero[0]]
-            atoms[zero[0]] = (t, w + moved)
-        else:
-            atoms.append((0.0, moved))
-        return AmplitudeLaw(atoms)
-
     def to_dict(self) -> dict:
         return {"atoms": [[float(t), float(w)] for t, w in
                           zip(self.tau_values, self.weights)]}

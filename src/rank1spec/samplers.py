@@ -51,18 +51,18 @@ class VectorLaw:
         text = text.strip()
         if text.startswith("lp:"):
             try:
-                p = float(text[3:])
-            except ValueError:
-                raise ValueError(f"expected lp:p with a number p >= 1, "
-                                 f"got {text!r}") from None
-            return cls("lp", p)
+                return cls("lp", float(text[3:]))
+            except (ValueError, InvalidP) as exc:
+                raise type(exc)(f"expected lp:p with a number p >= 1, "
+                                f"got {text!r}") from None
         return cls(text)
 
     def encode(self) -> str:
-        return f"lp:{self.p:g}" if self.kind == "lp" else self.kind
-
-    def __str__(self) -> str:
-        return self.encode()
+        """The text `parse` reads back as this law: p as :g if that keeps it."""
+        if self.kind != "lp":
+            return self.kind
+        short = f"{self.p:g}"
+        return f"lp:{short if float(short) == self.p else repr(self.p)}"
 
 
 @dataclass(frozen=True)

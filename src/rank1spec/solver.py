@@ -116,6 +116,16 @@ class SolveReport(NamedTuple):
     max_residual: float
 
 
+class Solve(NamedTuple):
+    """f(lambda + i*eps_final), its df/dz and the update totals, each
+    shaped like the grid, and the SolveReport of a grid solve."""
+
+    f: np.ndarray
+    dfdz: np.ndarray
+    iterations: np.ndarray
+    report: SolveReport
+
+
 def _solve_stage(z: np.ndarray, f: np.ndarray, c: float, sigma: AmplitudeLaw,
                  nodes: tuple, opts: SolverOptions) -> Stage:
     """One continuation stage at every point of `z`; raises at the first
@@ -177,7 +187,7 @@ def _hermite(eps: float, e0: float, f0, d0, e1: float, f1, d1):
 
 
 def solve_mpe_grid(lambdas, model: ModelSpec,
-                   opts: SolverOptions | None = None):
+                   opts: SolverOptions | None = None) -> Solve:
     """Solve along a real grid with smoothing-height continuation.
 
     Every grid point starts from f0 at the first height of
@@ -190,10 +200,6 @@ def solve_mpe_grid(lambdas, model: ModelSpec,
     the previous stage's f. Every stage but the last stops each point at
     residual max(tol, sqrt(tol)), since the next stage moves f by more
     than that; the last stops it at tol.
-
-    Returns (f, iterations, report): the complex f(lambda + i*eps_final)
-    array and the per-point update totals over all stages, both shaped
-    like `lambdas`, and the SolveReport.
     """
     opts = opts or SolverOptions()
     lambdas = np.asarray(lambdas, dtype=float)
@@ -221,10 +227,9 @@ def solve_mpe_grid(lambdas, model: ModelSpec,
         iterations += stage.iters
         updates.append(stage.updates)
         fallbacks += stage.fallbacks
-    f, iterations = f.reshape(lambdas.shape), iterations.reshape(lambdas.shape)
     max_residual = float(stage.residual.max()) if lam.size else 0.0
-    return f, iterations, SolveReport(schedule, updates, fallbacks,
-                                      max_residual)
+    return Solve(*(a.reshape(lambdas.shape) for a in (f, stage.dfdz, iterations)),
+                 SolveReport(schedule, updates, fallbacks, max_residual))
 
 
 def limit_density(model: ModelSpec, grid, f_vals,
@@ -232,7 +237,7 @@ def limit_density(model: ModelSpec, grid, f_vals,
     """The limiting spectral measure on a grid, from its solved transform.
 
     `f_vals` is the transform f(lambda + i*eps) on `grid`, as
-    `solve_mpe_grid(grid, model, opts)` returns it; the density is
+    `solve_mpe_grid(grid, model, opts).f` holds it; the density is
     Im f/pi. When n0 is a unit atom at zero, the rank-one sum leaves a
     kernel of relative dimension 1 - c_eff where c_eff = c * (weight of
     nonzero amplitudes); that point mass is added exactly whenever

@@ -19,7 +19,8 @@ import numpy as np
 from .ensemble import (EnsembleConfig, H0Zero, build_matrix, counting_fractions,
                        eigenvalues_sym, gram_counting_relation, gram_matrix,
                        resolvent_traces)
-from .measures import EmpiricalSpectrum, SpectralMeasure, ks_distance
+from .errors import RealAxisEvaluation
+from .measures import EmpiricalSpectrum, ks_distance
 from .samplers import RngLike, RngStream, VectorLaw, as_generator, sample_vectors
 from .solver import ModelSpec, SolverOptions, limit_density, solve_mpe_grid
 
@@ -115,9 +116,9 @@ def verify_stieltjes_variance(config: EnsembleConfig, z: complex, trials: int) -
     """Var of g(z) = Tr(H - z)^(-1)/n against 4m/(n^2 |Im z|^2).
 
     Each trial's g(z) is evaluated on the m x m Woodbury side
-    (`ensemble.resolvent_traces`), without an n x n eigensolve; a real or
-    non-finite z raises RealAxisEvaluation there. An Im z so small that
-    the bound is not finite raises ValueError before any draw.
+    (`ensemble.resolvent_traces`), without an n x n eigensolve. Before
+    any draw, a real or non-finite z raises RealAxisEvaluation, and an
+    Im z so small that the bound is not finite raises ValueError.
     """
     _require_trials(trials)
     z = complex(z)
@@ -126,7 +127,10 @@ def verify_stieltjes_variance(config: EnsembleConfig, z: complex, trials: int) -
     except OverflowError:  # Im z^2 beyond the float range: the bound is 0
         height = math.inf
     bound = 4.0 * config.m / height if height else math.inf
-    if np.isfinite(z) and z.imag != 0.0 and not math.isfinite(bound):
+    if not (np.isfinite(z) and z.imag != 0.0):
+        raise RealAxisEvaluation(f"--z {z.real!r},{z.imag!r}: z must be "
+                                 f"finite with Im z != 0")
+    if not math.isfinite(bound):
         raise ValueError(f"--z {z.real!r},{z.imag!r}: Im z is too small for "
                          f"a finite bound 4m/(n^2 Im z^2)")
     gs = resolvent_traces(config, z, range(trials))
@@ -312,7 +316,7 @@ def isotropy_estimate(law, n: int, samples: int, rng: RngLike,
     if math.isinf(max_ratio):
         max_ratio = None
     return Report(
-        kind="isotropy", params={"law": str(law), "n": n, "samples": samples},
+        kind="isotropy", params={"law": law.encode(), "n": n, "samples": samples},
         estimate=max_ratio, bound=ISOTROPY_RATIO_BOUND, se=0.0,
         passed=passed,
         detail={"mean_norm": mean_norm,
@@ -353,11 +357,8 @@ def convergence_study(law: VectorLaw, model: ModelSpec, dims, seeds: int,
     if h0_factory is None and not model.n0.is_point_mass_at(0.0):
         raise ValueError("without an h0_factory the ensembles have H0 = 0, "
                          "so n0 must be the unit atom at zero")
-    if model.c == 0.0:
-        reference: SpectralMeasure = model.n0
-    else:
-        f_vals, _, _ = solve_mpe_grid(grid, model, opts)
-        reference = limit_density(model, grid, f_vals)
+    reference = (model.n0 if model.c == 0.0 else
+                 limit_density(model, grid, solve_mpe_grid(grid, model, opts).f))
     rows = []
     for n in [int(d) for d in dims]:
         m = int(round(model.c * n))

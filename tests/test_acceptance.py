@@ -89,7 +89,7 @@ def test_criterion_03_mass_accounting(criterion):
                       "unit total mass, and y|f(iy)| -> 1"):
         grid = np.linspace(0.01, 3.99, 400)
         meas = limit_density(mp_model(0.25), grid,
-                             solve_mpe_grid(grid, mp_model(0.25))[0])
+                             solve_mpe_grid(grid, mp_model(0.25)).f)
         assert meas.to_dict()["atoms"] == [[0.0, 0.75]]
         assert abs(meas.total_mass - 1.0) <= 5e-3
         assert meas.probability

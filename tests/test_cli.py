@@ -156,7 +156,7 @@ def test_density_solves_grid_once(tmp_path, monkeypatch):
                              n0=parse_measure_atoms("atoms:0:1"))
     opts = solver.SolverOptions()
     grid = parse_grid("0.01:3.99:60")
-    fresh = solver.limit_density(model, grid, solve(grid, model, opts)[0],
+    fresh = solver.limit_density(model, grid, solve(grid, model, opts).f,
                                  require_mass=False)
     reused = SpectralMeasure(**json.loads((out / "measure.json").read_text()))
     assert np.array_equal(reused.atom_locations, fresh.atom_locations)
@@ -376,6 +376,96 @@ def test_infinite_estimates_are_written_as_null(tmp_path, argv, code):
     assert report["estimate"] is None
     assert report.get("max_ratio") is None
     assert report["pass"] == (code == 0)
+
+
+# Each bad value takes the place of `{}` in a flag's template, one flag
+# at a time, on a small base run of each subcommand and verify check.
+# --max-iter 200 stops an unreachable --tol such as 1e-300 from running
+# the default 100,000 updates per point.
+SWEEP_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "", "x"]
+SOLVE_FLAGS = {"--sigma": ["atoms:{}:1", "atoms:1:{}"],
+               "--grid": ["{}:3.5:5", "0.5:{}:5", "0.5:3.5:{}"],
+               "--eps-final": ["{}"], "--tol": ["{}"], "--max-iter": ["{}"]}
+LAW_FLAGS = {"--law": ["{}", "lp:{}"], "--seed": ["{}"]}
+ENSEMBLE_FLAGS = {"--n": ["{}"], "--m": ["{}"],
+                  "--sigma": ["atoms:{}:1", "atoms:1:{}"],
+                  "--h0": ["diag:-1,-1,1,{}"], "--trials": ["{}"], **LAW_FLAGS}
+SWEEP = [
+    (["density", "--c", "1", "--grid", "0.5:3.5:5", "--max-iter", "200"],
+     {"--c": ["{}"], **SOLVE_FLAGS, "--n0": ["atoms:{}:1", "atoms:0:{}"]}),
+    (["simulate", "--n", "4", "--m", "2", "--trials", "2", "--bins", "5"],
+     {**ENSEMBLE_FLAGS, "--bins": ["{}"]}),
+    (["compare", "--c", "0.25", "--grid", "0.01:2.3:5", "--dims", "4,8",
+      "--seeds", "2", "--max-iter", "200"],
+     {"--c": ["{}"], **SOLVE_FLAGS, **LAW_FLAGS, "--dims": ["4,{}"],
+      "--seeds": ["{}"]}),
+    (["verify", "--check", "counting-var", "--n", "4", "--m", "2",
+      "--trials", "3"],
+     {**ENSEMBLE_FLAGS, "--interval": ["{},2.25", "0.25,{}"]}),
+    (["verify", "--check", "stieltjes-var", "--n", "4", "--m", "2",
+      "--trials", "3"], {**ENSEMBLE_FLAGS, "--z": ["{},1", "0,{}"]}),
+    (["verify", "--check", "gram", "--n", "4", "--m", "2"],
+     {"--n": ["{}"], "--m": ["{}"], **LAW_FLAGS}),
+    (["verify", "--check", "quadform", "--dims", "4,8", "--samples", "10"],
+     {"--dims": ["4,{}"], "--samples": ["{}"], **LAW_FLAGS}),
+    (["verify", "--check", "tail", "--n", "4", "--samples", "10"],
+     {"--n": ["{}"], "--samples": ["{}"], "--t-values": ["1,{}"],
+      **LAW_FLAGS}),
+    (["verify", "--check", "isotropy", "--n", "4", "--samples", "10"],
+     {"--n": ["{}"], "--samples": ["{}"], **LAW_FLAGS}),
+]
+
+
+def sweep_cases():
+    for base, flags in SWEEP:
+        for flag, templates in flags.items():
+            for template in templates:
+                for value in SWEEP_VALUES:
+                    # compare makes m = round(c * n) for each dimension
+                    if base[0] == "compare" and flag == "--c" and value in (
+                            "inf", "1e300"):
+                        continue
+                    text = template.format(value)
+                    argv = list(base)
+                    if flag in argv:
+                        argv[argv.index(flag) + 1] = text
+                    else:
+                        argv += [flag, text]
+                    yield argv, flag, text
+
+
+def test_exit_code_sweep(tmp_path, capsys):
+    # every bad value exits 0, 2 or 3; an exit of 2 names the flag or its
+    # text, or is a solver failure or a mass deficit, which carry their
+    # own messages, and writes no --out directory; every JSON written
+    # is strict
+    faults = []
+    for i, (argv, flag, text) in enumerate(sweep_cases()):
+        out = tmp_path / str(i)
+        try:
+            code = run(argv + ["--out", out])
+        except SystemExit as exc:  # argparse rejected the value
+            code = exc.code
+        err = capsys.readouterr().err
+        if code not in (0, 2, 3):
+            faults.append((argv, f"exit {code}"))
+        elif code == 2:
+            if out.exists():
+                faults.append((argv, "wrote --out"))
+            # a flag of two or more letters may be named without its dashes
+            named = (flag in err or len(flag) > 3 and flag[2:] in err
+                     or repr(text) in err or text and text in err)
+            if not (named or err.startswith(
+                    ("solver failed at lambda=", "error: recovered mass"))):
+                faults.append((argv, err))
+        else:
+            for path in out.glob("*.json"):
+                try:
+                    json.loads(path.read_text(), parse_constant=reject_constant)
+                except ValueError as exc:
+                    faults.append((argv, f"{path.name}: {exc}"))
+    assert i > 600
+    assert faults == []
 
 
 def test_failed_eigensolve_exits_2(tmp_path, capsys, monkeypatch):

@@ -67,11 +67,11 @@ def test_sweep_count_check_holds(tmp_path, monkeypatch, argv_name):
     model = solver.ModelSpec(c=args.c, sigma=cli.parse_sigma(args.sigma),
                              n0=cli.parse_measure_atoms(args.n0))
     opts = cli._solver_options(args)
-    _, iterations, report = solver.solve_mpe_grid(cli.parse_grid(args.grid),
-                                                  model, opts)
+    solve = solver.solve_mpe_grid(cli.parse_grid(args.grid), model, opts)
+    iterations = solve.iterations
     assert len(stages) == len(opts.eps_schedule(model.sigma))
     assert (sum(stage.updates for stage in stages) == iterations.sum()
-            == sum(report.updates_per_stage))
+            == sum(solve.report.updates_per_stage))
 
     stages.clear()
     out = tmp_path / "d"

@@ -22,6 +22,16 @@ def test_law_parse_encode_roundtrip():
         assert VectorLaw.parse(law.encode()) == law
 
 
+@pytest.mark.parametrize("p, text", [
+    (3.0000001, "lp:3.0000001"), (1.23456789, "lp:1.23456789"),
+    (1.0 + 2.0 ** -52, "lp:1.0000000000000002"), (1e300, "lp:1e+300"),
+    (1.0, "lp:1"), (1.5, "lp:1.5")])
+def test_law_encode_keeps_every_digit_of_p(p, text):
+    law = VectorLaw("lp", p)
+    assert law.encode() == text
+    assert VectorLaw.parse(law.encode()) == law
+
+
 def test_law_parse_rejects_garbage():
     with pytest.raises(ValueError):
         VectorLaw.parse("banana")

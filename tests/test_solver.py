@@ -168,11 +168,11 @@ def test_grid_solver_matches_pointwise():
     model = mp_model(0.5)
     grid = np.linspace(0.5, 2.5, 9)
     opts = SolverOptions(eps_final=1e-4)
-    vals, iters, _ = solve_mpe_grid(grid, model, opts)
-    assert vals.shape == grid.shape
-    assert iters.shape == grid.shape
-    assert np.all(iters >= 1)
-    for lam, f in zip(grid, vals):
+    solve = solve_mpe_grid(grid, model, opts)
+    assert solve.f.shape == grid.shape
+    assert solve.iterations.shape == grid.shape
+    assert np.all(solve.iterations >= 1)
+    for lam, f in zip(grid, solve.f):
         direct = solve_mpe_at(lam + 1e-4j, model)
         assert abs(f - direct) < 1e-8
 
@@ -180,10 +180,36 @@ def test_grid_solver_matches_pointwise():
 def test_grid_solver_matches_oracle_on_fine_grid():
     # the convergence study's limit: 3000 points down to eps = 1e-5
     grid = np.linspace(0.02, 3.2, 3000)
-    vals, _, _ = solve_mpe_grid(grid, mp_model(0.5),
-                                SolverOptions(eps_final=1e-5))
+    vals = solve_mpe_grid(grid, mp_model(0.5),
+                          SolverOptions(eps_final=1e-5)).f
     oracle = np.array([mp_stieltjes_oracle(lam + 1e-5j, 0.5) for lam in grid])
     assert np.max(np.abs(vals - oracle)) < 1e-8
+
+
+@pytest.mark.parametrize("eps_final", [1e-2, 1e-4])
+@pytest.mark.parametrize("c", [0.25, 0.5, 1.0, 2.0])
+def test_grid_solver_dfdz_matches_the_exact_derivative(c, eps_final):
+    # differentiating z f^2 + (z - c + 1) f + 1 = 0 gives
+    # f' = -(f^2 + f) / (2 z f + z - c + 1)
+    grid = np.linspace(0.05, 5.0, 300)
+    solve = solve_mpe_grid(grid, mp_model(c),
+                           SolverOptions(eps_final=eps_final))
+    z = grid + 1j * eps_final
+    f = solve.f
+    exact = -(f * f + f) / (2.0 * z * f + z - c + 1.0)
+    assert np.max(np.abs(solve.dfdz - exact)
+                  / np.maximum(1.0, np.abs(exact))) <= 1e-7
+
+
+def test_grid_solver_keeps_the_shape_of_lambdas():
+    grid = np.linspace(0.05, 5.0, 20)
+    flat = solve_mpe_grid(grid, mp_model(0.5))
+    shaped = solve_mpe_grid(grid.reshape(4, 5), mp_model(0.5))
+    for name in ("f", "dfdz", "iterations"):
+        got = getattr(shaped, name)
+        assert got.shape == (4, 5)
+        assert np.array_equal(got.ravel(), getattr(flat, name))
+    assert shaped.report == flat.report
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +246,7 @@ def test_grid_solver_ends_at_eps_final_above_ladder_start():
     opts = SolverOptions(eps_final=50.0)
     assert opts.eps_schedule(AmplitudeLaw([(1.0, 1.0)])) == [50.0]
     grid = np.array([0.5, 2.0, 4.0])
-    vals, _, _ = solve_mpe_grid(grid, mp_model(1.0), opts)
+    vals = solve_mpe_grid(grid, mp_model(1.0), opts).f
     oracle = [mp_stieltjes_oracle(lam + 50j, 1.0) for lam in grid]
     assert np.max(np.abs(vals - oracle)) < 1e-9
 
@@ -267,7 +293,7 @@ def spectrum_file_base(path) -> SpectralMeasure:
 def test_predicted_ladder_matches_halving_ladder_on_mp(c):
     grid = np.linspace(0.01, (1.0 + c ** 0.5) ** 2 + 1.0, 300)
     opts = SolverOptions()
-    f, _, _ = solve_mpe_grid(grid, mp_model(c), opts)
+    f = solve_mpe_grid(grid, mp_model(c), opts).f
     ref, _ = halving_ladder(grid, mp_model(c), opts)
     assert np.max(np.abs(f - ref)) < 1e-8
 
@@ -276,13 +302,13 @@ def test_predicted_ladder_matches_halving_ladder_on_mp(c):
 def test_predicted_ladder_halves_updates_on_two_sided_model(eps_final):
     grid = np.linspace(-3.0, 3.0, 600)
     opts = SolverOptions(eps_final=eps_final)
-    f, iterations, _ = solve_mpe_grid(grid, two_sided(), opts)
+    solve = solve_mpe_grid(grid, two_sided(), opts)
     ref, ref_updates = halving_ladder(grid, two_sided(), opts)
-    assert np.max(np.abs(f - ref)) < 1e-8
-    assert iterations.sum() <= 0.6 * ref_updates
+    assert np.max(np.abs(solve.f - ref)) < 1e-8
+    assert solve.iterations.sum() <= 0.6 * ref_updates
     # the predictor, not only the wider ladder, saves updates
     _, restart_updates = halving_ladder(grid, two_sided(), opts, factor=0.25)
-    assert iterations.sum() <= 0.9 * restart_updates
+    assert solve.iterations.sum() <= 0.9 * restart_updates
 
 
 @pytest.mark.parametrize("base", ["delta0", "file"])
@@ -300,7 +326,7 @@ def test_predicted_ladder_matches_halving_ladder_on_other_bases(tmp_path,
                           n0=SpectralMeasure(atoms=[(0.0, 1.0)]))
         grid = np.linspace(-8.0, 4.0, 400)
     opts = SolverOptions()
-    f, _, _ = solve_mpe_grid(grid, model, opts)
+    f = solve_mpe_grid(grid, model, opts).f
     ref, _ = halving_ladder(grid, model, opts)
     assert np.max(np.abs(f - ref)) < 1e-8
 
@@ -328,8 +354,8 @@ def test_stages_above_the_last_stop_at_sqrt_tol(monkeypatch):
 
     monkeypatch.setattr(solver, "picard_solve", recorded)
     opts = SolverOptions(tol=1e-12, eps_final=1e-3)
-    _, _, report = solve_mpe_grid(np.linspace(0.1, 3.9, 50), mp_model(1.0),
-                                  opts)
+    report = solve_mpe_grid(np.linspace(0.1, 3.9, 50), mp_model(1.0),
+                            opts).report
     assert tols == [1e-6] * (len(report.stages) - 1) + [1e-12]
     assert report.max_residual <= 1e-12
 
@@ -337,15 +363,16 @@ def test_stages_above_the_last_stop_at_sqrt_tol(monkeypatch):
 def test_solve_report_accounts_for_every_update():
     grid = np.linspace(-3.0, 3.0, 120)
     opts = SolverOptions(eps_final=1e-5)
-    f, iterations, report = solve_mpe_grid(grid, two_sided(), opts)
+    solve = solve_mpe_grid(grid, two_sided(), opts)
+    report = solve.report
     assert report.stages == opts.eps_schedule(two_sided().sigma)
-    assert sum(report.updates_per_stage) == iterations.sum()
+    assert sum(report.updates_per_stage) == solve.iterations.sum()
     assert len(report.updates_per_stage) == len(report.stages)
     assert report.fallbacks >= 0
     assert 0.0 <= report.max_residual <= opts.tol
-    plain, plain_iterations, _ = solve_mpe_grid(grid, two_sided(), opts)
-    assert np.array_equal(plain, f)
-    assert np.array_equal(plain_iterations, iterations)
+    again = solve_mpe_grid(grid, two_sided(), opts)
+    assert np.array_equal(again.f, solve.f)
+    assert np.array_equal(again.iterations, solve.iterations)
 
 
 def half_aspect(sig: AmplitudeLaw) -> ModelSpec:
@@ -356,7 +383,9 @@ def test_truncation_noop_above_support():
     sig = AmplitudeLaw([(0.5, 0.4), (2.0, 0.6)])
     z = 0.7 + 0.01j
     plain = solve_mpe_at(z, half_aspect(sig))
-    cut = solve_mpe_at(z, half_aspect(sig.truncate(5.0)))
+    # a cut above every |tau| moves no weight to zero
+    cut = solve_mpe_at(z, half_aspect(
+        AmplitudeLaw([(0.5, 0.4), (2.0, 0.6), (0.0, 0.0)])))
     assert abs(plain - cut) < 1e-6
 
 
@@ -364,7 +393,8 @@ def test_truncation_active_changes_model():
     sig = AmplitudeLaw([(0.5, 0.5), (3.0, 0.5)])
     z = 1.0 + 0.1j
     plain = solve_mpe_at(z, half_aspect(sig))
-    cut = solve_mpe_at(z, half_aspect(sig.truncate(1.0)))
+    # the cut at 1 sends the amplitude 3 to zero
+    cut = solve_mpe_at(z, half_aspect(AmplitudeLaw([(0.5, 0.5), (0.0, 0.5)])))
     assert abs(plain - cut) > 1e-3
 
 
@@ -374,7 +404,7 @@ def test_truncation_active_changes_model():
 
 def solved_density(model, grid, opts=None, **kwargs):
     """limit_density on the grid's solved transform."""
-    return limit_density(model, grid, solve_mpe_grid(grid, model, opts)[0],
+    return limit_density(model, grid, solve_mpe_grid(grid, model, opts).f,
                          **kwargs)
 
 
