@@ -4,9 +4,9 @@ Subcommands: density (solve the limit on a grid), simulate (finite-n
 ensembles), compare (convergence of H0 = 0 ensembles to the limit with
 a unit atom at zero as base), verify (concentration, isotropy and Gram
 duality checks). Each subcommand takes only the flags it reads; a verify
-check reads `--law`, `--seed` and the flags of its VERIFY_CHECKS row. A
-`--config` file holds flat key=value pairs named after the long flags;
-explicit flags override it. Every command writes a manifest.json
+check reads `--law`, `--seed` and the flags of its VERIFY_CHECKS row.
+The solver's stop residuals and update budget are constants of the
+solver module, not flags. Every command writes a manifest.json
 recording flags, seed, and sha256 of outputs, and reruns are
 byte-identical.
 
@@ -91,10 +91,17 @@ def parse_measure_atoms(text: str) -> SpectralMeasure:
 
 
 def measure_from_spectrum_file(path: str) -> SpectralMeasure:
-    values = read_spectrum_csv(path).eigenvalues
-    locs, counts = np.unique(values, return_counts=True)
-    atoms = [(float(l), float(c) / values.size) for l, c in zip(locs, counts)]
-    return SpectralMeasure(atoms=atoms)
+    """Unit mass spread evenly over the eigenvalues of an --h0-spectrum
+    file; a bad file raises ValueError naming the flag and the path."""
+    try:
+        values = read_spectrum_csv(path).eigenvalues
+        if not values.size:
+            raise ValueError("holds no eigenvalues")
+        locs, counts = np.unique(values, return_counts=True)
+        return SpectralMeasure(atoms=[(float(l), float(c) / values.size)
+                                      for l, c in zip(locs, counts)])
+    except ValueError as exc:
+        raise ValueError(f"--h0-spectrum {path}: {exc}") from None
 
 
 def parse_pair(text: str) -> tuple[float, float]:
@@ -174,18 +181,13 @@ def write_histogram_csv(path: Path, edges: np.ndarray,
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _solver_options(args) -> SolverOptions:
-    return SolverOptions(tol=args.tol, max_iter=args.max_iter,
-                         eps_final=args.eps_final)
-
-
 def cmd_density(args) -> int:
     if args.h0_spectrum:
         n0 = measure_from_spectrum_file(args.h0_spectrum)
     else:
         n0 = parse_measure_atoms(args.n0)
     model = ModelSpec(c=args.c, sigma=parse_sigma(args.sigma), n0=n0)
-    opts = _solver_options(args)
+    opts = SolverOptions(eps_final=args.eps_final)
     grid = parse_grid(args.grid)
     solve = solve_mpe_grid(grid, model, opts)
     # the grid may be a deliberate zoom window, so partial mass is fine
@@ -236,7 +238,7 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     model = ModelSpec(c=args.c, sigma=parse_sigma(args.sigma),
                       n0=SpectralMeasure(atoms=[(0.0, 1.0)]))
-    opts = _solver_options(args)
+    opts = SolverOptions(eps_final=args.eps_final)
     law = VectorLaw.parse(args.law)
     grid = parse_grid(args.grid)
     report = convergence_study(law, model, parse_dims(args.dims),
@@ -270,7 +272,7 @@ def resolve_verify_flags(args) -> None:
     """Reject the flags args.check does not read; fill in its defaults."""
     row = VERIFY_CHECKS[args.check]
     unread = sorted(vars(args).keys() - row.keys() - {
-        "command", "func", "config", "out", "check", "law", "seed"})
+        "command", "func", "out", "check", "law", "seed"})
     if unread:
         raise ValueError(f"--check {args.check} does not read " + ", ".join(
             "--" + flag.replace("_", "-") for flag in unread))
@@ -323,7 +325,7 @@ def cmd_verify(args) -> int:
 def _flags_dict(args) -> dict:
     # out is a filesystem detail; keeping it out of the manifest makes
     # reruns byte-identical regardless of destination directory
-    skip = {"func", "config", "out"}
+    skip = {"func", "out"}
     return {k.replace("_", "-"): v for k, v in vars(args).items()
             if k not in skip and v is not None}
 
@@ -333,8 +335,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma", default="atoms:1:1")
     p.add_argument("--grid", required=True, help="a:b:count")
     p.add_argument("--eps-final", dest="eps_final", type=float, default=1e-4)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=100_000)
 
 
 def _add_density_flags(p: argparse.ArgumentParser) -> None:
@@ -402,7 +402,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     full parser's build time.
     """
     parser = argparse.ArgumentParser(prog="rank1spec")
-    parser.add_argument("--config", default=None, help=argparse.SUPPRESS)
     # None lets argparse list the subcommands it holds
     metavar = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
@@ -412,30 +411,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(argv: list[str]) -> list[str]:
-    """Expand --config key=value pairs into flags ahead of explicit ones."""
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 == len(argv):
-        raise ValueError("--config needs a path")
-    path = argv[i + 1]
-    pre: list[str] = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        pre.extend([f"--{key.strip()}", value.strip()])
-    rest = argv[:i] + argv[i + 2:]
-    # keep the subcommand first, then config-derived flags, then explicit
-    return rest[:1] + pre + rest[1:]
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config(argv)
         # help, a missing or an unknown subcommand need the full parser
         command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
         args = build_parser(command).parse_args(argv)

@@ -24,7 +24,8 @@ class PoleHit(Rank1SpecError):
 
 
 class NonConvergence(Rank1SpecError):
-    """A point used max_iter updates at one continuation stage unconverged.
+    """A point used all of solver.MAX_ITER updates at one continuation
+    stage without reaching its stop residual.
 
     The updates are Newton steps with damped Picard fallbacks. Carries the
     grid location and smoothing height of the first failing grid point so

@@ -24,7 +24,7 @@ instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -37,8 +37,13 @@ MASS_DEFICIT_FLOOR = 0.9
 # ratio of successive continuation heights; the predictor keeps a stage
 # this wide at the Newton steps a halving ladder needs without it
 EPS_FACTOR = 0.25
-# int64 holds the per-point update counts
-MAX_ITER_LIMIT = 2 ** 63 - 1
+# the residual |f - f0(z + shift(f))| at which a point stops at eps_final
+TOL = 1e-10
+# the stages above eps_final stop a point at this residual, since the
+# next stage moves f by more than that
+STAGE_TOL = math.sqrt(TOL)
+# the updates each point may take at each continuation stage
+MAX_ITER = 100_000
 
 
 @dataclass(frozen=True)
@@ -58,12 +63,9 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Solver controls.
-
-    tol is the residual |f - f0(z + shift(f))| at which a point stops at
-    eps_final; the stages above it stop at max(tol, sqrt(tol)).
-    max_iter bounds the updates of each point at each continuation stage.
-    eps_final is the smoothing height of the returned transform.
+    """Solver controls: eps_final, the smoothing height of the returned
+    transform. The residuals at which points stop (TOL, STAGE_TOL) and the
+    update budget (MAX_ITER) are module constants.
 
     The continuation ladder starts at 1 + 2*max|tau|^2, high enough that
     the fixed-point map is a strong contraction at the first stage
@@ -71,17 +73,10 @@ class SolverOptions:
     (a quarter) at each stage down to eps_final.
     """
 
-    tol: float = 1e-10
-    max_iter: int = 100_000
     eps_final: float = 1e-4
 
     def __post_init__(self):
-        # written so that NaN fails every comparison
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tol must be finite and positive, got {self.tol}")
-        if not 1 <= self.max_iter <= MAX_ITER_LIMIT:
-            raise ValueError(f"max_iter must be in [1, 2^63 - 1], "
-                             f"got {self.max_iter}")
+        # written so that NaN fails the comparison
         if not 0.0 < self.eps_final < math.inf:
             raise ValueError(f"eps_final must be finite and positive, "
                              f"got {self.eps_final}")
@@ -127,11 +122,11 @@ class Solve(NamedTuple):
 
 
 def _solve_stage(z: np.ndarray, f: np.ndarray, c: float, sigma: AmplitudeLaw,
-                 nodes: tuple, opts: SolverOptions) -> Stage:
-    """One continuation stage at every point of `z`; raises at the first
-    point that fails."""
-    stage = picard_solve(z, f, opts.tol, int(opts.max_iter),
-                         sigma.tau_values, sigma.weights, float(c), *nodes)
+                 nodes: tuple, tol: float) -> Stage:
+    """One continuation stage at every point of `z`, stopping each at
+    residual `tol`; raises at the first point that fails."""
+    stage = picard_solve(z, f, tol, MAX_ITER, sigma.tau_values,
+                         sigma.weights, float(c), *nodes)
     status = stage.status
     failed = np.flatnonzero(status)
     if failed.size:
@@ -139,33 +134,30 @@ def _solve_stage(z: np.ndarray, f: np.ndarray, c: float, sigma: AmplitudeLaw,
         zk = complex(z[k])
         if status[k] == 1:
             raise NonConvergence(
-                f"no fixed point within {opts.max_iter} updates at "
+                f"no fixed point within {MAX_ITER} updates at "
                 f"lambda={zk.real:.6g}, eps={zk.imag:.6g}",
                 lam=zk.real, eps=zk.imag)
         raise PoleHit(f"1 + tau*f vanished during iteration at z={zk:.6g}")
     return stage
 
 
-def solve_mpe_at(z: complex, model: ModelSpec,
-                 opts: SolverOptions | None = None) -> complex:
+def solve_mpe_at(z: complex, model: ModelSpec) -> complex:
     """Solve the fixed-point equation at one off-axis point, from f0(z).
 
     Parameters
     ----------
     z : complex with Im z != 0
     model : ModelSpec
-    opts : SolverOptions, optional
 
     Returns
     -------
     complex
-        f with |f - f0(z + shift(f))| <= opts.tol, Im f * Im z >= 0.
+        f with |f - f0(z + shift(f))| <= TOL, Im f * Im z >= 0.
 
     Raises
     ------
     NonConvergence, PoleHit, RealAxisEvaluation
     """
-    opts = opts or SolverOptions()
     z = complex(z)
     if z.imag == 0.0:
         raise RealAxisEvaluation("solver requires Im z != 0")
@@ -173,7 +165,7 @@ def solve_mpe_at(z: complex, model: ModelSpec,
     f0 = stieltjes_of_measure(n0, z)
     stage = _solve_stage(np.array([z]), np.array([f0]), model.c, model.sigma,
                          base_nodes(n0.atom_locations, n0.atom_masses,
-                                    n0.grid, n0.values), opts)
+                                    n0.grid, n0.values), TOL)
     return complex(stage.f[0])
 
 
@@ -198,13 +190,11 @@ def solve_mpe_grid(lambdas, model: ModelSpec,
     from the cubic Hermite extrapolation through the last two stages' f
     and df/deps. Where the start is not finite, the stage starts from
     the previous stage's f. Every stage but the last stops each point at
-    residual max(tol, sqrt(tol)), since the next stage moves f by more
-    than that; the last stops it at tol.
+    residual STAGE_TOL; the last stops it at TOL.
     """
     opts = opts or SolverOptions()
     lambdas = np.asarray(lambdas, dtype=float)
     schedule = opts.eps_schedule(model.sigma)
-    loose = replace(opts, tol=max(opts.tol, math.sqrt(opts.tol)))
     n0 = model.n0
     nodes = base_nodes(n0.atom_locations, n0.atom_masses, n0.grid, n0.values)
     lam = lambdas.ravel()
@@ -222,7 +212,7 @@ def solve_mpe_grid(lambdas, model: ModelSpec,
             f = np.where(np.isfinite(guess), guess, f)
         prev, stage = stage, _solve_stage(
             lam + 1j * eps, f, model.c, model.sigma, nodes,
-            opts if k == len(schedule) - 1 else loose)
+            TOL if k == len(schedule) - 1 else STAGE_TOL)
         f = stage.f
         iterations += stage.iters
         updates.append(stage.updates)

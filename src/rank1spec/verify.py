@@ -223,14 +223,18 @@ def verify_norm_tail(law: VectorLaw, n: int, samples: int, master_seed: int,
 
     Rows are [t, empirical, envelope, binomial_se]; the estimate is the
     largest excess of an empirical tail over its envelope. A t that is
-    not finite raises ValueError before any draw.
+    not finite, or not positive, raises ValueError before any draw: at
+    t <= 0 the envelope is at least 1, so the check would pass whatever
+    the law.
     """
     if samples < 1:
         raise ValueError(f"the tail check needs at least 1 sample, "
                          f"got {samples}")
-    bad = [t for t in t_values if not math.isfinite(t)]
-    if bad:
-        raise ValueError(f"--t-values must be finite, got {bad[0]!r}")
+    for t in t_values:
+        if not math.isfinite(t):
+            raise ValueError(f"--t-values must be finite, got {t!r}")
+        if t <= 0.0:
+            raise ValueError(f"--t-values must be positive, got {t!r}")
     rng = RngStream(master_seed, 0).generator()
     norms = np.linalg.norm(sample_vectors(law, n, samples, rng), axis=1)
     scale = 2.0 * float(np.median(norms))

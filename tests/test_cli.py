@@ -107,10 +107,10 @@ def test_density_manifest_hashes_verify(tmp_path):
         assert digest == entry["sha256"]
 
 
-def test_density_nonconvergence_exit_code(tmp_path, capsys):
+def test_density_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(solver, "MAX_ITER", 2)
     out = tmp_path / "d"
-    rc = run(["density", "--c", 1.0, "--grid", "0.5:3.5:5",
-              "--max-iter", 2, "--out", out])
+    rc = run(["density", "--c", 1.0, "--grid", "0.5:3.5:5", "--out", out])
     assert rc == 2
     err = capsys.readouterr().err
     assert "lambda=" in err and "eps=" in err
@@ -269,6 +269,45 @@ def test_density_rejects_n0_with_h0_spectrum(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text,message", [
+    ("0.5\nnan\n", "atoms must be finite, got (nan, 0.5)"),
+    ("", "holds no eigenvalues"),
+    ("0.5\nx\n", "could not convert string to float: 'x\\n'")],
+    ids=["nan", "empty", "text"])
+def test_density_bad_h0_spectrum_file_names_flag_and_path(tmp_path, capsys,
+                                                          text, message):
+    src = tmp_path / "eig.csv"
+    src.write_text(text)
+    out = tmp_path / "d"
+    assert run(["density", "--c", 0.2, "--h0-spectrum", src,
+                "--grid=-1:4:20", "--out", out]) == 2
+    assert (f"error: --h0-spectrum {src}: {message}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--c", 1, "--grid", "0.5:3.5:5", "--tol", "1e300"],
+    ["density", "--c", 1, "--grid", "0.5:3.5:5", "--max-iter", 2],
+    ["compare", "--c", 0.5, "--grid", "0.02:3.2:10", "--dims", "16,32",
+     "--tol", "1e-8"],
+    ["compare", "--c", 0.5, "--grid", "0.02:3.2:10", "--dims", "16,32",
+     "--max-iter", 200],
+    ["density", "--c", 1, "--grid", "0.5:3.5:5", "--config", "run.cfg"],
+    ["simulate", "--n", 4, "--m", 2, "--config", "run.cfg"],
+    ["compare", "--c", 0.5, "--grid", "0.02:3.2:10", "--config", "run.cfg"],
+    ["verify", "--check", "gram", "--n", 4, "--m", 2, "--config",
+     "run.cfg"]])
+def test_solver_knobs_and_config_files_are_not_flags(tmp_path, capsys,
+                                                     argv):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", out])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["compare", "--c", 0.5, "--grid", "0.02:3.2:50", "--dims", "16,32",
      "--seeds", 0],
@@ -300,8 +339,6 @@ MALFORMED = [
      "atoms must be finite, got (1.0, nan)"),
     (["density", "--c", 1, "--grid", "0.1:3:5", "--eps-final", "nan"],
      "eps_final must be finite and positive"),
-    (["density", "--c", 1, "--grid", "0.1:3:5", "--tol", "nan"],
-     "tol must be finite and positive"),
     (["density", "--c", "nan", "--grid", "0.1:3:5"],
      "c must be finite and nonnegative"),
     (["density", "--c", 1, "--grid", "0:inf:5"], "expected a:b:count"),
@@ -324,15 +361,15 @@ MALFORMED = [
     (["verify", "--check", "stieltjes-var", "--n", 10, "--m", 5,
       "--trials", 3, "--z", "0,1e-300", "--law", "gauss"],
      "--z 0.0,1e-300: Im z is too small"),
-    (["density", "--c", 1, "--grid", "0.5:3.5:5", "--max-iter",
-      "9223372036854775808"], "max_iter must be in [1, 2^63 - 1]"),
-    (["compare", "--c", 1, "--grid", "0.5:3.5:5", "--dims", "16,32",
-      "--max-iter", "9223372036854775808"],
-     "max_iter must be in [1, 2^63 - 1]"),
     (["verify", "--check", "tail", "--n", 4, "--samples", 10,
       "--t-values", "nan"], "--t-values must be finite, got nan"),
     (["verify", "--check", "tail", "--n", 4, "--samples", 10,
       "--t-values", "1,inf"], "--t-values must be finite, got inf"),
+    # at t <= 0 the envelope exp(-t sqrt(n)) is at least 1
+    (["verify", "--check", "tail", "--n", 4, "--samples", 10,
+      "--t-values", "1,0"], "--t-values must be positive, got 0.0"),
+    (["verify", "--check", "tail", "--n", 4, "--samples", 10,
+      "--t-values", "1,-1"], "--t-values must be positive, got -1.0"),
     (["density", "--c", 1, "--grid", "0.1:3:5", "--n0", "atoms:0:1.5"],
      "n0 must be a probability measure"),
     # the inertia matrix overflows, and its eigenvalues are NaN
@@ -380,23 +417,21 @@ def test_infinite_estimates_are_written_as_null(tmp_path, argv, code):
 
 # Each bad value takes the place of `{}` in a flag's template, one flag
 # at a time, on a small base run of each subcommand and verify check.
-# --max-iter 200 stops an unreachable --tol such as 1e-300 from running
-# the default 100,000 updates per point.
 SWEEP_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "", "x"]
 SOLVE_FLAGS = {"--sigma": ["atoms:{}:1", "atoms:1:{}"],
                "--grid": ["{}:3.5:5", "0.5:{}:5", "0.5:3.5:{}"],
-               "--eps-final": ["{}"], "--tol": ["{}"], "--max-iter": ["{}"]}
+               "--eps-final": ["{}"]}
 LAW_FLAGS = {"--law": ["{}", "lp:{}"], "--seed": ["{}"]}
 ENSEMBLE_FLAGS = {"--n": ["{}"], "--m": ["{}"],
                   "--sigma": ["atoms:{}:1", "atoms:1:{}"],
                   "--h0": ["diag:-1,-1,1,{}"], "--trials": ["{}"], **LAW_FLAGS}
 SWEEP = [
-    (["density", "--c", "1", "--grid", "0.5:3.5:5", "--max-iter", "200"],
+    (["density", "--c", "1", "--grid", "0.5:3.5:5"],
      {"--c": ["{}"], **SOLVE_FLAGS, "--n0": ["atoms:{}:1", "atoms:0:{}"]}),
     (["simulate", "--n", "4", "--m", "2", "--trials", "2", "--bins", "5"],
      {**ENSEMBLE_FLAGS, "--bins": ["{}"]}),
     (["compare", "--c", "0.25", "--grid", "0.01:2.3:5", "--dims", "4,8",
-      "--seeds", "2", "--max-iter", "200"],
+      "--seeds", "2"],
      {"--c": ["{}"], **SOLVE_FLAGS, **LAW_FLAGS, "--dims": ["4,{}"],
       "--seeds": ["{}"]}),
     (["verify", "--check", "counting-var", "--n", "4", "--m", "2",
@@ -605,17 +640,6 @@ def test_verify_manifest_holds_the_check_flags(tmp_path, check):
             assert flags[key.replace("_", "-")] == default
 
 
-def test_verify_config_key_the_check_does_not_read_exits_2(tmp_path,
-                                                           capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("n=20\nm=10\ntrials=4\n")
-    out = tmp_path / "g"
-    assert run(["verify", "--config", cfg, "--check", "gram",
-                "--out", out]) == 2
-    assert "does not read --trials" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_verify_stieltjes_var_real_z_exits_2(tmp_path, capsys):
     rc = run(["verify", "--check", "stieltjes-var", "--n", 40, "--m", 20,
               "--trials", 5, "--z", "0.5,0", "--out", tmp_path / "v"])
@@ -667,7 +691,7 @@ def test_verify_failure_exits_3(tmp_path, monkeypatch):
 def parsed_by_both(argv, capsys):
     """What the full parser and `main`'s parser for argv[0] make of argv:
     the namespace or the exit code, with what each printed."""
-    argv = cli._apply_config([str(a) for a in argv])
+    argv = [str(a) for a in argv]
     results = []
     for parser in (cli.build_parser(), cli.build_parser(argv[0])):
         try:
@@ -687,18 +711,11 @@ def verify_row_argv(check):
     return argv
 
 
-def test_one_subcommand_parser_reads_argv_as_the_full_parser(tmp_path,
-                                                            capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("c=1.0\ngrid=0.1:3.9:50\ntol=1e-8\n")
-    sim_cfg = tmp_path / "sim.cfg"
-    sim_cfg.write_text("# comment\n\nn=30\nm=15\nseed=9\n")
+def test_one_subcommand_parser_reads_argv_as_the_full_parser(capsys):
     cases = [shlex.split(line)[1:] for line in command_lines()]
     cases += [verify_row_argv(check) for check in cli.VERIFY_CHECKS]
     cases += [["verify", "--check", check, *VERIFY_RUNS[check]]
               for check in cli.VERIFY_CHECKS]
-    cases += [["density", "--config", cfg, "--grid", "0.1:3.9:10"],
-              ["simulate", "--config", sim_cfg, "--n", 4]]
     cases += [argv for argv, _ in MALFORMED]
     # errors that argparse reports, from the subcommand's parser and from
     # the top-level one
@@ -798,35 +815,8 @@ def test_manifest_hashes_are_those_of_the_files_on_disk(tmp_path, argv):
 
 
 # ---------------------------------------------------------------------------
-# config file, determinism, error paths
+# determinism, error paths
 # ---------------------------------------------------------------------------
-
-def test_config_file_flags_override(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("c=1.0\ngrid=0.1:3.9:50\ntol=1e-8\n")
-    out = tmp_path / "d"
-    rc = run(["density", "--config", cfg, "--grid", "0.1:3.9:10",
-              "--out", out])
-    assert rc == 0
-    man = manifest(out)
-    assert man["flags"]["grid"] == "0.1:3.9:10"    # explicit flag wins
-    assert man["flags"]["c"] == 1.0                # config supplies the rest
-    assert man["flags"]["tol"] == 1e-8
-    assert len(man["diagnostics"]["iterations"]) == 10
-
-
-def test_config_file_comments_and_blanks(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# comment\n\nn=30\nm=15\nseed=9\n")
-    out = tmp_path / "s"
-    assert run(["simulate", "--config", cfg, "--out", out]) == 0
-    assert manifest(out)["seed"] == 9
-
-
-def test_config_flag_without_path_exits_2(capsys):
-    assert run(["density", "--config"]) == 2
-    assert "--config needs a path" in capsys.readouterr().err
-
 
 def test_reruns_byte_identical(tmp_path):
     args = ["density", "--c", 0.25, "--grid", "0.01:3.99:60"]

@@ -66,7 +66,7 @@ def test_sweep_count_check_holds(tmp_path, monkeypatch, argv_name):
     args = cli.build_parser().parse_args(argv)
     model = solver.ModelSpec(c=args.c, sigma=cli.parse_sigma(args.sigma),
                              n0=cli.parse_measure_atoms(args.n0))
-    opts = cli._solver_options(args)
+    opts = solver.SolverOptions(eps_final=args.eps_final)
     solve = solver.solve_mpe_grid(cli.parse_grid(args.grid), model, opts)
     iterations = solve.iterations
     assert len(stages) == len(opts.eps_schedule(model.sigma))
@@ -79,4 +79,4 @@ def test_sweep_count_check_holds(tmp_path, monkeypatch, argv_name):
     diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
     assert diag["iterations"] == iterations.tolist()
     assert sum(stage.updates for stage in stages) == iterations.sum()
-    assert diag["max_residual"] <= opts.tol
+    assert diag["max_residual"] <= solver.TOL
