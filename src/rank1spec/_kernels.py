@@ -151,11 +151,13 @@ class Stage(NamedTuple):
 def picard_solve(z, f, tol, max_iter, tau, tau_w, c, loc, mass) -> Stage:
     """Solve f = f0(z + shift(f)) at every point of the array `z` at once.
 
+    Every point must have Im z > 0; `solver.solve_mpe_at` answers the
+    lower half-plane by conjugation. A start with Im f < 0 is conjugated.
     Each update is the Newton step f <- f - r/(1 - f0'(w) shift'(f)) with
     r = f - f0(w), w = z + shift(f). Where that step is not finite or
-    leaves the half-plane Im f * Im z >= 0, the point takes the damped
-    Picard step f <- (1 - DAMPING) f + DAMPING f0(w) instead, reflected
-    into the half-plane. A point stops at the first residual evaluation
+    leaves the half-plane Im f >= 0, the point takes the damped Picard
+    step f <- (1 - DAMPING) f + DAMPING f0(w) instead, reflected into the
+    half-plane. A point stops at the first residual evaluation
     with |r| <= tol, or at a pole, and counts every evaluation it made.
     Its df/dz comes from the derivatives of that same evaluation, so the
     caller can predict the next stage's start at no extra cost.
@@ -165,8 +167,7 @@ def picard_solve(z, f, tol, max_iter, tau, tau_w, c, loc, mass) -> Stage:
     """
     z = np.asarray(z, dtype=np.complex128)
     f = np.asarray(f, dtype=np.complex128)
-    sgn = np.where(z.imag >= 0.0, 1.0, -1.0)
-    f = np.where(f.imag * sgn < 0.0, f.conj(), f)
+    f = np.where(f.imag < 0.0, f.conj(), f)
     iters = np.full(z.shape, int(max_iter), dtype=np.int64)
     status = np.ones(z.shape, dtype=np.int8)
     dfdz = np.zeros(z.shape, dtype=np.complex128)
@@ -174,7 +175,7 @@ def picard_solve(z, f, tol, max_iter, tau, tau_w, c, loc, mass) -> Stage:
     fallbacks = 0
     tw = tau * tau_w
     idx = np.arange(z.size)
-    za, fa, sa = z, f, sgn
+    za, fa = z, f
     abs_r, stopped = residual, False
     # a point at a pole has no meaningful w and stops below; a Newton step
     # that divides by zero or overflows falls back to Picard
@@ -188,7 +189,7 @@ def picard_solve(z, f, tol, max_iter, tau, tau_w, c, loc, mass) -> Stage:
             abs_r = np.abs(r)
             slope = 1.0 - dg * dshift
             step = fa - r / slope
-            off = ~np.isfinite(step) | (step.imag * sa < 0.0)
+            off = ~np.isfinite(step) | (step.imag < 0.0)
             stop = pole | (abs_r <= tol)
             # stopped points keep fa; the others move to step
             stopped = stop.any()
@@ -204,10 +205,10 @@ def picard_solve(z, f, tol, max_iter, tau, tau_w, c, loc, mass) -> Stage:
             if off.any():
                 fallbacks += int(np.count_nonzero(off))
                 picard = (1.0 - DAMPING) * fa[off] + DAMPING * g[off]
-                step[off] = np.where(picard.imag * sa[off] < 0.0,
-                                     picard.conj(), picard)
+                step[off] = np.where(picard.imag < 0.0, picard.conj(),
+                                     picard)
             if stopped:
-                idx, za, sa, fa = idx[go], za[go], sa[go], step[go]
+                idx, za, fa = idx[go], za[go], step[go]
             else:
                 fa = step
     # the points that ran out of updates, with their last residual

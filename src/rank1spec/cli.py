@@ -3,12 +3,14 @@
 Subcommands: density (solve the limit on a grid), simulate (finite-n
 ensembles), compare (convergence of H0 = 0 ensembles to the limit with
 a unit atom at zero as base), verify (concentration, isotropy and Gram
-duality checks). Each subcommand takes only the flags it reads; a verify
-check reads `--law`, `--seed` and the flags of its VERIFY_CHECKS row.
-The solver's stop residuals and update budget are constants of the
-solver module, not flags. Every command writes a manifest.json
-recording flags, seed, and sha256 of outputs, and reruns are
-byte-identical.
+duality checks). Each verify check is a subcommand of verify, as in
+`rank1spec verify gram --n 300 --m 150`; it reads `--law`, `--seed`,
+`--out` and the flags of its VERIFY_CHECKS row, and `rank1spec verify
+CHECK --help` lists them with their defaults. argparse rejects a missing
+or unread flag. The solver's stop residuals and update budget are
+constants of the solver module, not flags. Every command writes a
+manifest.json recording flags, seed, and sha256 of outputs, and reruns
+are byte-identical.
 
 Exit codes: 0 success, 2 solver or input failure, 3 criterion failure.
 """
@@ -16,6 +18,7 @@ Exit codes: 0 success, 2 solver or input failure, 3 criterion failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -253,38 +256,30 @@ def cmd_compare(args) -> int:
     return 0
 
 
-# The flags each verify check reads besides --law and --seed, with their
-# defaults; None marks a required flag. The Gram duality holds only for
-# H0 = 0 and unit amplitudes, so gram reads no --sigma or --h0.
+# Each verify check's help line and the flags it reads besides --law,
+# --seed and --out, with their defaults; None marks a required flag. The
+# Gram duality holds only for H0 = 0 and unit amplitudes, so gram reads
+# no --sigma or --h0.
 VERIFY_CHECKS = {
-    "counting-var": {"n": None, "m": None, "sigma": "atoms:1:1", "h0": "zero",
-                     "trials": 200, "interval": "0.25,2.25"},
-    "stieltjes-var": {"n": None, "m": None, "sigma": "atoms:1:1",
-                      "h0": "zero", "trials": 200, "z": "0,1"},
-    "gram": {"n": None, "m": None},
-    "quadform": {"dims": "64,128,256,512", "samples": 100_000},
-    "tail": {"n": None, "samples": 100_000, "t_values": "1,1.5,2"},
-    "isotropy": {"n": None, "samples": 100_000},
+    "counting-var": ("Var of the counting measure on (a, b] against 4m/n^2",
+                     {"n": None, "m": None, "sigma": "atoms:1:1", "h0": "zero",
+                      "trials": 200, "interval": "0.25,2.25"}),
+    "stieltjes-var": ("Var of g(z) against 4m/(n^2 Im z^2)",
+                      {"n": None, "m": None, "sigma": "atoms:1:1",
+                       "h0": "zero", "trials": 200, "z": "0,1"}),
+    "gram": ("m x m Gram side against the full spectrum",
+             {"n": None, "m": None}),
+    "quadform": ("decay of Var(A Y, Y) with dimension",
+                 {"dims": "64,128,256,512", "samples": 100_000}),
+    "tail": ("P{|Y| >= C t} against exp(-t sqrt(n))",
+             {"n": None, "samples": 100_000, "t_values": "1,1.5,2"}),
+    "isotropy": ("largest covariance deviation from I",
+                 {"n": None, "samples": 100_000}),
 }
-
-
-def resolve_verify_flags(args) -> None:
-    """Reject the flags args.check does not read; fill in its defaults."""
-    row = VERIFY_CHECKS[args.check]
-    unread = sorted(vars(args).keys() - row.keys() - {
-        "command", "func", "out", "check", "law", "seed"})
-    if unread:
-        raise ValueError(f"--check {args.check} does not read " + ", ".join(
-            "--" + flag.replace("_", "-") for flag in unread))
-    for flag, default in row.items():
-        value = getattr(args, flag, default)
-        if value is None:
-            raise ValueError(f"--check {args.check} requires --{flag}")
-        setattr(args, flag, value)
+INT_FLAGS = {"seed", "n", "m", "trials", "samples"}
 
 
 def cmd_verify(args) -> int:
-    resolve_verify_flags(args)
     law = VectorLaw.parse(args.law)
     check = args.check
     if check in ("counting-var", "stieltjes-var"):
@@ -371,16 +366,18 @@ def _add_compare_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_verify_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--check", required=True, choices=VERIFY_CHECKS)
-    p.add_argument("--law", default="sphere")
-    p.add_argument("--seed", type=int, default=0)
-    # unset flags stay off the namespace; VERIFY_CHECKS fills them in
-    for flag, kind in (("n", int), ("m", int), ("h0", str), ("sigma", str),
-                       ("trials", int), ("interval", str), ("z", str),
-                       ("dims", str), ("samples", int), ("t-values", str)):
-        p.add_argument(f"--{flag}", type=kind, default=argparse.SUPPRESS)
-    p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_verify)
+    checks = p.add_subparsers(dest="check", required=True)
+    for check, (text, row) in VERIFY_CHECKS.items():
+        q = checks.add_parser(check, help=text)
+        for flag, default in {"law": "sphere", "seed": 0, **row,
+                              "out": "."}.items():
+            kind = int if flag in INT_FLAGS else str
+            name = "--" + flag.replace("_", "-")
+            q.add_argument(name, type=kind, default=default,
+                           required=default is None,
+                           help="required" if default is None
+                           else "default: %(default)s")
+        q.set_defaults(func=cmd_verify)
 
 
 # each subcommand's help line and the function that adds its flags
@@ -393,30 +390,19 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of `command` alone.
-
-    Both parse an argument list that starts with `command` alike, with
-    the same messages: the one-subcommand parser names all four in its
-    usage line. Building the other subcommands' parsers is most of the
-    full parser's build time.
-    """
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(prog="rank1spec")
-    # None lets argparse list the subcommands it holds
-    metavar = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, add_flags) in SUBCOMMANDS.items():
-        if command in (None, name):
-            add_flags(sub.add_parser(name, help=text))
+        add_flags(sub.add_parser(name, help=text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        # help, a missing or an unknown subcommand need the full parser
-        command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
-        args = build_parser(command).parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except NonConvergence as exc:
         print(f"solver failed at lambda={exc.lam:.9g}, eps={exc.eps:.9g}",

@@ -302,6 +302,14 @@ def _near_base_eigenvalue(d: np.ndarray, x: float) -> bool:
     return bool(np.any(np.abs(d - x) <= 1e-12 * scale))
 
 
+def _rotated_draws(config: EnsembleConfig, q, trials):
+    """Each trial's U = Q^H V over the columns of nonzero amplitude, and
+    those amplitudes T; Q = None stands for the identity."""
+    for trial in trials:
+        u, t = _nonzero_columns(*_draw_components(config, trial))
+        yield (u if q is None else q.T @ u), t
+
+
 def counting_fractions(config: EnsembleConfig, interval, trials) -> np.ndarray:
     """Fraction of eigenvalues in (a, b] for each trial index in `trials`.
 
@@ -333,11 +341,7 @@ def counting_fractions(config: EnsembleConfig, interval, trials) -> np.ndarray:
     inside = np.count_nonzero((d > a) & (d <= b))
     resolvents = (1.0 / (d - a), 1.0 / (d - b))
     out = np.empty(len(trials))
-    for i, trial in enumerate(trials):
-        vectors, taus = _draw_components(config, trial)
-        u, t = _nonzero_columns(vectors, taus)
-        if q is not None:
-            u = q.T @ u
+    for i, (u, t) in enumerate(_rotated_draws(config, q, trials)):
         ut = u * t
         # an overflow is reported below as non-finite eigenvalues
         try:
@@ -376,11 +380,7 @@ def resolvent_traces(config: EnsembleConfig, z: complex, trials) -> np.ndarray:
     r0 = 1.0 / (d - z)
     base = r0.sum()
     out = np.empty(len(trials), dtype=complex)
-    for i, trial in enumerate(trials):
-        vectors, taus = _draw_components(config, trial)
-        u, t = _nonzero_columns(vectors, taus)
-        if q is not None:
-            u = q.T @ u
+    for i, (u, t) in enumerate(_rotated_draws(config, q, trials)):
         ru = r0[:, None] * u
         a = u.conj().T @ ru
         b = (r0[:, None] * u.conj()).T @ ru

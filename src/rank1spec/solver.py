@@ -161,6 +161,9 @@ def solve_mpe_at(z: complex, model: ModelSpec) -> complex:
     z = complex(z)
     if z.imag == 0.0:
         raise RealAxisEvaluation("solver requires Im z != 0")
+    if z.imag < 0.0:
+        # f(conj z) = conj f(z); the kernel solves the upper half-plane
+        return solve_mpe_at(z.conjugate(), model).conjugate()
     n0 = model.n0
     f0 = stieltjes_of_measure(n0, z)
     stage = _solve_stage(np.array([z]), np.array([f0]), model.c, model.sigma,

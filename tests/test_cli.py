@@ -1,9 +1,10 @@
+import argparse
 import csv
 import hashlib
 import io
 import json
 import os
-import shlex
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,6 @@ from rank1spec.cli import main, parse_grid, parse_measure_atoms, parse_sigma
 from rank1spec.ensemble import read_spectrum_csv
 from rank1spec.measures import (SpectralMeasure, density_columns,
                                 save_measure_json, write_density_csv)
-from test_readme import command_lines
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -24,6 +24,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def exit_code(args):
+    """run(args), or the code of the exit argparse takes."""
+    try:
+        return run(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 def manifest(out_dir):
@@ -296,7 +304,7 @@ def test_density_bad_h0_spectrum_file_names_flag_and_path(tmp_path, capsys,
     ["density", "--c", 1, "--grid", "0.5:3.5:5", "--config", "run.cfg"],
     ["simulate", "--n", 4, "--m", 2, "--config", "run.cfg"],
     ["compare", "--c", 0.5, "--grid", "0.02:3.2:10", "--config", "run.cfg"],
-    ["verify", "--check", "gram", "--n", 4, "--m", 2, "--config",
+    ["verify", "gram", "--n", 4, "--m", 2, "--config",
      "run.cfg"]])
 def test_solver_knobs_and_config_files_are_not_flags(tmp_path, capsys,
                                                      argv):
@@ -325,13 +333,16 @@ MALFORMED = [
     (["density", "--c", 1, "--grid", "0:1:x"], "expected a:b:count"),
     (["compare", "--c", 0.5, "--grid", "0:1:10", "--dims", "16,x"],
      "expected integers n1,n2,..., got '16,x'"),
-    (["verify", "--check", "quadform", "--dims", "16,x"],
+    (["verify", "quadform", "--dims", "16,x"],
      "expected integers n1,n2,..., got '16,x'"),
-    (["verify", "--check", "tail", "--n", 16, "--t-values", "1,y"],
+    # a check is a subcommand of verify, not the value of a flag
+    (["verify", "--check", "gram", "--n", 4, "--m", 2],
+     "unrecognized arguments: --check"),
+    (["verify", "tail", "--n", 16, "--t-values", "1,y"],
      "expected numbers t1,t2,..., got '1,y'"),
     (["simulate", "--n", 10, "--m", 5, "--bins", 0],
      "--bins must be at least 1"),
-    (["verify", "--check", "counting-var", "--n", 40, "--m", 20,
+    (["verify", "counting-var", "--n", 40, "--m", 20,
       "--trials", 5, "--interval", "2,0.5"], "needs a < b"),
     (["simulate", "--n", 10, "--m", 0, "--trials", 2, "--seed", -1],
      "seed must be an integer in [0, 2^64)"),
@@ -344,9 +355,9 @@ MALFORMED = [
     (["density", "--c", 1, "--grid", "0:inf:5"], "expected a:b:count"),
     (["density", "--c", 1, "--grid=-1e308:1e308:3"],
      "--grid '-1e308:1e308:3' does not give finite"),
-    (["verify", "--check", "counting-var", "--n", 40, "--m", 20,
+    (["verify", "counting-var", "--n", 40, "--m", 20,
       "--trials", 5, "--interval", "0,nan"], "needs a < b"),
-    (["verify", "--check", "stieltjes-var", "--n", 40, "--m", 20,
+    (["verify", "stieltjes-var", "--n", 40, "--m", 20,
       "--trials", 5, "--z", "0,nan"], "Im z"),
     (["simulate", "--n", 3, "--m", 1, "--h0", "diag:1,x,2"],
      "expected diag:d1,d2,... with finite entries, got 'diag:1,x,2'"),
@@ -358,22 +369,22 @@ MALFORMED = [
      "expected lp:p with a number p >= 1, got 'lp:x'"),
     (["density", "--c", 1, "--grid", "0.1:3:5", "--sigma", "atoms:1e200:1"],
      "--sigma amplitude 1e+200 is too large"),
-    (["verify", "--check", "stieltjes-var", "--n", 10, "--m", 5,
+    (["verify", "stieltjes-var", "--n", 10, "--m", 5,
       "--trials", 3, "--z", "0,1e-300", "--law", "gauss"],
      "--z 0.0,1e-300: Im z is too small"),
-    (["verify", "--check", "tail", "--n", 4, "--samples", 10,
+    (["verify", "tail", "--n", 4, "--samples", 10,
       "--t-values", "nan"], "--t-values must be finite, got nan"),
-    (["verify", "--check", "tail", "--n", 4, "--samples", 10,
+    (["verify", "tail", "--n", 4, "--samples", 10,
       "--t-values", "1,inf"], "--t-values must be finite, got inf"),
     # at t <= 0 the envelope exp(-t sqrt(n)) is at least 1
-    (["verify", "--check", "tail", "--n", 4, "--samples", 10,
+    (["verify", "tail", "--n", 4, "--samples", 10,
       "--t-values", "1,0"], "--t-values must be positive, got 0.0"),
-    (["verify", "--check", "tail", "--n", 4, "--samples", 10,
+    (["verify", "tail", "--n", 4, "--samples", 10,
       "--t-values", "1,-1"], "--t-values must be positive, got -1.0"),
     (["density", "--c", 1, "--grid", "0.1:3:5", "--n0", "atoms:0:1.5"],
      "n0 must be a probability measure"),
     # the inertia matrix overflows, and its eigenvalues are NaN
-    (["verify", "--check", "counting-var", "--n", 4, "--m", 2, "--trials", 3,
+    (["verify", "counting-var", "--n", 4, "--m", 2, "--trials", 3,
       "--h0", "diag:-1,-1,1,1", "--interval=-0.5,0.5", "--sigma",
       "atoms:1e300:1"], "inertia eigensolve returned non-finite eigenvalues"),
 ]
@@ -389,7 +400,7 @@ def test_malformed_flag_value_exits_2(tmp_path, capsys, monkeypatch, argv,
     monkeypatch.setattr(verify, "eigenvalues_sym", no_spectrum)
     monkeypatch.setattr(ensemble, "eigenvalues_sym", no_spectrum)
     out = tmp_path / "o"
-    assert run(argv + ["--out", out]) == 2
+    assert exit_code(argv + ["--out", out]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -399,9 +410,9 @@ def reject_constant(name):
 
 
 @pytest.mark.parametrize("argv, code", [
-    (["verify", "--check", "isotropy", "--law", "sphere", "--n", 1,
+    (["verify", "isotropy", "--law", "sphere", "--n", 1,
       "--samples", 2, "--seed", 1], 3),
-    (["verify", "--check", "quadform", "--law", "lp:1e300", "--dims", "4,8",
+    (["verify", "quadform", "--law", "lp:1e300", "--dims", "4,8",
       "--samples", 3], 0)], ids=["isotropy", "quadform"])
 def test_infinite_estimates_are_written_as_null(tmp_path, argv, code):
     # an isotropy ratio over a zero standard error, and the slope of two
@@ -417,44 +428,48 @@ def test_infinite_estimates_are_written_as_null(tmp_path, argv, code):
 
 # Each bad value takes the place of `{}` in a flag's template, one flag
 # at a time, on a small base run of each subcommand and verify check.
+# The flags are those the base run's parser declares, so a flag added
+# later is swept with the template "{}" unless TEMPLATES names it; an
+# empty list skips a flag (--h0-spectrum is a path, tested on its own).
 SWEEP_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "", "x"]
-SOLVE_FLAGS = {"--sigma": ["atoms:{}:1", "atoms:1:{}"],
-               "--grid": ["{}:3.5:5", "0.5:{}:5", "0.5:3.5:{}"],
-               "--eps-final": ["{}"]}
-LAW_FLAGS = {"--law": ["{}", "lp:{}"], "--seed": ["{}"]}
-ENSEMBLE_FLAGS = {"--n": ["{}"], "--m": ["{}"],
-                  "--sigma": ["atoms:{}:1", "atoms:1:{}"],
-                  "--h0": ["diag:-1,-1,1,{}"], "--trials": ["{}"], **LAW_FLAGS}
+TEMPLATES = {"--sigma": ["atoms:{}:1", "atoms:1:{}"],
+             "--grid": ["{}:3.5:5", "0.5:{}:5", "0.5:3.5:{}"],
+             "--n0": ["atoms:{}:1", "atoms:0:{}"],
+             "--h0": ["diag:-1,-1,1,{}"], "--law": ["{}", "lp:{}"],
+             "--dims": ["4,{}"], "--interval": ["{},2.25", "0.25,{}"],
+             "--z": ["{},1", "0,{}"], "--t-values": ["1,{}"],
+             "--h0-spectrum": [], "--out": []}
 SWEEP = [
-    (["density", "--c", "1", "--grid", "0.5:3.5:5"],
-     {"--c": ["{}"], **SOLVE_FLAGS, "--n0": ["atoms:{}:1", "atoms:0:{}"]}),
-    (["simulate", "--n", "4", "--m", "2", "--trials", "2", "--bins", "5"],
-     {**ENSEMBLE_FLAGS, "--bins": ["{}"]}),
-    (["compare", "--c", "0.25", "--grid", "0.01:2.3:5", "--dims", "4,8",
-      "--seeds", "2"],
-     {"--c": ["{}"], **SOLVE_FLAGS, **LAW_FLAGS, "--dims": ["4,{}"],
-      "--seeds": ["{}"]}),
-    (["verify", "--check", "counting-var", "--n", "4", "--m", "2",
-      "--trials", "3"],
-     {**ENSEMBLE_FLAGS, "--interval": ["{},2.25", "0.25,{}"]}),
-    (["verify", "--check", "stieltjes-var", "--n", "4", "--m", "2",
-      "--trials", "3"], {**ENSEMBLE_FLAGS, "--z": ["{},1", "0,{}"]}),
-    (["verify", "--check", "gram", "--n", "4", "--m", "2"],
-     {"--n": ["{}"], "--m": ["{}"], **LAW_FLAGS}),
-    (["verify", "--check", "quadform", "--dims", "4,8", "--samples", "10"],
-     {"--dims": ["4,{}"], "--samples": ["{}"], **LAW_FLAGS}),
-    (["verify", "--check", "tail", "--n", "4", "--samples", "10"],
-     {"--n": ["{}"], "--samples": ["{}"], "--t-values": ["1,{}"],
-      **LAW_FLAGS}),
-    (["verify", "--check", "isotropy", "--n", "4", "--samples", "10"],
-     {"--n": ["{}"], "--samples": ["{}"], **LAW_FLAGS}),
+    ["density", "--c", "1", "--grid", "0.5:3.5:5"],
+    ["simulate", "--n", "4", "--m", "2", "--trials", "2", "--bins", "5"],
+    ["compare", "--c", "0.25", "--grid", "0.01:2.3:5", "--dims", "4,8",
+     "--seeds", "2"],
+    ["verify", "counting-var", "--n", "4", "--m", "2", "--trials", "3"],
+    ["verify", "stieltjes-var", "--n", "4", "--m", "2", "--trials", "3"],
+    ["verify", "gram", "--n", "4", "--m", "2"],
+    ["verify", "quadform", "--dims", "4,8", "--samples", "10"],
+    ["verify", "tail", "--n", "4", "--samples", "10"],
+    ["verify", "isotropy", "--n", "4", "--samples", "10"],
 ]
 
 
+def declared_flags(argv):
+    """The flags of the parser that reads argv after its subcommands."""
+    parser = cli.build_parser()
+    for name in argv:
+        subparsers = [action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+        if not subparsers:
+            break
+        parser = subparsers[0].choices[name]
+    return [action.option_strings[-1] for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)]
+
+
 def sweep_cases():
-    for base, flags in SWEEP:
-        for flag, templates in flags.items():
-            for template in templates:
+    for base in SWEEP:
+        for flag in declared_flags(base):
+            for template in TEMPLATES.get(flag, ["{}"]):
                 for value in SWEEP_VALUES:
                     # compare makes m = round(c * n) for each dimension
                     if base[0] == "compare" and flag == "--c" and value in (
@@ -477,10 +492,7 @@ def test_exit_code_sweep(tmp_path, capsys):
     faults = []
     for i, (argv, flag, text) in enumerate(sweep_cases()):
         out = tmp_path / str(i)
-        try:
-            code = run(argv + ["--out", out])
-        except SystemExit as exc:  # argparse rejected the value
-            code = exc.code
+        code = exit_code(argv + ["--out", out])
         err = capsys.readouterr().err
         if code not in (0, 2, 3):
             faults.append((argv, f"exit {code}"))
@@ -530,7 +542,7 @@ def test_simulate_rejects_a_nan_in_the_h0_file(tmp_path, capsys):
 
 def test_verify_counting_var(tmp_path):
     out = tmp_path / "v"
-    rc = run(["verify", "--check", "counting-var", "--n", 60, "--m", 30,
+    rc = run(["verify", "counting-var", "--n", 60, "--m", 30,
               "--trials", 20, "--interval", "0.25,2.25", "--out", out])
     assert rc == 0
     data = json.loads((out / "report.json").read_text())
@@ -541,7 +553,7 @@ def test_verify_counting_var(tmp_path):
 
 def test_verify_gram(tmp_path):
     out = tmp_path / "g"
-    rc = run(["verify", "--check", "gram", "--n", 120, "--m", 60,
+    rc = run(["verify", "gram", "--n", 120, "--m", 60,
               "--seed", 2, "--out", out])
     assert rc == 0
     data = json.loads((out / "report.json").read_text())
@@ -554,7 +566,7 @@ def test_verify_gram(tmp_path):
 
 def test_verify_quadform(tmp_path):
     out = tmp_path / "v"
-    rc = run(["verify", "--check", "quadform", "--law", "cube",
+    rc = run(["verify", "quadform", "--law", "cube",
               "--dims", "16,32", "--samples", 1000, "--out", out])
     assert rc == 0
     assert json.loads((out / "report.json").read_text())["pass"]
@@ -562,7 +574,7 @@ def test_verify_quadform(tmp_path):
 
 def test_verify_isotropy(tmp_path):
     out = tmp_path / "v"
-    rc = run(["verify", "--check", "isotropy", "--law", "sphere", "--n", 20,
+    rc = run(["verify", "isotropy", "--law", "sphere", "--n", 20,
               "--samples", 20000, "--seed", 4, "--out", out])
     assert rc == 0
     data = json.loads((out / "report.json").read_text())
@@ -571,18 +583,20 @@ def test_verify_isotropy(tmp_path):
 
 def test_verify_tail(tmp_path):
     out = tmp_path / "v"
-    rc = run(["verify", "--check", "tail", "--law", "laplace", "--n", 64,
+    rc = run(["verify", "tail", "--law", "laplace", "--n", 64,
               "--samples", 20000, "--out", out])
     assert rc == 0
 
 
 def test_verify_missing_size_flag_exits_2(tmp_path, capsys):
-    rc = run(["verify", "--check", "tail", "--out", tmp_path / "v"])
+    rc = exit_code(["verify", "tail", "--out", tmp_path / "v"])
     assert rc == 2
-    assert "requires --n" in capsys.readouterr().err
-    rc = run(["verify", "--check", "gram", "--m", 10, "--out", tmp_path / "g"])
+    assert ("the following arguments are required: --n"
+            in capsys.readouterr().err)
+    rc = exit_code(["verify", "gram", "--m", 10, "--out", tmp_path / "g"])
     assert rc == 2
-    assert "requires --n" in capsys.readouterr().err
+    assert ("the following arguments are required: --n"
+            in capsys.readouterr().err)
     assert not (tmp_path / "g").exists()
 
 
@@ -602,7 +616,7 @@ VERIFY_VALUES = {"n": 20, "m": 10, "sigma": "atoms:1:1", "h0": "zero",
 
 
 def unread_flag(check):
-    flag = min(VERIFY_VALUES.keys() - cli.VERIFY_CHECKS[check].keys())
+    flag = min(VERIFY_VALUES.keys() - cli.VERIFY_CHECKS[check][1].keys())
     return flag.replace("_", "-"), VERIFY_VALUES[flag]
 
 
@@ -613,17 +627,17 @@ def unread_flag(check):
 def test_verify_rejects_flags_its_check_does_not_read(tmp_path, capsys,
                                                        check, flag, value):
     out = tmp_path / "v"
-    rc = run(["verify", "--check", check, *VERIFY_RUNS[check], f"--{flag}",
-              value, "--out", out])
+    rc = exit_code(["verify", check, *VERIFY_RUNS[check], f"--{flag}",
+                    value, "--out", out])
     assert rc == 2
-    assert f"does not read --{flag}" in capsys.readouterr().err
+    assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("check", cli.VERIFY_CHECKS)
 def test_verify_manifest_holds_the_check_flags(tmp_path, check):
     out = tmp_path / "v"
-    rc = run(["verify", "--check", check, *VERIFY_RUNS[check], "--out", out])
+    rc = run(["verify", check, *VERIFY_RUNS[check], "--out", out])
     assert rc in (0, 3)
     report = json.loads((out / "report.json").read_text())
     assert set(report) >= {"kind", "params", "estimate", "bound", "se",
@@ -631,7 +645,7 @@ def test_verify_manifest_holds_the_check_flags(tmp_path, check):
     assert report["kind"] == check
     assert report["pass"] == (rc == 0)
     flags = manifest(out)["flags"]
-    row = cli.VERIFY_CHECKS[check]
+    row = cli.VERIFY_CHECKS[check][1]
     assert set(flags) == {k.replace("_", "-") for k in row} | {
         "check", "command", "law", "seed"}
     passed = VERIFY_RUNS[check][::2]
@@ -641,7 +655,7 @@ def test_verify_manifest_holds_the_check_flags(tmp_path, check):
 
 
 def test_verify_stieltjes_var_real_z_exits_2(tmp_path, capsys):
-    rc = run(["verify", "--check", "stieltjes-var", "--n", 40, "--m", 20,
+    rc = run(["verify", "stieltjes-var", "--n", 40, "--m", 20,
               "--trials", 5, "--z", "0.5,0", "--out", tmp_path / "v"])
     assert rc == 2
     assert "Im z" in capsys.readouterr().err
@@ -652,7 +666,7 @@ def test_verify_stieltjes_var_real_z_exits_2(tmp_path, capsys):
 def test_verify_variance_without_trials_exits_2(tmp_path, capsys, check,
                                                  trials):
     out = tmp_path / "v"
-    rc = run(["verify", "--check", check, "--n", 40, "--m", 20,
+    rc = run(["verify", check, "--n", 40, "--m", 20,
               "--trials", trials, "--out", out])
     assert rc == 2
     assert "at least 2 trials" in capsys.readouterr().err
@@ -666,7 +680,7 @@ def test_verify_variance_without_trials_exits_2(tmp_path, capsys, check,
 def test_verify_too_few_samples_exits_2(tmp_path, capsys, check, size,
                                         samples):
     out = tmp_path / "v"
-    rc = run(["verify", "--check", check, "--law", "gauss", size,
+    rc = run(["verify", check, "--law", "gauss", size,
               "--samples", samples, "--out", out])
     assert rc == 2
     assert "at least" in capsys.readouterr().err
@@ -679,90 +693,72 @@ def test_verify_failure_exits_3(tmp_path, monkeypatch):
                      se=0.0, passed=False)
     monkeypatch.setattr(cli, "verify_counting_variance",
                         lambda *a, **k: failing)
-    rc = run(["verify", "--check", "counting-var", "--n", 10, "--m", 5,
+    rc = run(["verify", "counting-var", "--n", 10, "--m", 5,
               "--trials", 5, "--out", tmp_path / "v"])
     assert rc == 3
 
 
 # ---------------------------------------------------------------------------
-# the one-subcommand parser
+# the parser
 # ---------------------------------------------------------------------------
 
-def parsed_by_both(argv, capsys):
-    """What the full parser and `main`'s parser for argv[0] make of argv:
-    the namespace or the exit code, with what each printed."""
-    argv = [str(a) for a in argv]
-    results = []
-    for parser in (cli.build_parser(), cli.build_parser(argv[0])):
-        try:
-            # repr, so that a NaN flag value compares equal
-            outcome = repr(vars(parser.parse_args(argv)))
-        except SystemExit as exc:
-            outcome = exc.code
-        results.append((outcome, *capsys.readouterr()))
-    return results
+@pytest.mark.parametrize("argv", [[], ["nope"], ["--c", "1"],
+                                  ["verify"], ["verify", "nope"]])
+def test_missing_or_unknown_subcommand_exits_2(capsys, argv):
+    assert exit_code(argv) == 2
+    assert capsys.readouterr().err.startswith("usage: rank1spec")
 
 
-def verify_row_argv(check):
-    """A verify run passing every flag of the check's VERIFY_CHECKS row."""
-    argv = ["verify", "--check", check, "--law", "gauss", "--seed", 4]
-    for flag in cli.VERIFY_CHECKS[check]:
-        argv += [f"--{flag.replace('_', '-')}", VERIFY_VALUES[flag]]
-    return argv
+@pytest.mark.parametrize("argv", [[], *([name] for name in cli.SUBCOMMANDS),
+                                  *(["verify", check]
+                                    for check in cli.VERIFY_CHECKS)],
+                         ids=lambda argv: "-".join(argv) or "None")
+def test_help_text_of_every_parser(capsys, argv):
+    assert exit_code(argv + ["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(" ".join(["usage: rank1spec", *argv, "[-h]"]))
+    if not argv:
+        assert "{density,simulate,compare,verify}" in out
+    if argv == ["verify"]:
+        assert "{" + ",".join(cli.VERIFY_CHECKS) + "}" in out
+    if argv[:1] != ["verify"] or len(argv) < 2:
+        return
+    # a check's help lists every flag it reads, with its default
+    row = {"law": "sphere", "seed": 0, **cli.VERIFY_CHECKS[argv[1]][1],
+           "out": "."}
+    for flag, default in row.items():
+        name = "--" + flag.replace("_", "-")
+        shown = "required" if default is None else f"default: {default}"
+        assert re.search(rf"^  {name} \S+\s+{re.escape(shown)}$", out,
+                         flags=re.MULTILINE), (name, out)
 
 
-def test_one_subcommand_parser_reads_argv_as_the_full_parser(capsys):
-    cases = [shlex.split(line)[1:] for line in command_lines()]
-    cases += [verify_row_argv(check) for check in cli.VERIFY_CHECKS]
-    cases += [["verify", "--check", check, *VERIFY_RUNS[check]]
-              for check in cli.VERIFY_CHECKS]
-    cases += [argv for argv, _ in MALFORMED]
-    # errors that argparse reports, from the subcommand's parser and from
-    # the top-level one
-    cases += [["density"], ["density", "--c", "x", "--grid", "0:1:3"],
-              ["density", "--c", 1, "--grid", "0:1:3", "--bogus", 2],
-              ["density", "--c", 1, "--grid", "0:1:3", "--n0", "atoms:0:1",
-               "--h0-spectrum", "eig.csv"],
-              ["verify", "--check", "nope"], ["simulate", "--n", 4]]
-    parsed = 0
-    for argv in cases:
-        full, one = parsed_by_both(argv, capsys)
-        assert one == full, argv
-        parsed += isinstance(full[0], str)
-    assert parsed == len(cases) - 6
+def child(argv, out):
+    """`python -m rank1spec.cli argv --out out` in a fresh process."""
+    # the checkout's sources, not an installed copy, on the child's path
+    path = [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    return subprocess.run(
+        [sys.executable, "-m", "rank1spec.cli", *map(str, argv),
+         "--out", str(out)], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
 
 
-@pytest.mark.parametrize("argv", [[], ["nope"], ["-h"], ["--help"],
-                                  ["--c", "1"]])
-def test_missing_or_unknown_subcommand_reads_as_before(capsys, argv):
-    try:
-        want = cli.build_parser().parse_args(argv)
-    except SystemExit as exc:
-        want = exc.code
-    printed = capsys.readouterr()
-    try:
-        got = main(argv)
-    except SystemExit as exc:
-        got = exc.code
-    assert got == want
-    assert capsys.readouterr() == printed
-
-
-@pytest.mark.parametrize("command", [None, *cli.SUBCOMMANDS])
-def test_help_text_of_every_parser(capsys, command):
-    argv = ["--help"] if command is None else [command, "--help"]
-    with pytest.raises(SystemExit) as exc:
-        cli.build_parser().parse_args(argv)
-    assert exc.value.code == 0
-    want = capsys.readouterr().out
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 0
-    assert capsys.readouterr().out == want
-    if command is None:
-        assert "{density,simulate,compare,verify}" in want
-    else:
-        assert want.startswith(f"usage: rank1spec {command} [-h]")
+def test_one_parser_per_process_writes_what_a_fresh_process_writes(
+        tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    density = ["density", "--c", 0.5, "--grid", "0.02:3.2:30"]
+    simulate = ["simulate", "--n", 12, "--m", 6, "--trials", 2, "--bins", 5]
+    gram = ["verify", "gram", "--n", 20, "--m", 10]
+    for i, argv in enumerate([density, simulate, gram, density]):
+        assert run(argv + ["--out", tmp_path / "in" / str(i)]) == 0
+    for i, argv in enumerate([density, simulate, gram]):
+        assert child(argv, tmp_path / "fresh" / str(i)).returncode == 0
+    fresh = [tmp_path / "fresh" / str(i) for i in (0, 1, 2, 0)]
+    for i, want in enumerate(fresh):
+        got = tmp_path / "in" / str(i)
+        assert ([p.name for p in sorted(got.iterdir())]
+                == [p.name for p in sorted(want.iterdir())])
+        assert hashes(got.iterdir()) == hashes(want.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +797,7 @@ def test_measure_json_bytes_are_those_of_json_dumps(tmp_path, atoms):
     ["simulate", "--n", 12, "--m", 6, "--trials", 2, "--bins", 5],
     ["compare", "--c", 0.5, "--grid", "0.02:3.2:50", "--dims", "16,32",
      "--seeds", 2],
-    ["verify", "--check", "gram", "--n", 20, "--m", 10]],
+    ["verify", "gram", "--n", 20, "--m", 10]],
     ids=["simulate", "compare", "verify"])
 def test_manifest_hashes_are_those_of_the_files_on_disk(tmp_path, argv):
     out = tmp_path / "o"
@@ -844,12 +840,6 @@ def test_unknown_law_exits_2(tmp_path, capsys):
 
 def test_console_script_entry_point(tmp_path):
     out = tmp_path / "d"
-    # the checkout's sources, not an installed copy, on the child's path
-    path = [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    proc = subprocess.run(
-        [sys.executable, "-m", "rank1spec.cli", "density", "--c", "1.0",
-         "--grid", "0.5:3.5:8", "--out", str(out)],
-        capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+    proc = child(["density", "--c", "1.0", "--grid", "0.5:3.5:8"], out)
     assert proc.returncode == 0
     assert (out / "density.csv").exists()

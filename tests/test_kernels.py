@@ -18,7 +18,7 @@ def stage(z, f, tol=1e-10, max_iter=100_000):
 
 
 def test_kernel_reaches_mp_quadratic():
-    zs = np.array([1j, 2j, 0.5 + 0.25j, -1 + 0.5j, 2.0 - 0.3j])
+    zs = np.array([1j, 2j, 0.5 + 0.25j, -1 + 0.5j])
     f, _, iters, status = stage(zs, np.full(zs.shape, 1j))[:4]
     assert np.all(status == 0)
     assert np.all(iters >= 1)
@@ -54,7 +54,7 @@ def test_newton_leaving_half_plane_falls_back_to_picard():
 
 
 def test_stage_reports_tangent_residual_and_fallbacks():
-    zs = np.array([1j, 0.5 + 0.25j, -1 + 0.5j, 2.0 - 0.3j])
+    zs = np.array([1j, 0.5 + 0.25j, -1 + 0.5j])
     got = stage(zs, np.full(zs.shape, 1j))
     f = got.f
     # implicit derivative of the c = 1 quadratic z f^2 + z f + 1 = 0
