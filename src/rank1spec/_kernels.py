@@ -18,7 +18,7 @@ the chunking.
 Status codes returned per point by `picard_solve`:
 
 ====  =========================================
-0     converged, residual <= tol
+0     converged: residual <= tol, or a small step at tol=None
 1     max_iter exhausted
 2     denominator 1 + tau*f within 1e-14 of zero
 ====  =========================================
@@ -40,6 +40,8 @@ CHUNK_ELEMENTS = 1 << 15
 SMALL_WIDTH = 3
 # weight of f0(w) in the Picard step a point takes when Newton fails it
 DAMPING = 0.5
+# at tol=None, the largest Newton step that stops a point, times max(1, |f|)
+PREDICTOR_STEP = 0.3
 
 
 def _step(width: int) -> int:
@@ -134,9 +136,10 @@ class Stage(NamedTuple):
     f, iters, status, dfdz and residual are per point: the final values,
     the residual evaluations each point made, its status code (see the
     module docstring), df/dz = f0'(w)/(1 - f0'(w) shift'(f)) and |r| at
-    the point's last evaluation. updates is iters.sum() and fallbacks the
-    number of damped Picard steps taken, both as Python ints. updates
-    stays at index 1 because profiling reads it there.
+    the point's last evaluation, which at tol=None precedes the step to f.
+    updates is iters.sum() and fallbacks the number of damped Picard
+    steps taken, both as Python ints. updates stays at index 1 because
+    profiling reads it there.
     """
 
     f: np.ndarray
@@ -159,8 +162,10 @@ def picard_solve(z, f, tol, max_iter, tau, tau_w, c, loc, mass) -> Stage:
     step f <- (1 - DAMPING) f + DAMPING f0(w) instead, reflected into the
     half-plane. A point stops at the first residual evaluation
     with |r| <= tol, or at a pole, and counts every evaluation it made.
-    Its df/dz comes from the derivatives of that same evaluation, so the
-    caller can predict the next stage's start at no extra cost.
+    With tol=None it stops instead right after its first Newton step of
+    at most PREDICTOR_STEP*max(1, |f|), keeping the stepped f. Its df/dz
+    comes from the derivatives of its last evaluation, so the caller can
+    predict the next stage's start at no extra cost.
 
     The base measure comes as `base_nodes` output. The name is older than
     the Newton step and stays because profiling wraps it.
@@ -190,7 +195,13 @@ def picard_solve(z, f, tol, max_iter, tau, tau_w, c, loc, mass) -> Stage:
             slope = 1.0 - dg * dshift
             step = fa - r / slope
             off = ~np.isfinite(step) | (step.imag < 0.0)
-            stop = pole | (abs_r <= tol)
+            if tol is None:
+                done = ~off & (np.abs(step - fa) <= PREDICTOR_STEP
+                               * np.maximum(1.0, np.abs(fa)))
+                fa = np.where(done, step, fa)
+            else:
+                done = abs_r <= tol
+            stop = pole | done
             # stopped points keep fa; the others move to step
             stopped = stop.any()
             if stopped:

@@ -18,7 +18,8 @@ later ones, with df/dz taken from the derivatives each stage's last
 evaluation already holds. Each update is a Newton step on
 f - f0(z + shift(f)); where that step is not finite or leaves the
 Stieltjes class (Im f * Im z >= 0), the point takes a damped Picard step
-instead.
+instead. Every stage but the last stops a point after one small Newton
+step; only the last solves to the residual TOL.
 """
 
 from __future__ import annotations
@@ -39,9 +40,6 @@ MASS_DEFICIT_FLOOR = 0.9
 EPS_FACTOR = 0.25
 # the residual |f - f0(z + shift(f))| at which a point stops at eps_final
 TOL = 1e-10
-# the stages above eps_final stop a point at this residual, since the
-# next stage moves f by more than that
-STAGE_TOL = math.sqrt(TOL)
 # the updates each point may take at each continuation stage
 MAX_ITER = 100_000
 
@@ -64,8 +62,8 @@ class ModelSpec:
 @dataclass(frozen=True)
 class SolverOptions:
     """Solver controls: eps_final, the smoothing height of the returned
-    transform. The residuals at which points stop (TOL, STAGE_TOL) and the
-    update budget (MAX_ITER) are module constants.
+    transform. The last stage's residual (TOL), the update budget
+    (MAX_ITER) and `_kernels.PREDICTOR_STEP` are module constants.
 
     The continuation ladder starts at 1 + 2*max|tau|^2, high enough that
     the fixed-point map is a strong contraction at the first stage
@@ -122,9 +120,9 @@ class Solve(NamedTuple):
 
 
 def _solve_stage(z: np.ndarray, f: np.ndarray, c: float, sigma: AmplitudeLaw,
-                 nodes: tuple, tol: float) -> Stage:
+                 nodes: tuple, tol: float | None) -> Stage:
     """One continuation stage at every point of `z`, stopping each at
-    residual `tol`; raises at the first point that fails."""
+    residual `tol` (None: one small step); raises at the first failure."""
     stage = picard_solve(z, f, tol, MAX_ITER, sigma.tau_values,
                          sigma.weights, float(c), *nodes)
     status = stage.status
@@ -192,8 +190,9 @@ def solve_mpe_grid(lambdas, model: ModelSpec,
     from the previous stage's f moved along that tangent; each later one
     from the cubic Hermite extrapolation through the last two stages' f
     and df/deps. Where the start is not finite, the stage starts from
-    the previous stage's f. Every stage but the last stops each point at
-    residual STAGE_TOL; the last stops it at TOL.
+    the previous stage's f. Every stage but the last stops each point
+    after its first Newton step of at most 0.3*max(1, |f|), keeping the
+    stepped f; the last stops it at residual TOL.
     """
     opts = opts or SolverOptions()
     lambdas = np.asarray(lambdas, dtype=float)
@@ -215,7 +214,7 @@ def solve_mpe_grid(lambdas, model: ModelSpec,
             f = np.where(np.isfinite(guess), guess, f)
         prev, stage = stage, _solve_stage(
             lam + 1j * eps, f, model.c, model.sigma, nodes,
-            TOL if k == len(schedule) - 1 else STAGE_TOL)
+            TOL if k == len(schedule) - 1 else None)
         f = stage.f
         iterations += stage.iters
         updates.append(stage.updates)

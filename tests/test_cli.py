@@ -116,7 +116,7 @@ def test_density_manifest_hashes_verify(tmp_path):
 
 
 def test_density_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(solver, "MAX_ITER", 2)
+    monkeypatch.setattr(solver, "MAX_ITER", 1)
     out = tmp_path / "d"
     rc = run(["density", "--c", 1.0, "--grid", "0.5:3.5:5", "--out", out])
     assert rc == 2

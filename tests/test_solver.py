@@ -1,11 +1,14 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rank1spec import _kernels, solver
 from rank1spec._kernels import shift_terms
-from rank1spec.cli import measure_from_spectrum_file
+from rank1spec.cli import (build_parser, measure_from_spectrum_file,
+                           parse_grid, parse_measure_atoms, parse_sigma)
 from rank1spec.errors import (MassDeficit, NonConvergence, PoleHit,
                               RealAxisEvaluation)
 from rank1spec.measures import AmplitudeLaw, SpectralMeasure, cdf, moment, \
@@ -14,6 +17,14 @@ from rank1spec.solver import (ModelSpec, SolverOptions, limit_density,
                               mp_closed_form, mp_limit_measure,
                               mp_stieltjes_oracle, solve_mpe_at,
                               solve_mpe_grid)
+
+
+def load_layerbench(name: str):
+    path = Path(__file__).resolve().parent.parent / "layerbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"layerbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def mp_model(c: float) -> ModelSpec:
@@ -158,12 +169,16 @@ def test_solver_continuous_base():
 
 
 def test_solver_nonconvergence_carries_location(monkeypatch):
-    monkeypatch.setattr(solver, "MAX_ITER", 3)
+    # with eps_final = 1e-4 the last stage's predicted start already meets
+    # TOL at lambda = 2, so one update would suffice; with 1e-2 it does not
+    monkeypatch.setattr(solver, "MAX_ITER", 1)
     with pytest.raises(NonConvergence) as exc_info:
-        solve_mpe_grid(np.array([2.0]), mp_model(1.0))
+        solve_mpe_grid(np.array([2.0]), mp_model(1.0),
+                       SolverOptions(eps_final=1e-2))
     err = exc_info.value
     assert err.lam == pytest.approx(2.0)
     assert err.eps is not None and err.eps > 0
+    assert err.eps == pytest.approx(1e-2)
 
 
 def test_grid_solver_matches_pointwise():
@@ -297,6 +312,21 @@ def test_predicted_ladder_matches_halving_ladder_on_mp(c):
     assert np.max(np.abs(f - ref)) < 1e-8
 
 
+@pytest.mark.parametrize("grid,eps_final", [
+    (np.linspace(0.01, (1.0 + 0.5 ** 0.5) ** 2 + 1.0, 300), 1e-8),
+    # the convergence study's grid, as `compare` solves it
+    (np.linspace(0.02, 3.2, 3000), 1e-5)], ids=["mp-1e-8", "compare-3000"])
+def test_predicted_ladder_matches_halving_ladder_near_the_axis(grid,
+                                                               eps_final):
+    # the predictor stages stop early, so low heights and fine grids are
+    # where a point could be left in the wrong basin
+    opts = SolverOptions(eps_final=eps_final)
+    solve = solve_mpe_grid(grid, mp_model(0.5), opts)
+    ref, _ = halving_ladder(grid, mp_model(0.5), opts)
+    assert np.max(np.abs(solve.f - ref)) < 1e-8
+    assert solve.report.max_residual <= solver.TOL
+
+
 @pytest.mark.parametrize("eps_final", [1e-4, 1e-6])
 def test_predicted_ladder_halves_updates_on_two_sided_model(eps_final):
     grid = np.linspace(-3.0, 3.0, 600)
@@ -343,7 +373,7 @@ def test_hermite_start_reproduces_a_cubic():
     assert abs(start - f(0.0625)) < 1e-14
 
 
-def test_stages_above_the_last_stop_at_sqrt_tol(monkeypatch):
+def test_stages_above_the_last_stop_after_a_small_step(monkeypatch):
     tols = []
     kernel = solver.picard_solve
 
@@ -356,8 +386,82 @@ def test_stages_above_the_last_stop_at_sqrt_tol(monkeypatch):
     report = solve_mpe_grid(np.linspace(0.1, 3.9, 50), mp_model(1.0),
                             opts).report
     assert len(report.stages) > 2
-    assert tols == [math.sqrt(1e-10)] * (len(report.stages) - 1) + [1e-10]
+    assert tols == [None] * (len(report.stages) - 1) + [1e-10]
     assert report.max_residual <= 1e-10
+
+
+ONE, ZERO = np.array([1.0]), np.array([0.0])
+
+
+def mp_newton_step(z, f):
+    """The kernel's Newton step from f at c = 1, unit amplitudes and base
+    delta_0, taken by hand, and the residual |f - f0(w)| at f."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift_value, dshift, _ = shift_terms(f, ONE, ONE, 1.0)
+        g, dg = _kernels.base_transform(z + shift_value, ZERO, ONE)
+        return f - (f - g) / (1.0 - dg * dshift), np.abs(f - g)
+
+
+def test_a_point_stopped_by_a_small_step_keeps_the_stepped_f():
+    z = np.linspace(0.1, 3.9, 40) + 0.05j
+    # starts near the solution take one small step; starts at f0(z) = -1/z
+    # take larger ones first
+    start = np.array([mp_stieltjes_oracle(x + 0.06j, 1.0) for x in z.real])
+    start[1::2] = -1.0 / z[1::2]
+    stage = _kernels.picard_solve(z, start, None, 100, ONE, ONE, 1.0, ZERO,
+                                  ONE)
+    assert np.all(stage.status == 0) and stage.fallbacks == 0
+    assert np.any(stage.iters > 1)
+    step, residual = mp_newton_step(z, start)
+    first = stage.iters == 1
+    assert first.any()
+    assert np.all(np.abs(step - start)[first] <= _kernels.PREDICTOR_STEP
+                  * np.maximum(1.0, np.abs(start[first])))
+    assert np.array_equal(stage.f[first], step[first])
+    assert np.array_equal(stage.residual[first], residual[first])
+    assert np.all(stage.f[first] != start[first])
+
+
+def test_a_picard_step_never_stops_a_point():
+    # from f = -3 + 0.01i some Newton steps leave the half-plane, two of
+    # them by less than the step bound; every such point falls back to a
+    # Picard step and keeps running
+    z = np.linspace(-1.0, 5.0, 60) + 0.05j
+    start = np.full(z.shape, -3.0 + 0.01j)
+    step, _ = mp_newton_step(z, start)
+    off = ~np.isfinite(step) | (step.imag < 0.0)
+    assert np.any(off & (np.abs(step - start)
+                         <= _kernels.PREDICTOR_STEP * np.abs(start)))
+    stage = _kernels.picard_solve(z, start, None, 1, ONE, ONE, 1.0, ZERO,
+                                  ONE)
+    assert stage.fallbacks == np.count_nonzero(off)
+    assert np.all(stage.status[off] == 1)
+
+
+@pytest.mark.parametrize("argv_name,passes,updates", [
+    ("MP_ARGV", 16, 4_500), ("SIGNED_ARGV", 20, 6_500)])
+def test_benchmark_solves_stay_within_their_kernel_budget(monkeypatch,
+                                                          argv_name, passes,
+                                                          updates):
+    # a kernel pass is one loop pass of picard_solve over the points still
+    # running; the benchmark's density workloads time these two solves
+    argv = getattr(load_layerbench("workloads"), argv_name)
+    stages = []
+    kernel = solver.picard_solve
+
+    def counted(*args):
+        stages.append(kernel(*args))
+        return stages[-1]
+
+    monkeypatch.setattr(solver, "picard_solve", counted)
+    args = build_parser().parse_args(argv)
+    model = ModelSpec(c=args.c, sigma=parse_sigma(args.sigma),
+                      n0=parse_measure_atoms(args.n0))
+    solve = solve_mpe_grid(parse_grid(args.grid), model,
+                           SolverOptions(eps_final=args.eps_final))
+    assert sum(int(stage.iters.max()) for stage in stages) <= passes
+    assert solve.iterations.sum() <= updates
+    assert solve.report.max_residual <= solver.TOL
 
 
 def test_solve_report_accounts_for_every_update():
