@@ -31,7 +31,8 @@ from .ensemble import (EnsembleConfig, H0Zero, build_matrix, eigenvalues_sym,
                        parse_h0, read_spectrum_csv, write_spectrum_csv)
 from .errors import NonConvergence, Rank1SpecError
 from .measures import (AmplitudeLaw, SpectralMeasure, density_columns,
-                       save_measure_json, write_density_csv)
+                       save_measure_json, write_density_csv,
+                       write_output)
 from .samplers import RngStream, VectorLaw
 from .solver import ModelSpec, SolverOptions, limit_density, solve_mpe_grid
 from .verify import (convergence_study, isotropy_estimate,
@@ -138,8 +139,7 @@ def parse_float_list(text: str) -> list[float]:
 
 def _write_json(path: Path, data) -> bytes:
     text = (json.dumps(data, sort_keys=True, indent=1) + "\n").encode()
-    path.write_bytes(text)
-    return text
+    return write_output(path, text)
 
 
 def _output_dir(args) -> Path:
@@ -175,9 +175,7 @@ def write_histogram_csv(path: Path, edges: np.ndarray,
     text = "bin_left,bin_right,mass\n" + "".join(
         f"{left!r},{right!r},{m!r}\n"
         for left, right, m in zip(edges[:-1], edges[1:], mass.tolist()))
-    data = text.encode()
-    path.write_bytes(data)
-    return data
+    return write_output(path, text.encode())
 
 
 # ---------------------------------------------------------------------------

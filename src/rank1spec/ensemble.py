@@ -30,14 +30,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import NamedTuple, Union
 
 import numpy as np
 
 from .errors import (EigensolveFailed, H0Mismatch, RealAxisEvaluation,
                      ShapeMismatch)
-from .measures import AmplitudeLaw, EmpiricalSpectrum
+from .measures import AmplitudeLaw, EmpiricalSpectrum, write_output
 from .samplers import VectorLaw, keyed_taus, keyed_vectors
 # not called here; they stay bound because layerbench/tracer.py wraps
 # these names in this module
@@ -435,8 +434,7 @@ def gram_counting_relation(gram_spectrum: EmpiricalSpectrum,
 def write_spectrum_csv(spectrum: EmpiricalSpectrum, path) -> bytes:
     """One eigenvalue per line. Returns the bytes written."""
     data = "".join(f"{v!r}\n" for v in spectrum.eigenvalues.tolist()).encode()
-    Path(path).write_bytes(data)
-    return data
+    return write_output(path, data)
 
 
 def read_spectrum_csv(path) -> EmpiricalSpectrum:

@@ -13,7 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
-from pathlib import Path
+import os
 from typing import Iterable
 
 import numpy as np
@@ -278,6 +278,18 @@ def moment(measure: SpectralMeasure, k: int) -> float:
 _JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def write_output(path, data: bytes) -> bytes:
+    """Write `data` to `path` as `Path.write_bytes` does, but overwrite an
+    existing file in place and cut it to length rather than truncate it to
+    zero first, which on ext4 flushes the file at close. Returns `data`."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
+                 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(data)
+        fh.truncate()
+    return data
+
+
 def density_columns(measure: SpectralMeasure) -> tuple[list[str], list[str]]:
     """The repr of every grid node and of every density value, the text
     that both `write_density_csv` and `save_measure_json` write."""
@@ -295,8 +307,7 @@ def write_density_csv(measure: SpectralMeasure, path, columns=None) -> bytes:
     grid, values = density_columns(measure) if columns is None else columns
     data = ("lambda,rho\r\n"
             + "".join(map("{},{}\r\n".format, grid, values))).encode()
-    Path(path).write_bytes(data)
-    return data
+    return write_output(path, data)
 
 
 def save_measure_json(measure: SpectralMeasure, path, columns=None) -> bytes:
@@ -307,6 +318,4 @@ def save_measure_json(measure: SpectralMeasure, path, columns=None) -> bytes:
         json.dumps(measure.atoms),
         ", ".join(map(_JSON_SPELLING.get, grid, grid)),
         ", ".join(map(_JSON_SPELLING.get, values, values)))
-    data = text.encode()
-    Path(path).write_bytes(data)
-    return data
+    return write_output(path, text.encode())

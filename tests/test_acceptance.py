@@ -200,17 +200,24 @@ def test_criterion_09_gram_duality(criterion):
 def test_criterion_10_deterministic_cli(criterion, tmp_path):
     with criterion(10, "repeated CLI invocations with equal flags produce "
                        "byte-identical outputs"):
+        def digests(out):
+            return sorted(hashlib.sha256(p.read_bytes()).hexdigest()
+                          for p in out.iterdir())
+
         def run_twice(args):
             outs = []
             for sub in ("a", "b"):
                 out = tmp_path / f"{args[0]}_{sub}"
                 assert cli_main(args + ["--out", str(out)]) == 0
-                outs.append(sorted(
-                    hashlib.sha256(p.read_bytes()).hexdigest()
-                    for p in out.iterdir()))
+                outs.append(digests(out))
             assert outs[0] == outs[1], args[0]
+            return outs[0]
 
-        run_twice(["density", "--c", "1.0", "--grid", "0.01:3.99:100"])
+        density = ["density", "--c", "1.0", "--grid", "0.01:3.99:100"]
+        first = run_twice(density)
+        # a third run into the filled density_a writes the same bytes
+        assert cli_main(density + ["--out", str(tmp_path / "density_a")]) == 0
+        assert digests(tmp_path / "density_a") == first
         run_twice(["simulate", "--n", "100", "--m", "50", "--law", "lp:1.5",
                    "--seed", "8", "--trials", "2"])
         # the manifest must also survive a json round trip

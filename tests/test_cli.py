@@ -810,6 +810,25 @@ def test_manifest_hashes_are_those_of_the_files_on_disk(tmp_path, argv):
         assert digest == entry["sha256"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["density", "--c", 0.5, "--grid", "0.02:3.2:30"],
+    ["simulate", "--n", 12, "--m", 6, "--trials", 2, "--bins", 5],
+    ["compare", "--c", 0.5, "--grid", "0.02:3.2:800", "--dims", "32,64",
+     "--seeds", 2, "--law", "sphere", "--seed", 0],
+    ["verify", "gram", "--n", 20, "--m", 10]],
+    ids=["density", "simulate", "compare", "verify"])
+def test_every_output_goes_through_one_writer(tmp_path, monkeypatch, argv):
+    def refuse(self, data):
+        raise AssertionError(f"Path.write_bytes({self})")
+
+    monkeypatch.setattr(Path, "write_bytes", refuse)
+    out = tmp_path / "o"
+    assert run(argv + ["--out", out]) == 0
+    written = {entry["path"] for entry in manifest(out)["outputs"]}
+    assert written and written | {"manifest.json"} == {
+        p.name for p in out.iterdir()}
+
+
 # ---------------------------------------------------------------------------
 # determinism, error paths
 # ---------------------------------------------------------------------------
@@ -829,6 +848,28 @@ def test_simulate_rerun_byte_identical(tmp_path):
     assert run(args + ["--out", out1]) == 0
     assert run(args + ["--out", out2]) == 0
     assert hashes(out1.iterdir()) == hashes(out2.iterdir())
+
+
+@pytest.mark.parametrize("larger, smaller", [
+    (["density", "--c", 1.0, "--grid", "0.01:3.99:600"],
+     ["density", "--c", 1.0, "--grid", "0.01:3.99:60"]),
+    (["verify", "quadform", "--dims", "64,128,256,512", "--samples", 200],
+     ["verify", "quadform", "--dims", "64,128", "--samples", 200]),
+    (["simulate", "--n", 80, "--m", 40, "--trials", 2, "--bins", 40],
+     ["simulate", "--n", 20, "--m", 10, "--trials", 2, "--bins", 5])],
+    ids=["density", "verify", "simulate"])
+def test_rerun_into_a_filled_out_writes_what_a_fresh_run_writes(
+        tmp_path, larger, smaller):
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert run(larger + ["--out", reused]) == 0
+    big = {p.name: p.stat().st_size for p in reused.iterdir()}
+    assert run(smaller + ["--out", reused]) == 0
+    assert run(smaller + ["--out", fresh]) == 0
+    assert ([p.name for p in sorted(reused.iterdir())]
+            == [p.name for p in sorted(fresh.iterdir())])
+    assert hashes(reused.iterdir()) == hashes(fresh.iterdir())
+    # the smaller run did overwrite longer files
+    assert any(big[p.name] > p.stat().st_size for p in fresh.iterdir())
 
 
 def test_unknown_law_exits_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from rank1spec.errors import (EmptySpectrum, RealAxisEvaluation,
 from rank1spec.measures import (AmplitudeLaw, EmpiricalSpectrum,
                                 SpectralMeasure, cdf, cdf_left, ks_distance,
                                 moment, save_measure_json,
-                                stieltjes_of_measure, write_density_csv)
+                                stieltjes_of_measure, write_density_csv,
+                                write_output)
 from rank1spec.solver import (ModelSpec, SolverOptions, limit_density,
                               mp_closed_form, mp_limit_measure, solve_mpe_grid)
 
@@ -370,3 +372,56 @@ def test_density_csv_bytes_match_csv_writer(tmp_path):
         writer.writerow([repr(float(x)), repr(float(v))])
     assert path.read_bytes() == buf.getvalue().encode()
     assert path.read_bytes().count(b"\r\n") == grid.size + 1
+
+
+# ---------------------------------------------------------------------------
+# the output writer
+# ---------------------------------------------------------------------------
+
+def test_write_output_creates_a_new_file_like_write_bytes(tmp_path):
+    data = b"lambda,rho\r\n0.5,0.25\r\n"
+    path = tmp_path / "new.csv"
+    assert write_output(path, data) is data
+    assert path.read_bytes() == data
+    want = tmp_path / "want.csv"
+    want.write_bytes(data)
+    assert path.stat().st_mode == want.stat().st_mode
+
+
+@pytest.mark.parametrize("old_size", [0, 5, 9, 10, 11, 4096])
+def test_write_output_overwrites_in_place_without_a_stale_tail(tmp_path,
+                                                               old_size):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"x" * old_size)
+    os.chmod(path, 0o640)
+    inode = path.stat().st_ino
+    data = b"0123456789"
+    assert write_output(path, data) == data
+    assert path.read_bytes() == data
+    assert path.stat().st_ino == inode
+    assert path.stat().st_mode & 0o777 == 0o640
+
+
+def test_write_output_writes_through_a_symlink(tmp_path):
+    target = tmp_path / "target.json"
+    target.write_bytes(b"{}" * 100)
+    link = tmp_path / "link.json"
+    try:
+        link.symlink_to(target)
+    except (OSError, NotImplementedError):
+        pytest.skip("symlinks unavailable")
+    write_output(link, b"[1]")
+    assert link.is_symlink()
+    assert target.read_bytes() == b"[1]"
+    # a dangling link gets its target made, as with Path.write_bytes
+    target.unlink()
+    write_output(link, b"[2]")
+    assert link.is_symlink() and target.read_bytes() == b"[2]"
+
+
+def test_write_output_round_trips_every_byte(tmp_path):
+    data = bytes(range(256)) + b"a\r\nb\nc\rd\0\r\n"
+    path = tmp_path / "raw.bin"
+    path.write_bytes(data * 2)
+    assert write_output(path, data) == data
+    assert path.read_bytes() == data
