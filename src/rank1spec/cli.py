@@ -12,7 +12,8 @@ constants of the solver module, not flags. Every command writes a
 manifest.json recording flags, seed, and sha256 of outputs, and reruns
 are byte-identical.
 
-Exit codes: 0 success, 2 solver or input failure, 3 criterion failure.
+Exit codes: 0 success, 2 solver or input failure (a size too large to
+allocate included), 3 criterion failure.
 """
 
 from __future__ import annotations
@@ -408,6 +409,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (Rank1SpecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy refuses a size it cannot allocate before any --out is made
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return 2
 
 

@@ -10,13 +10,18 @@ the same bits as a fresh generator per key. `keyed_vectors` and
 `keyed_taus` draw one vector or amplitude per stream of such a range,
 bit for bit as `sample_vector` and `sample_tau` on a fresh stream. The
 Monte Carlo check of the normalization is `verify.isotropy_estimate`.
+
+numpy loads numpy.random on first attribute access, so this module
+touches np.random only in annotations (strings here) and inside the
+functions that draw: a run that draws nothing, such as `density`, never
+loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator
 
 import numpy as np
 
@@ -111,13 +116,15 @@ def stream_generators(master_seed: int,
         yield gen
 
 
-RngLike = Union[RngStream, np.random.Generator]
-
-
-def as_generator(rng: RngLike) -> np.random.Generator:
+def as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
     if isinstance(rng, RngStream):
         return rng.generator()
     return rng
+
+
+# Largest p drawn from Gamma(1/p) directly; up to it a draw underflows
+# to 0 with probability below e^-44 per coordinate.
+LP_SPLIT_P = 16.0
 
 
 def lp_scale(p: float, n: int) -> float:
@@ -137,7 +144,8 @@ def lp_scale(p: float, n: int) -> float:
     return math.sqrt(math.exp(-log_m2) / n)
 
 
-def lp_ball_points(p: float, n: int, count: int, rng: RngLike) -> np.ndarray:
+def lp_ball_points(p: float, n: int, count: int,
+                   rng: RngStream | np.random.Generator) -> np.ndarray:
     """Uniform draws from the unit l_p ball, shape (count, n).
 
     Coordinates g_i with density proportional to exp(-|t|^p) are built
@@ -146,18 +154,29 @@ def lp_ball_points(p: float, n: int, count: int, rng: RngLike) -> np.ndarray:
 
         x = g / (sum_i |g_i|^p + W)^(1/p)
 
-    is uniform on the ball.
+    is uniform on the ball. For p > LP_SPLIT_P a Gamma(1/p) draw
+    underflows to 0 too often (numpy draws it as a power U^p), so
+    |g_i| = G^(1/p) U is built from G ~ Gamma(1 + 1/p) and U ~ U(0, 1),
+    as Gamma(a) = Gamma(a + 1) U^(1/a) in law; |g_i|^p = G U^p may
+    underflow there, but only where it is negligible in the sum.
     """
     if p < 1.0:
         raise InvalidP(f"p must be >= 1, got {p}")
     if n < 1:
         raise InvalidDimension(f"dimension must be positive, got {n}")
     gen = as_generator(rng)
-    gam = gen.gamma(1.0 / p, 1.0, size=(count, n))
+    if p <= LP_SPLIT_P:
+        gam = gen.gamma(1.0 / p, 1.0, size=(count, n))
+        mag = gam ** (1.0 / p)
+    else:
+        shifted = gen.gamma(1.0 + 1.0 / p, 1.0, size=(count, n))
+        u = gen.random((count, n))
+        gam = shifted * u ** p
+        mag = shifted ** (1.0 / p) * u
     signs = np.where(gen.random((count, n)) < 0.5, -1.0, 1.0)
     w = gen.standard_exponential(count)
     radius = (gam.sum(axis=1) + w) ** (1.0 / p)
-    return signs * gam ** (1.0 / p) / radius[:, None]
+    return signs * mag / radius[:, None]
 
 
 # laws drawn as raw standard normals or uniforms, then finished as a block
@@ -193,7 +212,8 @@ def _finish(law: VectorLaw, n: int, re: np.ndarray,
     return re
 
 
-def sample_vectors(law: VectorLaw, n: int, count: int, rng: RngLike) -> np.ndarray:
+def sample_vectors(law: VectorLaw, n: int, count: int,
+                   rng: RngStream | np.random.Generator) -> np.ndarray:
     """Draw `count` isotropic vectors, shape (count, n)."""
     if n < 1:
         raise InvalidDimension(f"dimension must be positive, got {n}")
@@ -210,7 +230,8 @@ def sample_vectors(law: VectorLaw, n: int, count: int, rng: RngLike) -> np.ndarr
     raise ValueError(f"unhandled law {law.kind!r}")
 
 
-def sample_vector(law: VectorLaw, n: int, rng: RngLike) -> np.ndarray:
+def sample_vector(law: VectorLaw, n: int,
+                  rng: RngStream | np.random.Generator) -> np.ndarray:
     """Draw one isotropic vector of dimension n."""
     return sample_vectors(law, n, 1, rng)[0]
 
@@ -250,7 +271,8 @@ def _tau_lookup(sigma, u: np.ndarray) -> np.ndarray:
     return sigma.tau_values[idx]
 
 
-def sample_tau(sigma, rng: RngLike, size: int | None = None):
+def sample_tau(sigma, rng: RngStream | np.random.Generator,
+               size: int | None = None):
     """Draw amplitudes by inverse CDF over the law's cumulative weights."""
     u = as_generator(rng).random(size if size is not None else 1)
     out = _tau_lookup(sigma, u)

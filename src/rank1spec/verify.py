@@ -21,7 +21,7 @@ from .ensemble import (EnsembleConfig, H0Zero, build_matrix, counting_fractions,
                        resolvent_traces)
 from .errors import RealAxisEvaluation
 from .measures import EmpiricalSpectrum, ks_distance
-from .samplers import RngLike, RngStream, VectorLaw, as_generator, sample_vectors
+from .samplers import RngStream, VectorLaw, as_generator, sample_vectors
 from .solver import ModelSpec, SolverOptions, limit_density, solve_mpe_grid
 
 # Ceiling for the mean KS at the largest study dimension. At c = 0.5 and
@@ -256,7 +256,8 @@ def verify_norm_tail(law: VectorLaw, n: int, samples: int, master_seed: int,
         detail={"rows": rows})
 
 
-def isotropy_estimate(law, n: int, samples: int, rng: RngLike,
+def isotropy_estimate(law, n: int, samples: int,
+                      rng: RngStream | np.random.Generator,
                       sampler: Callable[[int, int, np.random.Generator], np.ndarray] | None = None,
                       ) -> Report:
     """Monte Carlo isotropy check against the target covariance I/d.

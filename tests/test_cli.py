@@ -405,18 +405,42 @@ def test_malformed_flag_value_exits_2(tmp_path, capsys, monkeypatch, argv,
     assert not out.exists()
 
 
+# Each asks for 2^61 bytes or more in one array, which numpy refuses
+# before any page is touched: the grid, a vector block, the isotropy
+# block and the histogram bins.
+@pytest.mark.parametrize("argv", [
+    ["density", "--c", 1, "--grid", f"0.5:1.5:{2 ** 58}"],
+    ["simulate", "--n", 2 ** 58, "--m", 1],
+    ["verify", "isotropy", "--n", 2 ** 58, "--samples", 2],
+    ["simulate", "--n", 4, "--m", 2, "--bins", 2 ** 58]],
+    ids=["grid", "vectors", "isotropy", "bins"])
+def test_refused_allocation_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert run(argv + ["--out", out]) == 2
+    assert "error: out of memory: Unable to allocate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
+
+
+def constant_block(law, n, count, rng):
+    return np.full((count, n), 1.0 / np.sqrt(n))
 
 
 @pytest.mark.parametrize("argv, code", [
     (["verify", "isotropy", "--law", "sphere", "--n", 1,
       "--samples", 2, "--seed", 1], 3),
-    (["verify", "quadform", "--law", "lp:1e300", "--dims", "4,8",
-      "--samples", 3], 0)], ids=["isotropy", "quadform"])
-def test_infinite_estimates_are_written_as_null(tmp_path, argv, code):
+    (["verify", "quadform", "--dims", "4,8", "--samples", 3], 0)],
+    ids=["isotropy", "quadform"])
+def test_infinite_estimates_are_written_as_null(tmp_path, monkeypatch, argv,
+                                                code):
     # an isotropy ratio over a zero standard error, and the slope of two
-    # matrices that both concentrate exactly
+    # matrices that both concentrate exactly, as they do when every
+    # draw is the same vector
+    if argv[1] == "quadform":
+        monkeypatch.setattr(verify, "sample_vectors", constant_block)
     out = tmp_path / "v"
     assert run(argv + ["--out", out]) == code
     report = json.loads((out / "report.json").read_text(),
@@ -759,6 +783,39 @@ def test_one_parser_per_process_writes_what_a_fresh_process_writes(
         assert ([p.name for p in sorted(got.iterdir())]
                 == [p.name for p in sorted(want.iterdir())])
         assert hashes(got.iterdir()) == hashes(want.iterdir())
+
+
+LOADS_RANDOM = """
+import json, sys
+import rank1spec, rank1spec.cli as cli
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+    loaded.append("numpy.random" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_density_loads_no_random_number_machinery(tmp_path):
+    # the limit solve draws nothing, so numpy.random loads only at the
+    # first generator built, here by simulate
+    density = ["density", "--c", "1", "--grid", "0.5:3.5:5"]
+    simulate = ["simulate", "--n", "12", "--m", "6", "--trials", "2"]
+    argv = [density + ["--out", str(tmp_path / "fresh" / "d")],
+            simulate + ["--out", str(tmp_path / "fresh" / "s")]]
+    path = [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    done = subprocess.run(
+        [sys.executable, "-c", LOADS_RANDOM, json.dumps(argv)],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [False, True]
+    for name, args in (("d", density), ("s", simulate)):
+        assert run(args + ["--out", tmp_path / "in" / name]) == 0
+        got = sorted((tmp_path / "fresh" / name).iterdir())
+        want = sorted((tmp_path / "in" / name).iterdir())
+        assert [p.name for p in got] == [p.name for p in want]
+        assert hashes(got) == hashes(want)
 
 
 # ---------------------------------------------------------------------------

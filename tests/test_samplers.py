@@ -204,6 +204,49 @@ def test_lp_scale_monte_carlo():
         assert abs(m2 - 1.0) < 0.01
 
 
+def textbook_lp_ball(p, n, count, gen):
+    """The Gamma(1/p) construction of lp_ball_points, for reference."""
+    gam = gen.gamma(1.0 / p, 1.0, size=(count, n))
+    signs = np.where(gen.random((count, n)) < 0.5, -1.0, 1.0)
+    w = gen.standard_exponential(count)
+    radius = (gam.sum(axis=1) + w) ** (1.0 / p)
+    return signs * gam ** (1.0 / p) / radius[:, None]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5, 16.0])
+def test_lp_ball_keeps_the_gamma_draw_up_to_the_split(p):
+    got = lp_ball_points(p, 7, 50, RngStream(3, 2))
+    want = textbook_lp_ball(p, 7, 50, RngStream(3, 2).generator())
+    assert np.array_equal(got, want)
+
+
+def test_lp_ball_draws_agree_across_the_split():
+    # just above the split the Gamma(1/p) draw is still sound, so both
+    # constructions must give the same law: compare E|y|^2 and E|y|^4
+    p, n, count = 17.0, 10, 100_000
+    new = lp_ball_points(p, n, count, RngStream(12, 0)) * lp_scale(p, n)
+    old = (textbook_lp_ball(p, n, count, RngStream(12, 1).generator())
+           * lp_scale(p, n))
+    for k in (1, 2):
+        a = np.sum(new ** 2, axis=1) ** k
+        b = np.sum(old ** 2, axis=1) ** k
+        se = np.hypot(a.std(), b.std()) / np.sqrt(count)
+        assert abs(a.mean() - b.mean()) < 4.0 * se, k
+
+
+@pytest.mark.parametrize("p", [200.0, 1000.0, 1e300])
+def test_lp_ball_large_p_has_no_underflowed_coordinates(p):
+    # Gamma(1/p) underflows to 0 on 2.4 % of coordinates at p = 200 and
+    # 47 % at p = 1000; the cube-like limit has E|y|^4 = 1 + 4/(5n)
+    n, count = 10, 20_000
+    x = lp_ball_points(p, n, count, RngStream(3, 0))
+    assert np.count_nonzero(x == 0.0) == 0
+    assert np.max(np.abs(x)) < 1.0
+    y2 = np.sum((x * lp_scale(p, n)) ** 2, axis=1)
+    assert abs(y2.mean() - 1.0) < 0.005
+    assert abs(np.mean(y2 ** 2) - (1.0 + 0.8 / n)) < 0.01
+
+
 def test_lp_rejects_bad_p():
     with pytest.raises(InvalidP):
         lp_ball_points(0.99, 3, 10, RngStream(0, 0))
@@ -234,7 +277,7 @@ def test_sample_tau_scalar_and_deterministic():
 # ---------------------------------------------------------------------------
 
 def test_isotropy_passes_for_builtin_laws():
-    for text in ("gauss", "lp:1", "cgauss"):
+    for text in ("gauss", "lp:1", "lp:1000", "cgauss"):
         rep = isotropy_estimate(VectorLaw.parse(text), 15, 30_000, RngStream(2, 0))
         assert rep.passed, (text, rep.estimate)
         assert rep.params["samples"] == 30_000
