@@ -154,7 +154,11 @@ def write_manifest(out_dir: Path, command: str, flags: dict, seed,
                    outputs: dict[Path, bytes],
                    diagnostics: dict | None = None) -> Path:
     """Write manifest.json; `outputs` maps each written file to its bytes,
-    which are hashed here rather than read back."""
+    which are hashed here rather than read back. The outputs that the
+    manifest already in `out_dir` lists and that this run did not write
+    are deleted (`_stale_outputs`)."""
+    path = out_dir / "manifest.json"
+    stale = _stale_outputs(path, {p.name for p in outputs})
     manifest = {
         "command": command,
         "flags": {k: flags[k] for k in sorted(flags)},
@@ -165,9 +169,27 @@ def write_manifest(out_dir: Path, command: str, flags: dict, seed,
     }
     if diagnostics is not None:
         manifest["diagnostics"] = diagnostics
-    path = out_dir / "manifest.json"
     _write_json(path, manifest)
+    for name in stale:
+        if (out_dir / name).is_file():
+            (out_dir / name).unlink()
     return path
+
+
+def _stale_outputs(manifest_path: Path, written: set[str]) -> list[str]:
+    """The file names that the manifest at `manifest_path` lists as
+    outputs and that are not in `written`. An unreadable manifest, or
+    one in another shape, lists none; a name with a directory part, or
+    the manifest's own, is never listed."""
+    try:
+        entries = json.loads(manifest_path.read_bytes())["outputs"]
+        names = [entry["path"] for entry in entries]
+    except (OSError, ValueError, TypeError, KeyError):
+        return []
+    return [name for name in names
+            if isinstance(name, str) and name not in written
+            and name == Path(name).name
+            and name not in ("", "..", "manifest.json")]
 
 
 def write_histogram_csv(path: Path, edges: np.ndarray,

@@ -24,10 +24,24 @@ or eigensolving H. `counting_fractions` counts the eigenvalues of H in
 (Haynsworth's inertia additivity). Both diagonalize H0 once per call; a
 file base is read once per `EnsembleConfig` (`EnsembleConfig.h0_array`),
 not once per trial.
+
+Every trial draw (`build_matrix`, `gram_matrix` and the variance checks'
+loops) goes through `_trial_draws`, which keeps a one-trial readahead
+slot: after trial t of a config is drawn in sequence (it was read ahead,
+or the previous draw was trial t - 1 of the same config object), one
+long-lived daemon helper thread draws trial t + 1 while the caller works
+on trial t, and the next draw takes it. Since a draw is a pure function of
+(config, trial), the bits are those of `_draw_components` on the calling
+thread. It reads ahead only when a core would otherwise sit idle, that
+is when the BLAS thread caps in the environment are all below the CPUs
+this process may use (`_spare_core`), and only for blocks of at most
+`_READAHEAD_MAX_BYTES`; its memory cost is one trial's block.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Union
@@ -45,6 +59,11 @@ from .samplers import sample_tau, sample_vector
 HERMITIAN_TOL = 1e-12
 _TRIAL_STRIDE = 2 ** 32
 _TAU_OFFSET = 2 ** 31
+# largest trial block (n x m entries) drawn ahead, so that the readahead
+# costs at most this much memory; n = 1024, m = 512 takes 4 MiB
+_READAHEAD_MAX_BYTES = 64 * 2 ** 20
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -173,6 +192,13 @@ class TrialFactors(NamedTuple):
         return assemble_matrix(h0, self.taus, self.vectors)
 
 
+def _checked_trial(trial) -> int:
+    if (not isinstance(trial, (int, np.integer))
+            or not 0 <= trial < _TRIAL_STRIDE):
+        raise ValueError("trial must be an integer in [0, 2^32)")
+    return int(trial)
+
+
 def _draw_components(config: EnsembleConfig, trial: int):
     """Vectors (n, m) and amplitudes (m,) under the documented keying.
 
@@ -180,15 +206,134 @@ def _draw_components(config: EnsembleConfig, trial: int):
     that `samplers.keyed_vectors` fills row by row, so `vectors.T` is
     C-contiguous and no transposing copy is made.
     """
-    if (not isinstance(trial, (int, np.integer))
-            or not 0 <= trial < _TRIAL_STRIDE):
-        raise ValueError("trial must be an integer in [0, 2^32)")
-    base = trial * _TRIAL_STRIDE
+    base = _checked_trial(trial) * _TRIAL_STRIDE
     rows = keyed_vectors(config.law, config.n, config.seed,
                          range(base, base + config.m))
     taus = keyed_taus(config.sigma, config.seed,
                       range(base + _TAU_OFFSET, base + _TAU_OFFSET + config.m))
     return rows.T, taus
+
+
+def _spare_core() -> bool:
+    """Whether BLAS leaves a core idle: some BLAS thread cap is set as a
+    positive integer, and every such cap is below the CPUs this process
+    may use. With no cap, BLAS threads take every core, and a helper
+    thread drawing beside them made the eigensolves slower."""
+    caps = [int(v) for v in map(os.environ.get, _BLAS_THREAD_VARS)
+            if v is not None and v.strip().isdecimal() and int(v) > 0]
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return bool(caps) and max(caps) < cpus
+
+
+def _block_bytes(config: EnsembleConfig) -> int:
+    return config.n * config.m * (16 if config.law.is_complex else 8)
+
+
+class _Readahead:
+    """One trial's draws, made by `draw` on the helper thread."""
+
+    def __init__(self, draw, config: EnsembleConfig, trial: int):
+        self.draw, self.config, self.trial = draw, config, trial
+        self._result = self._error = None
+        self._done = threading.Event()
+
+    def run(self) -> None:
+        try:
+            self._result = self.draw(self.config, self.trial)
+        except BaseException as exc:  # re-raised by the consuming call
+            self._error = exc
+        finally:
+            self._done.set()
+
+    def serves(self, draw, config: EnsembleConfig, trial: int) -> bool:
+        return (draw is self.draw and config is self.config
+                and trial == self.trial)
+
+    def wait(self, timeout: float | None = None) -> bool:
+        return self._done.wait(timeout)
+
+    def take(self):
+        """The draws, once the helper is done; its exception if it raised."""
+        self.wait()
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
+        return self._result
+
+
+def _serve(jobs) -> None:
+    while True:
+        jobs.get().run()
+
+
+_readahead_lock = threading.Lock()
+# the helper thread's job queue, made at the first readahead: one
+# long-lived helper keeps its freed blocks in one malloc arena
+_helper_jobs = None
+_readahead: _Readahead | None = None
+# (config, trial) of the last draw
+_previous: tuple | None = None
+
+
+def _forget_readahead() -> None:
+    """Empty the slot in a forked child, where the helper does not run."""
+    global _readahead_lock, _helper_jobs, _readahead, _previous
+    _readahead_lock = threading.Lock()
+    _helper_jobs = _readahead = _previous = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_readahead)
+
+
+def _read_ahead(draw, config: EnsembleConfig, trial: int) -> None:
+    """Queue `draw(config, trial)` on the helper thread, started here at
+    the first call, and put it in the slot; no-op if no thread starts."""
+    global _helper_jobs, _readahead
+    ahead = _Readahead(draw, config, trial)
+    with _readahead_lock:
+        if _helper_jobs is None:
+            from queue import SimpleQueue
+            jobs = SimpleQueue()
+            try:
+                threading.Thread(target=_serve, args=(jobs,), daemon=True,
+                                 name="rank1spec-readahead").start()
+            except RuntimeError:
+                return
+            _helper_jobs = jobs
+        _helper_jobs.put(ahead)
+        _readahead = ahead
+
+
+def _trial_draws(config: EnsembleConfig, trial: int):
+    """`_draw_components(config, trial)`, taken from the readahead slot
+    when the slot holds that trial of that config object.
+
+    A draw that was served from the slot, or that follows trial - 1 of
+    the same config object, queues trial + 1 on the helper thread when
+    `_spare_core()` holds and the block is at most
+    `_READAHEAD_MAX_BYTES`. Any other draw discards the slot.
+    """
+    global _readahead, _previous
+    trial = _checked_trial(trial)
+    draw = _draw_components
+    with _readahead_lock:
+        pending, _readahead = _readahead, None
+        previous, _previous = _previous, (config, trial)
+    if pending is not None and pending.serves(draw, config, trial):
+        result = pending.take()
+        follows = True
+    else:
+        result = draw(config, trial)
+        follows = (previous is not None and previous[0] is config
+                   and previous[1] == trial - 1)
+    if (follows and _block_bytes(config) <= _READAHEAD_MAX_BYTES
+            and _spare_core()):
+        _read_ahead(draw, config, trial + 1)
+    return result
 
 
 def assemble_matrix(h0: np.ndarray, taus, vectors) -> np.ndarray:
@@ -209,7 +354,7 @@ def assemble_matrix(h0: np.ndarray, taus, vectors) -> np.ndarray:
 def build_matrix(config: EnsembleConfig, trial: int = 0) -> TrialFactors:
     """Realize H = H0 + sum_a tau_a (Y_a x Y_a) for one trial, as factors."""
     h0 = None if isinstance(config.h0, H0Zero) else config.h0_array
-    return TrialFactors(h0, *_draw_components(config, trial))
+    return TrialFactors(h0, *_trial_draws(config, trial))
 
 
 def _gram_factor(matrix: TrialFactors):
@@ -305,7 +450,7 @@ def _rotated_draws(config: EnsembleConfig, q, trials):
     """Each trial's U = Q^H V over the columns of nonzero amplitude, and
     those amplitudes T; Q = None stands for the identity."""
     for trial in trials:
-        u, t = _nonzero_columns(*_draw_components(config, trial))
+        u, t = _nonzero_columns(*_trial_draws(config, trial))
         yield (u if q is None else q.T @ u), t
 
 
@@ -391,7 +536,7 @@ def resolvent_traces(config: EnsembleConfig, z: complex, trials) -> np.ndarray:
 
 def gram_matrix(config: EnsembleConfig, trial: int = 0) -> np.ndarray:
     """Gram matrix of the trial's vectors (same streams as build_matrix)."""
-    vectors, _ = _draw_components(config, trial)
+    vectors, _ = _trial_draws(config, trial)
     gram = vectors.conj().T @ vectors
     return 0.5 * (gram + gram.conj().T)
 

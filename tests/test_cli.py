@@ -929,6 +929,37 @@ def test_rerun_into_a_filled_out_writes_what_a_fresh_run_writes(
     assert any(big[p.name] > p.stat().st_size for p in fresh.iterdir())
 
 
+def test_a_rerun_deletes_the_outputs_it_no_longer_writes(tmp_path):
+    out = tmp_path / "s"
+    args = ["simulate", "--n", 20, "--m", 10, "--out", out]
+    assert run(args + ["--trials", 3]) == 0
+    (out / "notes.txt").write_text("mine\n")
+    assert run(args + ["--trials", 1]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "eigenvalues_000.csv", "histogram.csv", "manifest.json", "notes.txt"]
+    assert [entry["path"] for entry in manifest(out)["outputs"]] == [
+        "eigenvalues_000.csv", "histogram.csv"]
+
+
+@pytest.mark.parametrize("text", [
+    "not json", '{"outputs": 3}', '{"outputs": [{"file": "a.txt"}]}',
+    '{"outputs": [{"path": "../a.txt"}, {"path": "sub/a.txt"},'
+    ' {"path": "manifest.json"}, {"path": 7}, {"path": "d"}]}'])
+def test_a_rerun_deletes_only_plain_files_the_old_manifest_lists(tmp_path,
+                                                                  text):
+    out = tmp_path / "s"
+    (out / "sub").mkdir(parents=True)
+    (out / "d").mkdir()
+    for path in (tmp_path / "a.txt", out / "a.txt", out / "sub" / "a.txt"):
+        path.write_text("mine\n")
+    (out / "manifest.json").write_text(text)
+    assert run(["simulate", "--n", 6, "--m", 3, "--trials", 1,
+                "--out", out]) == 0
+    assert (tmp_path / "a.txt").exists()
+    assert (out / "a.txt").exists() and (out / "sub" / "a.txt").exists()
+    assert (out / "d").is_dir()
+
+
 def test_unknown_law_exits_2(tmp_path, capsys):
     rc = run(["simulate", "--n", 10, "--m", 5, "--law", "banana",
               "--out", tmp_path / "s"])

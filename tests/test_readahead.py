@@ -1,0 +1,299 @@
+"""The one-trial readahead of `ensemble._trial_draws`.
+
+Most tests force the gate on by monkeypatching `ensemble._spare_core`,
+so that they run the helper thread whatever the BLAS settings are.
+"""
+
+import os
+import sys
+import threading
+import time
+import warnings
+
+import numpy as np
+import pytest
+
+from rank1spec import ensemble
+from rank1spec.ensemble import (EnsembleConfig, H0Diagonal, H0Zero,
+                                build_matrix, counting_fractions, gram_matrix,
+                                resolvent_traces)
+from rank1spec.measures import AmplitudeLaw
+from rank1spec.samplers import VectorLaw
+
+LAWS = ["sphere", "gauss", "cgauss", "lp:1.5"]
+TRIALS = 8
+# no trial directly follows its predecessor
+SHUFFLED = [3, 0, 5, 2, 7, 4, 1, 6]
+ORDERS = {"sequential": list(range(TRIALS)),
+          "reversed": list(range(TRIALS))[::-1], "shuffled": SHUFFLED}
+SIGNED = AmplitudeLaw([(1.0, 0.5), (-0.5, 0.5)])
+CAPS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the gate itself, before the fixture below replaces it
+SPARE_CORE = ensemble._spare_core
+
+
+def config(law="sphere", n=12, m=5, sigma=SIGNED, h0=None, seed=3):
+    return EnsembleConfig(n=n, m=m, law=VectorLaw.parse(law), sigma=sigma,
+                          h0=h0 if h0 is not None else H0Zero(), seed=seed)
+
+
+def drain():
+    """Wait for every draw queued on the helper, then empty the slot."""
+    jobs = ensemble._helper_jobs
+    if jobs is not None:
+        # the helper runs its jobs in order
+        marker = ensemble._Readahead(lambda cfg, trial: None, None, 0)
+        jobs.put(marker)
+        assert marker.wait(timeout=60.0)
+    ensemble._readahead = ensemble._previous = None
+
+
+@pytest.fixture(autouse=True)
+def readahead_on(monkeypatch):
+    drain()
+    monkeypatch.setattr(ensemble, "_spare_core", lambda: True)
+    yield
+    drain()
+
+
+@pytest.fixture
+def draw_threads(monkeypatch):
+    """Patch the raw draw to record (trial, drawn on the main thread)."""
+    seen = []
+    draw = ensemble._draw_components
+
+    def recording(cfg, trial):
+        seen.append((trial, threading.current_thread()
+                     is threading.main_thread()))
+        return draw(cfg, trial)
+
+    monkeypatch.setattr(ensemble, "_draw_components", recording)
+    return seen
+
+
+@pytest.mark.parametrize("order", list(ORDERS))
+@pytest.mark.parametrize("law", LAWS)
+def test_draws_equal_the_raw_draw_in_any_order(law, order):
+    cfg = config(law)
+    want = {t: ensemble._draw_components(cfg, t) for t in range(TRIALS)}
+    for trial in ORDERS[order]:
+        got = build_matrix(cfg, trial)
+        assert np.array_equal(got.vectors, want[trial][0])
+        assert np.array_equal(got.taus, want[trial][1])
+
+
+def test_sequential_trials_after_the_first_two_are_drawn_ahead(draw_threads):
+    cfg = config()
+    for trial in range(TRIALS):
+        build_matrix(cfg, trial)
+    drain()
+    # trial TRIALS is the readahead past the last call
+    assert draw_threads == ([(0, True), (1, True)]
+                            + [(t, False) for t in range(2, TRIALS + 1)])
+
+
+def test_shuffled_trials_are_drawn_on_the_calling_thread(draw_threads):
+    cfg = config()
+    for trial in SHUFFLED:
+        build_matrix(cfg, trial)
+    assert draw_threads == [(t, True) for t in SHUFFLED]
+
+
+def test_another_config_object_is_not_served_from_the_slot(draw_threads):
+    a, b = config(), config()
+    build_matrix(a, 0)
+    build_matrix(a, 1)
+    got = build_matrix(b, 2)
+    drain()
+    # the helper drew trial 2 of a, and the calling thread that of b
+    assert sorted(draw_threads) == [(0, True), (1, True), (2, False),
+                                    (2, True)]
+    want = ensemble._draw_components(b, 2)
+    assert np.array_equal(got.vectors, want[0])
+
+
+def test_a_readahead_of_a_replaced_draw_is_not_served(monkeypatch):
+    cfg = config()
+    build_matrix(cfg, 0)
+    build_matrix(cfg, 1)
+    marker = (np.zeros((cfg.n, cfg.m)), np.zeros(cfg.m))
+    monkeypatch.setattr(ensemble, "_draw_components", lambda c, t: marker)
+    assert build_matrix(cfg, 2).vectors is marker[0]
+
+
+def test_every_entry_point_matches_the_calling_thread_draws(monkeypatch):
+    h0 = H0Diagonal(tuple([-1.0, 1.0] * 6))
+    cfg = config("gauss", h0=h0)
+
+    def outputs():
+        return [counting_fractions(cfg, (-0.5, 0.5), range(5)),
+                resolvent_traces(cfg, 0.5 + 0.5j, range(5)),
+                *[gram_matrix(cfg, t) for t in range(4)]]
+
+    ahead = outputs()
+    drain()
+    monkeypatch.setattr(ensemble, "_spare_core", lambda: False)
+    for got, want in zip(ahead, outputs()):
+        assert np.array_equal(got, want)
+
+
+def test_concurrent_callers_get_their_own_draws():
+    configs = [config(law, seed=s) for law in ("sphere", "cgauss")
+               for s in (1, 2)]
+    want = {(i, t): ensemble._draw_components(cfg, t)
+            for i, cfg in enumerate(configs) for t in range(TRIALS)}
+    wrong = []
+
+    def caller(k):
+        # sequential runs of one config, interleaved with other callers
+        for rep in range(3):
+            i = (k + rep) % len(configs)
+            for t in range(TRIALS):
+                got = build_matrix(configs[i], t)
+                if not (np.array_equal(got.vectors, want[i, t][0])
+                        and np.array_equal(got.taus, want[i, t][1])):
+                    wrong.append((k, i, t))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(k,))
+                   for k in range(6)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert wrong == []
+
+
+@pytest.mark.parametrize("error", [ValueError("bad draw 2"),
+                                   MemoryError("no room for trial 2")])
+def test_a_helper_exception_surfaces_in_the_consuming_call(monkeypatch,
+                                                           error):
+    cfg = config()
+    draw = ensemble._draw_components
+    failed_on_main = []
+
+    def failing(c, trial):
+        if trial == 2:
+            failed_on_main.append(threading.current_thread()
+                                  is threading.main_thread())
+            raise error
+        return draw(c, trial)
+
+    monkeypatch.setattr(ensemble, "_draw_components", failing)
+    build_matrix(cfg, 0)
+    build_matrix(cfg, 1)
+    with pytest.raises(type(error), match=str(error)):
+        build_matrix(cfg, 2)
+    assert failed_on_main == [False]
+    assert np.array_equal(build_matrix(cfg, 3).vectors, draw(cfg, 3)[0])
+
+
+@pytest.mark.parametrize("caps, spare", [
+    ({}, False),
+    ({"OPENBLAS_NUM_THREADS": "4"}, False),
+    ({"OMP_NUM_THREADS": "6"}, False),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, False),
+    ({"MKL_NUM_THREADS": "0"}, False),
+    ({"OPENBLAS_NUM_THREADS": "two"}, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"MKL_NUM_THREADS": " 3 "}, True),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "x"}, True),
+])
+def test_the_gate_needs_every_blas_cap_below_the_cpus(monkeypatch, caps,
+                                                      spare):
+    for var in CAPS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in caps.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert SPARE_CORE() is spare
+
+
+@pytest.mark.parametrize("cap", [None, "cpus"])
+def test_no_helper_starts_without_a_spare_core(monkeypatch, draw_threads,
+                                               cap):
+    monkeypatch.setattr(ensemble, "_spare_core", SPARE_CORE)
+    for var in CAPS:
+        monkeypatch.delenv(var, raising=False)
+    if cap == "cpus":
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:
+            cpus = os.cpu_count()
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(cpus))
+    before = threading.active_count()
+    cfg = config()
+    for trial in range(TRIALS):
+        build_matrix(cfg, trial)
+    assert ensemble._readahead is None
+    assert threading.active_count() == before
+    assert draw_threads == [(t, True) for t in range(TRIALS)]
+
+
+@pytest.mark.parametrize("law", ["sphere", "cgauss"])
+def test_a_block_above_the_byte_bound_is_not_read_ahead(monkeypatch,
+                                                        draw_threads, law):
+    cfg = config(law)
+    # a complex entry takes 16 bytes, a real one 8
+    size = cfg.n * cfg.m * (16 if cfg.law.is_complex else 8)
+    monkeypatch.setattr(ensemble, "_READAHEAD_MAX_BYTES", size - 1)
+    for trial in range(4):
+        build_matrix(cfg, trial)
+    assert draw_threads == [(t, True) for t in range(4)]
+    monkeypatch.setattr(ensemble, "_READAHEAD_MAX_BYTES", size)
+    for trial in range(4, 7):
+        build_matrix(cfg, trial)
+    drain()
+    assert draw_threads[4:] == [(4, True), (5, False), (6, False), (7, False)]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_draws_without_the_pending_readahead(monkeypatch):
+    cfg = config()
+    want = ensemble._draw_components(cfg, 2)
+    draw = ensemble._draw_components
+    release = threading.Event()
+
+    def held(c, trial):
+        # the helper's draw stays pending until the parent releases it
+        if threading.current_thread() is not threading.main_thread():
+            release.wait(timeout=60.0)
+        return draw(c, trial)
+
+    monkeypatch.setattr(ensemble, "_draw_components", held)
+    build_matrix(cfg, 0)
+    build_matrix(cfg, 1)
+    assert ensemble._readahead is not None
+    with warnings.catch_warnings():
+        # Python 3.12 warns about forking a process that runs threads
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            got = build_matrix(cfg, 2)
+            status = 0 if (np.array_equal(got.vectors, want[0])
+                           and np.array_equal(got.taus, want[1])) else 1
+        finally:
+            os._exit(status)
+    try:
+        deadline = time.monotonic() + 60.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child hung on its draw")
+            time.sleep(0.01)
+    finally:
+        release.set()
+    assert os.waitstatus_to_exitcode(status) == 0

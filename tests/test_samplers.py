@@ -74,6 +74,16 @@ def test_rekeyed_stream_starts_from_a_fresh_state():
     assert np.array_equal(gen.standard_normal(7), fresh.standard_normal(7))
 
 
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1, np.uint64(2**64 - 1)])
+@pytest.mark.parametrize("ids", [range(2**63 - 1, 2**63 + 1),
+                                 range(2**64 - 2, 2**64)])
+def test_rekeyed_streams_match_fresh_ones_at_the_top_bits(seed, ids):
+    for stream_id, gen in zip(ids, stream_generators(seed, ids)):
+        fresh = RngStream(seed, stream_id).generator()
+        assert np.array_equal(gen.standard_normal(6),
+                              fresh.standard_normal(6))
+
+
 def test_stream_generators_check_the_id_range():
     with pytest.raises(ValueError, match="stream_id"):
         next(stream_generators(0, range(2**64 - 1, 2**64 + 1)))
