@@ -27,15 +27,18 @@ not once per trial.
 
 Every trial draw (`build_matrix`, `gram_matrix` and the variance checks'
 loops) goes through `_trial_draws`, which keeps a one-trial readahead
-slot: after trial t of a config is drawn in sequence (it was read ahead,
-or the previous draw was trial t - 1 of the same config object), one
-long-lived daemon helper thread draws trial t + 1 while the caller works
-on trial t, and the next draw takes it. Since a draw is a pure function of
-(config, trial), the bits are those of `_draw_components` on the calling
-thread. It reads ahead only when a core would otherwise sit idle, that
-is when the BLAS thread caps in the environment are all below the CPUs
-this process may use (`_spare_core`), and only for blocks of at most
-`_READAHEAD_MAX_BYTES`; its memory cost is one trial's block.
+slot: after trial t of a config is drawn in sequence (the previous draw
+was trial t - 1 of the same config object), the one worker thread of a
+`concurrent.futures.ThreadPoolExecutor` draws trial t + 1 while the
+caller works on trial t, and the next draw takes it. Since a draw is a
+pure function of (config, trial), the bits are those of
+`_draw_components` on the calling thread. It reads ahead only when a
+core would otherwise sit idle, that is when the BLAS thread caps in the
+environment are all below the CPUs this process may use (`_spare_core`),
+and only for blocks of at most `_READAHEAD_MAX_BYTES`; its memory cost
+is one trial's block. The worker is not a daemon thread, so the
+interpreter's exit waits for the readahead still pending, at most one
+trial's draw.
 """
 
 from __future__ import annotations
@@ -232,107 +235,59 @@ def _block_bytes(config: EnsembleConfig) -> int:
     return config.n * config.m * (16 if config.law.is_complex else 8)
 
 
-class _Readahead:
-    """One trial's draws, made by `draw` on the helper thread."""
-
-    def __init__(self, draw, config: EnsembleConfig, trial: int):
-        self.draw, self.config, self.trial = draw, config, trial
-        self._result = self._error = None
-        self._done = threading.Event()
-
-    def run(self) -> None:
-        try:
-            self._result = self.draw(self.config, self.trial)
-        except BaseException as exc:  # re-raised by the consuming call
-            self._error = exc
-        finally:
-            self._done.set()
-
-    def serves(self, draw, config: EnsembleConfig, trial: int) -> bool:
-        return (draw is self.draw and config is self.config
-                and trial == self.trial)
-
-    def wait(self, timeout: float | None = None) -> bool:
-        return self._done.wait(timeout)
-
-    def take(self):
-        """The draws, once the helper is done; its exception if it raised."""
-        self.wait()
-        error, self._error = self._error, None
-        if error is not None:
-            raise error
-        return self._result
-
-
-def _serve(jobs) -> None:
-    while True:
-        jobs.get().run()
-
-
 _readahead_lock = threading.Lock()
-# the helper thread's job queue, made at the first readahead: one
-# long-lived helper keeps its freed blocks in one malloc arena
-_helper_jobs = None
-_readahead: _Readahead | None = None
-# (config, trial) of the last draw
-_previous: tuple | None = None
+# built at the first readahead: its one long-lived worker thread keeps
+# the freed blocks in one malloc arena
+_executor = None
+# (draw, config, trial, future) of the last draw, where the future draws
+# trial + 1 on the worker, or is None when no readahead was queued
+_slot: tuple | None = None
 
 
 def _forget_readahead() -> None:
-    """Empty the slot in a forked child, where the helper does not run."""
-    global _readahead_lock, _helper_jobs, _readahead, _previous
+    """Empty the slot in a forked child, where the worker does not run."""
+    global _readahead_lock, _executor, _slot
     _readahead_lock = threading.Lock()
-    _helper_jobs = _readahead = _previous = None
+    _executor = _slot = None
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_readahead)
 
 
-def _read_ahead(draw, config: EnsembleConfig, trial: int) -> None:
-    """Queue `draw(config, trial)` on the helper thread, started here at
-    the first call, and put it in the slot; no-op if no thread starts."""
-    global _helper_jobs, _readahead
-    ahead = _Readahead(draw, config, trial)
-    with _readahead_lock:
-        if _helper_jobs is None:
-            from queue import SimpleQueue
-            jobs = SimpleQueue()
-            try:
-                threading.Thread(target=_serve, args=(jobs,), daemon=True,
-                                 name="rank1spec-readahead").start()
-            except RuntimeError:
-                return
-            _helper_jobs = jobs
-        _helper_jobs.put(ahead)
-        _readahead = ahead
-
-
 def _trial_draws(config: EnsembleConfig, trial: int):
-    """`_draw_components(config, trial)`, taken from the readahead slot
-    when the slot holds that trial of that config object.
+    """`_draw_components(config, trial)`, read ahead when drawn in order.
 
-    A draw that was served from the slot, or that follows trial - 1 of
-    the same config object, queues trial + 1 on the helper thread when
-    `_spare_core()` holds and the block is at most
-    `_READAHEAD_MAX_BYTES`. Any other draw discards the slot.
+    A draw that follows trial - 1 of the same config object and the same
+    `_draw_components` takes the readahead queued for it, if any, and
+    queues trial + 1 on the worker when `_spare_core()` holds and the
+    block is at most `_READAHEAD_MAX_BYTES`. Any other draw discards the
+    slot. An exception raised on the worker is raised here.
     """
-    global _readahead, _previous
+    global _executor, _slot
     trial = _checked_trial(trial)
     draw = _draw_components
     with _readahead_lock:
-        pending, _readahead = _readahead, None
-        previous, _previous = _previous, (config, trial)
-    if pending is not None and pending.serves(draw, config, trial):
-        result = pending.take()
-        follows = True
+        last, _slot = _slot, None
+    follows = (last is not None and last[0] is draw and last[1] is config
+               and last[2] == trial - 1)
+    if follows and last[3] is not None:
+        result = last[3].result()
     else:
         result = draw(config, trial)
-        follows = (previous is not None and previous[0] is config
-                   and previous[1] == trial - 1)
-    if (follows and _block_bytes(config) <= _READAHEAD_MAX_BYTES
-            and _spare_core()):
-        _read_ahead(draw, config, trial + 1)
+    ahead = (follows and _block_bytes(config) <= _READAHEAD_MAX_BYTES
+             and _spare_core())
+    future = None
+    with _readahead_lock:
+        if ahead:
+            if _executor is None:
+                from concurrent.futures import ThreadPoolExecutor
+                _executor = ThreadPoolExecutor(1, "rank1spec-readahead")
+            try:
+                future = _executor.submit(draw, config, trial + 1)
+            except RuntimeError:  # no thread starts, or the interpreter exits
+                pass
+        _slot = (draw, config, trial, future)
     return result
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -257,9 +256,7 @@ def verify_norm_tail(law: VectorLaw, n: int, samples: int, master_seed: int,
 
 
 def isotropy_estimate(law, n: int, samples: int,
-                      rng: RngStream | np.random.Generator,
-                      sampler: Callable[[int, int, np.random.Generator], np.ndarray] | None = None,
-                      ) -> Report:
+                      rng: RngStream | np.random.Generator) -> Report:
     """Monte Carlo isotropy check against the target covariance I/d.
 
     Complex laws are unpacked to R^{2n} (real parts then imaginary
@@ -273,19 +270,13 @@ def isotropy_estimate(law, n: int, samples: int,
 
     A single sample has no spread to test against, so at least two are
     needed.
-
-    `sampler(n, count, gen) -> (count, n) array` overrides the law's
-    generator (used to inject deliberately broken laws in tests).
     """
     if samples < 2:
         raise ValueError(f"isotropy needs at least 2 samples, got {samples}")
     gen = as_generator(rng)
 
     def draw(count: int) -> np.ndarray:
-        if sampler is not None:
-            block = np.asarray(sampler(n, count, gen))
-        else:
-            block = sample_vectors(law, n, count, gen)
+        block = sample_vectors(law, n, count, gen)
         if np.iscomplexobj(block):
             block = np.concatenate([block.real, block.imag], axis=1)
         return block

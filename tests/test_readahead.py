@@ -1,14 +1,16 @@
 """The one-trial readahead of `ensemble._trial_draws`.
 
 Most tests force the gate on by monkeypatching `ensemble._spare_core`,
-so that they run the helper thread whatever the BLAS settings are.
+so that they run the readahead worker whatever the BLAS settings are.
 """
 
 import os
+import subprocess
 import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ SIGNED = AmplitudeLaw([(1.0, 0.5), (-0.5, 0.5)])
 CAPS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # the gate itself, before the fixture below replaces it
 SPARE_CORE = ensemble._spare_core
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def config(law="sphere", n=12, m=5, sigma=SIGNED, h0=None, seed=3):
@@ -38,14 +41,12 @@ def config(law="sphere", n=12, m=5, sigma=SIGNED, h0=None, seed=3):
 
 
 def drain():
-    """Wait for every draw queued on the helper, then empty the slot."""
-    jobs = ensemble._helper_jobs
-    if jobs is not None:
-        # the helper runs its jobs in order
-        marker = ensemble._Readahead(lambda cfg, trial: None, None, 0)
-        jobs.put(marker)
-        assert marker.wait(timeout=60.0)
-    ensemble._readahead = ensemble._previous = None
+    """Wait for every draw queued on the worker, then empty the slot."""
+    executor = ensemble._executor
+    if executor is not None:
+        # the one worker runs its jobs in order
+        executor.submit(lambda: None).result(timeout=60.0)
+    ensemble._slot = None
 
 
 @pytest.fixture(autouse=True)
@@ -105,7 +106,7 @@ def test_another_config_object_is_not_served_from_the_slot(draw_threads):
     build_matrix(a, 1)
     got = build_matrix(b, 2)
     drain()
-    # the helper drew trial 2 of a, and the calling thread that of b
+    # the worker drew trial 2 of a, and the calling thread that of b
     assert sorted(draw_threads) == [(0, True), (1, True), (2, False),
                                     (2, True)]
     want = ensemble._draw_components(b, 2)
@@ -232,7 +233,7 @@ def test_no_helper_starts_without_a_spare_core(monkeypatch, draw_threads,
     cfg = config()
     for trial in range(TRIALS):
         build_matrix(cfg, trial)
-    assert ensemble._readahead is None
+    assert ensemble._slot[3] is None
     assert threading.active_count() == before
     assert draw_threads == [(t, True) for t in range(TRIALS)]
 
@@ -262,7 +263,7 @@ def test_a_forked_child_draws_without_the_pending_readahead(monkeypatch):
     release = threading.Event()
 
     def held(c, trial):
-        # the helper's draw stays pending until the parent releases it
+        # the worker's draw stays pending until the parent releases it
         if threading.current_thread() is not threading.main_thread():
             release.wait(timeout=60.0)
         return draw(c, trial)
@@ -270,7 +271,7 @@ def test_a_forked_child_draws_without_the_pending_readahead(monkeypatch):
     monkeypatch.setattr(ensemble, "_draw_components", held)
     build_matrix(cfg, 0)
     build_matrix(cfg, 1)
-    assert ensemble._readahead is not None
+    assert ensemble._slot[3] is not None
     with warnings.catch_warnings():
         # Python 3.12 warns about forking a process that runs threads
         warnings.simplefilter("ignore", DeprecationWarning)
@@ -297,3 +298,66 @@ def test_a_forked_child_draws_without_the_pending_readahead(monkeypatch):
     finally:
         release.set()
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+# A fresh interpreter with the gate forced on, whose worker draws slowly:
+# it reaches its end with the readahead of trial 2 still pending. With
+# "fork", a child forked there draws trials 2 to 4 (4 on a worker of its
+# own), leaves the readahead of 5 pending and ends through sys.exit.
+PENDING_AT_EXIT = """
+import os, sys, threading, time, warnings
+import numpy as np
+from rank1spec import ensemble
+from rank1spec.ensemble import EnsembleConfig, H0Zero, build_matrix
+from rank1spec.measures import AmplitudeLaw
+from rank1spec.samplers import VectorLaw
+
+ensemble._spare_core = lambda: True
+draw = ensemble._draw_components
+
+def slow(c, trial):
+    if threading.current_thread() is not threading.main_thread():
+        time.sleep(0.5)
+        print("drew", trial, flush=True)
+    return draw(c, trial)
+
+ensemble._draw_components = slow
+cfg = EnsembleConfig(n=12, m=5, law=VectorLaw.parse("sphere"),
+                     sigma=AmplitudeLaw([(1.0, 1.0)]), h0=H0Zero(), seed=3)
+build_matrix(cfg, 0)
+build_matrix(cfg, 1)
+assert not ensemble._slot[3].done()
+if sys.argv[1] == "fork":
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        ok = all([np.array_equal(build_matrix(cfg, t).vectors,
+                                 draw(cfg, t)[0]) for t in (2, 3, 4)])
+        assert not ensemble._slot[3].done()
+        sys.exit(0 if ok else 1)
+    sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+def run_pending_at_exit(mode):
+    path = [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    return subprocess.run(
+        [sys.executable, "-c", PENDING_AT_EXIT, mode], capture_output=True,
+        text=True, timeout=60.0,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+
+
+def test_exit_waits_for_the_pending_readahead():
+    done = run_pending_at_exit("exit")
+    assert done.returncode == 0, done.stderr
+    # the worker is not a daemon: its draw ends before the interpreter
+    assert done.stdout.splitlines() == ["drew 2"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_exits_normally_with_a_readahead_pending():
+    done = run_pending_at_exit("fork")
+    assert done.returncode == 0, done.stderr
+    assert sorted(done.stdout.splitlines()) == ["drew 2", "drew 4",
+                                                "drew 5"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rank1spec import verify
 from rank1spec.errors import InvalidDimension, InvalidP
 from rank1spec.measures import AmplitudeLaw
 from rank1spec.samplers import (RngStream, VectorLaw, lp_ball_points,
@@ -293,24 +294,26 @@ def test_isotropy_passes_for_builtin_laws():
         assert rep.params["samples"] == 30_000
 
 
-def test_isotropy_fails_for_skewed_sampler():
-    def skewed(n, count, gen):
+def test_isotropy_fails_for_skewed_sampler(monkeypatch):
+    def skewed(law, n, count, gen):
         v = gen.normal(size=(count, n)) / np.sqrt(n)
         v[:, 0] *= 2.0
         return v
+    monkeypatch.setattr(verify, "sample_vectors", skewed)
     rep = isotropy_estimate(VectorLaw.parse("gauss"), 20, 50_000,
-                            RngStream(0, 0), sampler=skewed)
+                            RngStream(0, 0))
     assert not rep.passed
     assert rep.estimate > 10
 
 
-def test_isotropy_fails_for_correlated_sampler():
-    def correlated(n, count, gen):
+def test_isotropy_fails_for_correlated_sampler(monkeypatch):
+    def correlated(law, n, count, gen):
         v = gen.normal(size=(count, n)) / np.sqrt(n)
         v[:, 1] = 0.5 * v[:, 1] + 0.5 * v[:, 0]
         return v
+    monkeypatch.setattr(verify, "sample_vectors", correlated)
     rep = isotropy_estimate(VectorLaw.parse("gauss"), 10, 50_000,
-                            RngStream(0, 0), sampler=correlated)
+                            RngStream(0, 0))
     assert not rep.passed
 
 
