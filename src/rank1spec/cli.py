@@ -20,13 +20,24 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
+
+# CPython's builtin SHA-256, as the random module takes its SHA-512:
+# hashlib would map OpenSSL's libcrypto (3.5 MiB of a density run's peak
+# memory) into every limit-solve process only to hash its outputs; the
+# digests are the same
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .ensemble import (EnsembleConfig, H0Zero, build_matrix, eigenvalues_sym,
                        parse_h0, read_spectrum_csv, write_spectrum_csv)
@@ -164,7 +175,7 @@ def write_manifest(out_dir: Path, command: str, flags: dict, seed,
         "flags": {k: flags[k] for k in sorted(flags)},
         "seed": seed,
         "outputs": [{"path": p.name,
-                     "sha256": hashlib.sha256(data).hexdigest()}
+                     "sha256": sha256(data).hexdigest()}
                     for p, data in outputs.items()],
     }
     if diagnostics is not None:

@@ -30,7 +30,11 @@ loops) goes through `_trial_draws`, which keeps a one-trial readahead
 slot: after trial t of a config is drawn in sequence (the previous draw
 was trial t - 1 of the same config object), the one worker thread of a
 `concurrent.futures.ThreadPoolExecutor` draws trial t + 1 while the
-caller works on trial t, and the next draw takes it. Since a draw is a
+caller works on trial t, and the next draw takes it. The loops over a
+given sequence of trials (`counting_fractions`, `resolvent_traces`)
+read ahead only when trial t + 1 is the next one in it, so none draws
+past its last trial; `build_matrix` and `gram_matrix` cannot know the
+caller's next trial and always read ahead in sequence. Since a draw is a
 pure function of (config, trial), the bits are those of
 `_draw_components` on the calling thread. It reads ahead only when a
 core would otherwise sit idle, that is when the BLAS thread caps in the
@@ -255,14 +259,15 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_readahead)
 
 
-def _trial_draws(config: EnsembleConfig, trial: int):
+def _trial_draws(config: EnsembleConfig, trial: int, more: bool = True):
     """`_draw_components(config, trial)`, read ahead when drawn in order.
 
     A draw that follows trial - 1 of the same config object and the same
     `_draw_components` takes the readahead queued for it, if any, and
-    queues trial + 1 on the worker when `_spare_core()` holds and the
-    block is at most `_READAHEAD_MAX_BYTES`. Any other draw discards the
-    slot. An exception raised on the worker is raised here.
+    queues trial + 1 on the worker when `more` (a draw of trial + 1 may
+    come next), `_spare_core()` holds and the block is at most
+    `_READAHEAD_MAX_BYTES`. Any other draw discards the slot. An
+    exception raised on the worker is raised here.
     """
     global _executor, _slot
     trial = _checked_trial(trial)
@@ -275,7 +280,7 @@ def _trial_draws(config: EnsembleConfig, trial: int):
         result = last[3].result()
     else:
         result = draw(config, trial)
-    ahead = (follows and _block_bytes(config) <= _READAHEAD_MAX_BYTES
+    ahead = (follows and more and _block_bytes(config) <= _READAHEAD_MAX_BYTES
              and _spare_core())
     future = None
     with _readahead_lock:
@@ -310,6 +315,15 @@ def build_matrix(config: EnsembleConfig, trial: int = 0) -> TrialFactors:
     """Realize H = H0 + sum_a tau_a (Y_a x Y_a) for one trial, as factors."""
     h0 = None if isinstance(config.h0, H0Zero) else config.h0_array
     return TrialFactors(h0, *_trial_draws(config, trial))
+
+
+def _ranged_draws(config: EnsembleConfig, trials):
+    """`_trial_draws` of each trial in the sequence `trials`, reading
+    trial + 1 ahead only when it is the next one, so that no draw is made
+    past the last trial."""
+    for i, trial in enumerate(trials):
+        more = i + 1 < len(trials) and trials[i + 1] == trial + 1
+        yield _trial_draws(config, trial, more)
 
 
 def _gram_factor(matrix: TrialFactors):
@@ -404,8 +418,8 @@ def _near_base_eigenvalue(d: np.ndarray, x: float) -> bool:
 def _rotated_draws(config: EnsembleConfig, q, trials):
     """Each trial's U = Q^H V over the columns of nonzero amplitude, and
     those amplitudes T; Q = None stands for the identity."""
-    for trial in trials:
-        u, t = _nonzero_columns(*_trial_draws(config, trial))
+    for draws in _ranged_draws(config, trials):
+        u, t = _nonzero_columns(*draws)
         yield (u if q is None else q.T @ u), t
 
 
@@ -434,9 +448,10 @@ def counting_fractions(config: EnsembleConfig, interval, trials) -> np.ndarray:
         np.all(nonzero > 0.0) or np.all(nonzero < 0.0))
     d, q = (None, None) if gram else _h0_eigen(config)
     if gram or _near_base_eigenvalue(d, a) or _near_base_eigenvalue(d, b):
+        h0 = None if isinstance(config.h0, H0Zero) else config.h0_array
         return np.array([
-            counting_measure(eigenvalues_sym(build_matrix(config, trial)), a, b)
-            for trial in trials])
+            counting_measure(eigenvalues_sym(TrialFactors(h0, *draws)), a, b)
+            for draws in _ranged_draws(config, trials)])
     inside = np.count_nonzero((d > a) & (d <= b))
     resolvents = (1.0 / (d - a), 1.0 / (d - b))
     out = np.empty(len(trials))

@@ -115,6 +115,36 @@ def test_density_manifest_hashes_verify(tmp_path):
         assert digest == entry["sha256"]
 
 
+HASHLIB_FALLBACK = """
+import hashlib, sys
+# no builtin SHA-256 module: cli falls back to hashlib's
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import rank1spec.cli as cli
+assert cli.sha256 is hashlib.sha256
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_density_manifest_hashes_verify_with_hashlib_fallback(tmp_path):
+    out = tmp_path / "d"
+    argv = ["density", "--c", "1.0", "--grid", "0.1:3.9:40", "--out", str(out)]
+    path = [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    done = subprocess.run(
+        [sys.executable, "-c", HASHLIB_FALLBACK, *argv],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+    assert done.returncode == 0, done.stderr
+    outputs = manifest(out)["outputs"]
+    assert [entry["path"] for entry in outputs] == ["density.csv",
+                                                    "measure.json"]
+    for entry in outputs:
+        digest = hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest()
+        assert digest == entry["sha256"]
+    # the builtin hash writes the same manifest
+    assert run(argv[:-1] + [tmp_path / "in"]) == 0
+    assert hashes(out.iterdir()) == hashes((tmp_path / "in").iterdir())
+
+
 def test_density_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(solver, "MAX_ITER", 1)
     out = tmp_path / "d"
@@ -791,10 +821,11 @@ import rank1spec, rank1spec.cli as cli
 loaded = []
 for argv in json.loads(sys.argv[1]):
     assert cli.main(argv) == 0, argv
-    # numpy.random loads at the first draw, and concurrent.futures (which
-    # imports logging) at the first readahead
-    loaded.append(sorted({"numpy.random", "concurrent.futures", "logging"}
-                         & set(sys.modules)))
+    # numpy.random loads at the first draw (and through secrets and hmac,
+    # OpenSSL's _hashlib), and concurrent.futures (which imports logging)
+    # at the first readahead
+    loaded.append(sorted({"numpy.random", "_hashlib", "concurrent.futures",
+                          "logging"} & set(sys.modules)))
 print(json.dumps(loaded))
 """
 
@@ -802,7 +833,9 @@ print(json.dumps(loaded))
 def test_density_loads_no_random_number_machinery(tmp_path):
     # the limit solve draws nothing, so numpy.random loads only at the
     # first generator built, here by simulate; neither does it read
-    # ahead, so the readahead's executor and its logging stay unloaded
+    # ahead, so the readahead's executor and its logging stay unloaded;
+    # the manifests hash with CPython's builtin SHA-256, so OpenSSL
+    # loads only with numpy.random
     density = ["density", "--c", "1", "--grid", "0.5:3.5:5"]
     simulate = ["simulate", "--n", "12", "--m", "6", "--trials", "2"]
     argv = [density + ["--out", str(tmp_path / "fresh" / "d")],
@@ -815,7 +848,7 @@ def test_density_loads_no_random_number_machinery(tmp_path):
     assert done.returncode == 0, done.stderr
     after_density, after_simulate = json.loads(done.stdout)
     assert after_density == []
-    assert "numpy.random" in after_simulate
+    assert {"numpy.random", "_hashlib"} <= set(after_simulate)
     for name, args in (("d", density), ("s", simulate)):
         assert run(args + ["--out", tmp_path / "in" / name]) == 0
         got = sorted((tmp_path / "fresh" / name).iterdir())

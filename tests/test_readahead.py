@@ -138,6 +138,36 @@ def test_every_entry_point_matches_the_calling_thread_draws(monkeypatch):
         assert np.array_equal(got, want)
 
 
+BASE = H0Diagonal(tuple([-1.0, 1.0] * 6))
+RANGED = {
+    # the inertia counts, the Gram-side and the dense spectra of
+    # counting_fractions, and the Woodbury traces of resolvent_traces
+    "inertia": lambda trials: counting_fractions(
+        config("gauss", h0=BASE), (-0.5, 0.5), trials),
+    "gram": lambda trials: counting_fractions(
+        config(sigma=AmplitudeLaw([(1.0, 1.0)])), (0.5, 2.0), trials),
+    "dense": lambda trials: counting_fractions(
+        config("gauss", h0=BASE), (-1.0, 0.5), trials),
+    "traces": lambda trials: resolvent_traces(
+        config("gauss", h0=BASE), 0.5 + 0.5j, trials),
+}
+
+
+@pytest.mark.parametrize("trials", [range(5), [0, 1, 2, 5, 6]],
+                         ids=["range", "gapped"])
+@pytest.mark.parametrize("entry", list(RANGED))
+def test_a_loop_over_given_trials_draws_none_past_them(draw_threads, entry,
+                                                        trials):
+    RANGED[entry](trials)
+    # nothing is pending, so the worker has drawn all it ever will
+    assert ensemble._slot[3] is None
+    assert sorted(t for t, _ in draw_threads) == list(trials)
+    # in a run of consecutive trials, those after the first two come
+    # from the worker
+    assert [t for t, main in draw_threads if not main] == [
+        t for i, t in enumerate(trials) if i >= 2 and trials[i - 2] == t - 2]
+
+
 def test_concurrent_callers_get_their_own_draws():
     configs = [config(law, seed=s) for law in ("sphere", "cgauss")
                for s in (1, 2)]
