@@ -1,16 +1,16 @@
 """Command-line interface.
 
 Subcommands: density (solve the limit on a grid), simulate (finite-n
-ensembles), compare (convergence of H0 = 0 ensembles to the limit with
-a unit atom at zero as base), verify (concentration, isotropy and Gram
-duality checks). Each verify check is a subcommand of verify, as in
+ensembles), verify (concentration, isotropy and Gram duality checks, and
+the convergence of H0 = 0 ensembles to the limit with a unit atom at
+zero as base). Each verify check is a subcommand of verify, as in
 `rank1spec verify gram --n 300 --m 150`; it reads `--law`, `--seed`,
-`--out` and the flags of its VERIFY_CHECKS row, and `rank1spec verify
-CHECK --help` lists them with their defaults. argparse rejects a missing
-or unread flag. The solver's stop residuals and update budget are
-constants of the solver module, not flags. Every command writes a
-manifest.json recording flags, seed, and sha256 of outputs, and reruns
-are byte-identical.
+`--out` and the flags of its VERIFY_CHECKS row, writes report.json and
+exits 3 when it fails, and `rank1spec verify CHECK --help` lists its
+flags with their defaults. argparse rejects a missing or unread flag.
+The solver's stop residuals and update budget are constants of the
+solver module, not flags. Every command writes a manifest.json recording
+flags, seed, and sha256 of outputs, and reruns are byte-identical.
 
 Exit codes: 0 success, 2 solver or input failure (a size too large to
 allocate included), 3 criterion failure.
@@ -39,8 +39,9 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .ensemble import (EnsembleConfig, H0Zero, build_matrix, eigenvalues_sym,
-                       parse_h0, read_spectrum_csv, write_spectrum_csv)
+from .ensemble import (EnsembleConfig, H0Zero, build_matrices,
+                       eigenvalues_sym, parse_h0, read_spectrum_csv,
+                       write_spectrum_csv)
 from .errors import NonConvergence, Rank1SpecError
 from .measures import (AmplitudeLaw, SpectralMeasure, density_columns,
                        save_measure_json, write_density_csv,
@@ -254,8 +255,8 @@ def cmd_simulate(args) -> int:
     config = EnsembleConfig(n=args.n, m=args.m, law=VectorLaw.parse(args.law),
                             sigma=parse_sigma(args.sigma),
                             h0=parse_h0(args.h0), seed=args.seed)
-    spectra = [eigenvalues_sym(build_matrix(config, trial=trial))
-               for trial in range(args.trials)]
+    spectra = [eigenvalues_sym(matrix)
+               for matrix in build_matrices(config, range(args.trials))]
     pooled = np.concatenate([s.eigenvalues for s in spectra])
     counts, edges = np.histogram(pooled, bins=args.bins)
     mass = counts / pooled.size
@@ -270,28 +271,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    model = ModelSpec(c=args.c, sigma=parse_sigma(args.sigma),
-                      n0=SpectralMeasure(atoms=[(0.0, 1.0)]))
-    opts = SolverOptions(eps_final=args.eps_final)
-    law = VectorLaw.parse(args.law)
-    grid = parse_grid(args.grid)
-    report = convergence_study(law, model, parse_dims(args.dims),
-                               args.seeds, args.seed, grid, opts)
-    out_dir = _output_dir(args)
-    json_path = out_dir / "convergence.json"
-    write_manifest(out_dir, "compare", _flags_dict(args), args.seed,
-                   {json_path: _write_json(json_path, report.to_dict())})
-    if not report.passed:
-        print("convergence criterion failed", file=sys.stderr)
-        return 3
-    return 0
-
-
 # Each verify check's help line and the flags it reads besides --law,
 # --seed and --out, with their defaults; None marks a required flag. The
 # Gram duality holds only for H0 = 0 and unit amplitudes, so gram reads
-# no --sigma or --h0.
+# no --sigma or --h0; the convergence ensembles have H0 = 0, so
+# convergence reads no base flag.
 VERIFY_CHECKS = {
     "counting-var": ("Var of the counting measure on (a, b] against 4m/n^2",
                      {"n": None, "m": None, "sigma": "atoms:1:1", "h0": "zero",
@@ -307,8 +291,13 @@ VERIFY_CHECKS = {
              {"n": None, "samples": 100_000, "t_values": "1,1.5,2"}),
     "isotropy": ("largest covariance deviation from I",
                  {"n": None, "samples": 100_000}),
+    "convergence": ("mean KS distance to the solved limit along --dims",
+                    {"c": None, "grid": None, "sigma": "atoms:1:1",
+                     "eps_final": 1e-4, "dims": "256,512,1024", "seeds": 5}),
 }
-INT_FLAGS = {"seed", "n", "m", "trials", "samples"}
+# the type of each verify flag that is not a string
+FLAG_TYPES = {"seed": int, "n": int, "m": int, "trials": int, "samples": int,
+              "seeds": int, "c": float, "eps_final": float}
 
 
 def cmd_verify(args) -> int:
@@ -335,6 +324,13 @@ def cmd_verify(args) -> int:
     elif check == "tail":
         report = verify_norm_tail(law, args.n, args.samples, args.seed,
                                   parse_float_list(args.t_values))
+    elif check == "convergence":
+        model = ModelSpec(c=args.c, sigma=parse_sigma(args.sigma),
+                          n0=SpectralMeasure(atoms=[(0.0, 1.0)]))
+        report = convergence_study(law, model, parse_dims(args.dims),
+                                   args.seeds, args.seed,
+                                   parse_grid(args.grid),
+                                   SolverOptions(eps_final=args.eps_final))
     else:
         report = isotropy_estimate(law, args.n, args.samples,
                                    RngStream(args.seed, 0))
@@ -357,15 +353,11 @@ def _flags_dict(args) -> dict:
             if k not in skip and v is not None}
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+def _add_density_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--sigma", default="atoms:1:1")
     p.add_argument("--grid", required=True, help="a:b:count")
     p.add_argument("--eps-final", dest="eps_final", type=float, default=1e-4)
-
-
-def _add_density_flags(p: argparse.ArgumentParser) -> None:
-    _add_solver_flags(p)
     base = p.add_mutually_exclusive_group()
     base.add_argument("--n0", default="atoms:0:1")
     base.add_argument("--h0-spectrum", dest="h0_spectrum", default=None,
@@ -387,25 +379,15 @@ def _add_simulate_flags(p: argparse.ArgumentParser) -> None:
     p.set_defaults(func=cmd_simulate)
 
 
-def _add_compare_flags(p: argparse.ArgumentParser) -> None:
-    _add_solver_flags(p)
-    p.add_argument("--law", default="sphere")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dims", default="256,512,1024")
-    p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_compare)
-
-
 def _add_verify_flags(p: argparse.ArgumentParser) -> None:
     checks = p.add_subparsers(dest="check", required=True)
     for check, (text, row) in VERIFY_CHECKS.items():
         q = checks.add_parser(check, help=text)
         for flag, default in {"law": "sphere", "seed": 0, **row,
                               "out": "."}.items():
-            kind = int if flag in INT_FLAGS else str
             name = "--" + flag.replace("_", "-")
-            q.add_argument(name, type=kind, default=default,
+            q.add_argument(name, type=FLAG_TYPES.get(flag, str),
+                           default=default,
                            required=default is None,
                            help="required" if default is None
                            else "default: %(default)s")
@@ -416,9 +398,8 @@ def _add_verify_flags(p: argparse.ArgumentParser) -> None:
 SUBCOMMANDS = {
     "density": ("solve the limiting density on a grid", _add_density_flags),
     "simulate": ("sample finite-n ensembles", _add_simulate_flags),
-    "compare": ("convergence study of H0 = 0 ensembles", _add_compare_flags),
-    "verify": ("concentration, isotropy and Gram duality checks",
-               _add_verify_flags),
+    "verify": ("concentration, isotropy, Gram duality and convergence "
+               "checks", _add_verify_flags),
 }
 
 

@@ -25,24 +25,25 @@ or eigensolving H. `counting_fractions` counts the eigenvalues of H in
 file base is read once per `EnsembleConfig` (`EnsembleConfig.h0_array`),
 not once per trial.
 
-Every trial draw (`build_matrix`, `gram_matrix` and the variance checks'
-loops) goes through `_trial_draws`, which keeps a one-trial readahead
-slot: after trial t of a config is drawn in sequence (the previous draw
-was trial t - 1 of the same config object), the one worker thread of a
-`concurrent.futures.ThreadPoolExecutor` draws trial t + 1 while the
-caller works on trial t, and the next draw takes it. The loops over a
-given sequence of trials (`counting_fractions`, `resolvent_traces`)
-read ahead only when trial t + 1 is the next one in it, so none draws
-past its last trial; `build_matrix` and `gram_matrix` cannot know the
-caller's next trial and always read ahead in sequence. Since a draw is a
-pure function of (config, trial), the bits are those of
-`_draw_components` on the calling thread. It reads ahead only when a
-core would otherwise sit idle, that is when the BLAS thread caps in the
-environment are all below the CPUs this process may use (`_spare_core`),
-and only for blocks of at most `_READAHEAD_MAX_BYTES`; its memory cost
-is one trial's block. The worker is not a daemon thread, so the
-interpreter's exit waits for the readahead still pending, at most one
-trial's draw.
+Every trial draw (`build_matrix`, `build_matrices`, `gram_matrix` and
+the variance checks' loops) goes through `_trial_draws`, which keeps a
+one-trial readahead slot: after trial t of a config is drawn in sequence
+(the previous draw was trial t - 1 of the same config object), the one
+worker thread of a `concurrent.futures.ThreadPoolExecutor` draws trial
+t + 1 while the caller works on trial t, and the next draw takes it. The
+loops over a given sequence of trials (`build_matrices`,
+`counting_fractions`, `resolvent_traces`; every trial loop of the
+package goes through one of them) read ahead only when trial t + 1 is
+the next one in it, so none draws past its last trial; `build_matrix`
+and `gram_matrix` cannot know the caller's next trial and always read
+ahead in sequence. Since a draw is a pure function of (config, trial),
+the bits are those of `_draw_components` on the calling thread. It reads
+ahead only when a core would otherwise sit idle, that is when the BLAS
+thread caps in the environment are all below the CPUs this process may
+use (`_spare_core`), and only for blocks of at most
+`_READAHEAD_MAX_BYTES`; its memory cost is one trial's block. The
+worker is not a daemon thread, so the interpreter's exit waits for the
+readahead still pending, at most one trial's draw.
 """
 
 from __future__ import annotations
@@ -311,10 +312,14 @@ def assemble_matrix(h0: np.ndarray, taus, vectors) -> np.ndarray:
     return 0.5 * (h + h.conj().T)
 
 
+def _h0_factor(config: EnsembleConfig) -> np.ndarray | None:
+    """H0 as `TrialFactors` holds it: None for a zero base."""
+    return None if isinstance(config.h0, H0Zero) else config.h0_array
+
+
 def build_matrix(config: EnsembleConfig, trial: int = 0) -> TrialFactors:
     """Realize H = H0 + sum_a tau_a (Y_a x Y_a) for one trial, as factors."""
-    h0 = None if isinstance(config.h0, H0Zero) else config.h0_array
-    return TrialFactors(h0, *_trial_draws(config, trial))
+    return TrialFactors(_h0_factor(config), *_trial_draws(config, trial))
 
 
 def _ranged_draws(config: EnsembleConfig, trials):
@@ -324,6 +329,14 @@ def _ranged_draws(config: EnsembleConfig, trials):
     for i, trial in enumerate(trials):
         more = i + 1 < len(trials) and trials[i + 1] == trial + 1
         yield _trial_draws(config, trial, more)
+
+
+def build_matrices(config: EnsembleConfig, trials):
+    """`build_matrix` of each trial in the sequence `trials`, in turn,
+    drawing none past the last (`_ranged_draws`)."""
+    h0 = _h0_factor(config)
+    for draws in _ranged_draws(config, trials):
+        yield TrialFactors(h0, *draws)
 
 
 def _gram_factor(matrix: TrialFactors):
@@ -448,10 +461,8 @@ def counting_fractions(config: EnsembleConfig, interval, trials) -> np.ndarray:
         np.all(nonzero > 0.0) or np.all(nonzero < 0.0))
     d, q = (None, None) if gram else _h0_eigen(config)
     if gram or _near_base_eigenvalue(d, a) or _near_base_eigenvalue(d, b):
-        h0 = None if isinstance(config.h0, H0Zero) else config.h0_array
-        return np.array([
-            counting_measure(eigenvalues_sym(TrialFactors(h0, *draws)), a, b)
-            for draws in _ranged_draws(config, trials)])
+        return np.array([counting_measure(eigenvalues_sym(matrix), a, b)
+                         for matrix in build_matrices(config, trials)])
     inside = np.count_nonzero((d > a) & (d <= b))
     resolvents = (1.0 / (d - a), 1.0 / (d - b))
     out = np.empty(len(trials))

@@ -1,8 +1,7 @@
-"""Monte Carlo checks: the six `verify` checks (counting and trace
-variances, Gram duality, quadratic forms, norm tails, isotropy) and the
-convergence study of empirical spectra to the solved limit each return a
-`Report`, whose `to_dict()` is report.json (convergence.json for the
-study).
+"""Monte Carlo checks: the seven `verify` checks (counting and trace
+variances, Gram duality, quadratic forms, norm tails, isotropy, and the
+convergence study of empirical spectra to the solved limit) each return
+a `Report`, whose `to_dict()` is report.json.
 
 All checks are deterministic given (master seed, trial count): trials are
 keyed by index and aggregated in index order.
@@ -15,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import (EnsembleConfig, H0Zero, build_matrix, counting_fractions,
-                       eigenvalues_sym, gram_counting_relation, gram_matrix,
-                       resolvent_traces)
+from .ensemble import (EnsembleConfig, H0Zero, build_matrices, build_matrix,
+                       counting_fractions, eigenvalues_sym,
+                       gram_counting_relation, gram_matrix, resolvent_traces)
 from .errors import RealAxisEvaluation
 from .measures import EmpiricalSpectrum, ks_distance
 from .samplers import RngStream, VectorLaw, as_generator, sample_vectors
@@ -25,8 +24,8 @@ from .solver import ModelSpec, SolverOptions, limit_density, solve_mpe_grid
 
 # Ceiling for the mean KS at the largest study dimension. At c = 0.5 and
 # n = 1024 the mean over 5 seeds is 0.0027-0.0029 for sphere, gauss, lp:1
-# and cube (`rank1spec compare --c 0.5 --grid 0.02:3.2:3000 --eps-final
-# 1e-5 --dims 1024 --seeds 5 --law LAW`).
+# and cube (`rank1spec verify convergence --c 0.5 --grid 0.02:3.2:3000
+# --eps-final 1e-5 --dims 1024 --seeds 5 --law LAW`).
 KS_LARGEST_N_THRESHOLD = 0.05
 
 # Sample variances below this are treated as exact concentration (the
@@ -150,8 +149,12 @@ def verify_gram_duality(config: EnsembleConfig) -> Report:
 
     Trial 0's nonzero spectrum must agree on both sides to GRAM_TOL. The
     duality holds for H0 = 0 and unit amplitudes; under any other base or
-    amplitude law the check fails.
+    amplitude law the check fails. An m outside [1, n] raises ValueError
+    before any draw.
     """
+    if not 1 <= config.m <= config.n:
+        raise ValueError(f"--m must be at least 1 and at most --n, got "
+                         f"--m {config.m} with --n {config.n}")
     # the dense solve keeps the Gram side an independent check
     full = eigenvalues_sym(build_matrix(config, trial=0).array)
     gram = eigenvalues_sym(gram_matrix(config, trial=0))
@@ -362,8 +365,8 @@ def convergence_study(law: VectorLaw, model: ModelSpec, dims, seeds: int,
         config = EnsembleConfig(n=n, m=m, law=law, sigma=model.sigma,
                                 h0=h0, seed=master_seed)
         ks_vals = np.empty(seeds)
-        for s in range(seeds):
-            spec = eigenvalues_sym(build_matrix(config, trial=s))
+        for s, matrix in enumerate(build_matrices(config, range(seeds))):
+            spec = eigenvalues_sym(matrix)
             snapped = EmpiricalSpectrum(_snap_structural_zeros(spec.eigenvalues))
             ks_vals[s] = ks_distance(snapped, reference)
         rows.append([n, m, seeds, float(ks_vals.mean()),

@@ -252,47 +252,58 @@ def test_simulate_trials_differ(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# compare command
+# verify convergence
 # ---------------------------------------------------------------------------
 
-def test_compare_convergence_small(tmp_path):
+CONVERGENCE = ["verify", "convergence", "--c", 0.5, "--grid", "0.02:3.2:800",
+               "--dims", "32,64", "--seeds", 2, "--law", "sphere", "--seed", 0]
+
+
+def test_verify_convergence_small(tmp_path):
     out = tmp_path / "c"
-    rc = run(["compare", "--c", 0.5, "--grid", "0.02:3.2:800",
-              "--dims", "32,64", "--seeds", 2, "--law", "sphere",
-              "--seed", 0, "--out", out])
-    assert rc == 0
-    data = json.loads((out / "convergence.json").read_text())
+    assert run(CONVERGENCE + ["--out", out]) == 0
+    data = json.loads((out / "report.json").read_text())
     assert data["kind"] == "convergence"
     assert data["pass"]
     assert [row[:3] for row in data["rows"]] == [[32, 16, 2], [64, 32, 2]]
     assert data["estimate"] == data["rows"][-1][3]
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert [o["path"] for o in manifest["outputs"]] == ["convergence.json"]
-    assert sorted(p.name for p in out.iterdir()) == ["convergence.json",
-                                                     "manifest.json"]
+    assert manifest(out)["command"] == "verify"
+    assert manifest(out)["flags"]["check"] == "convergence"
+    assert [o["path"] for o in manifest(out)["outputs"]] == ["report.json"]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json",
+                                                     "report.json"]
 
 
-def test_compare_flat_ladder_fails_with_exit_3(tmp_path, capsys):
+def test_verify_convergence_flat_ladder_fails_with_exit_3(tmp_path, capsys):
     # equal dimensions replay identical trials, so the mean KS cannot
-    # strictly decrease
+    # strictly decrease; like every check, the failure prints nothing
     out = tmp_path / "c"
-    rc = run(["compare", "--c", 0.5, "--grid", "0.02:3.2:400",
+    rc = run(["verify", "convergence", "--c", 0.5, "--grid", "0.02:3.2:400",
               "--dims", "32,32", "--seeds", 2, "--out", out])
     assert rc == 3
-    assert not json.loads((out / "convergence.json").read_text())["pass"]
-    assert "failed" in capsys.readouterr().err
+    assert not json.loads((out / "report.json").read_text())["pass"]
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("flag,value", [
     ("--gram", None), ("--h0", "diag:5"), ("--n0", "atoms:-1:0.5,1:0.5"),
     ("--n", "64")])
-def test_compare_rejects_flags_it_does_not_read(tmp_path, flag, value):
+def test_verify_convergence_rejects_flags_it_does_not_read(tmp_path, flag,
+                                                           value):
     out = tmp_path / "c"
     extra = [flag] if value is None else [flag, value]
     with pytest.raises(SystemExit) as exc:
-        run(["compare", "--c", 0.5, "--grid", "0.02:3.2:10", *extra,
-             "--out", out])
+        run(["verify", "convergence", "--c", 0.5, "--grid", "0.02:3.2:10",
+             *extra, "--out", out])
     assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_compare_is_no_longer_a_subcommand(tmp_path, capsys):
+    out = tmp_path / "c"
+    assert exit_code(["compare", "--c", 0.5, "--grid", "0.02:3.2:10",
+                      "--out", out]) == 2
+    assert "invalid choice: 'compare'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -327,13 +338,14 @@ def test_density_bad_h0_spectrum_file_names_flag_and_path(tmp_path, capsys,
 @pytest.mark.parametrize("argv", [
     ["density", "--c", 1, "--grid", "0.5:3.5:5", "--tol", "1e300"],
     ["density", "--c", 1, "--grid", "0.5:3.5:5", "--max-iter", 2],
-    ["compare", "--c", 0.5, "--grid", "0.02:3.2:10", "--dims", "16,32",
-     "--tol", "1e-8"],
-    ["compare", "--c", 0.5, "--grid", "0.02:3.2:10", "--dims", "16,32",
-     "--max-iter", 200],
+    ["verify", "convergence", "--c", 0.5, "--grid", "0.02:3.2:10", "--dims",
+     "16,32", "--tol", "1e-8"],
+    ["verify", "convergence", "--c", 0.5, "--grid", "0.02:3.2:10", "--dims",
+     "16,32", "--max-iter", 200],
     ["density", "--c", 1, "--grid", "0.5:3.5:5", "--config", "run.cfg"],
     ["simulate", "--n", 4, "--m", 2, "--config", "run.cfg"],
-    ["compare", "--c", 0.5, "--grid", "0.02:3.2:10", "--config", "run.cfg"],
+    ["verify", "convergence", "--c", 0.5, "--grid", "0.02:3.2:10",
+     "--config", "run.cfg"],
     ["verify", "gram", "--n", 4, "--m", 2, "--config",
      "run.cfg"]])
 def test_solver_knobs_and_config_files_are_not_flags(tmp_path, capsys,
@@ -347,8 +359,8 @@ def test_solver_knobs_and_config_files_are_not_flags(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("argv", [
-    ["compare", "--c", 0.5, "--grid", "0.02:3.2:50", "--dims", "16,32",
-     "--seeds", 0],
+    ["verify", "convergence", "--c", 0.5, "--grid", "0.02:3.2:50", "--dims",
+     "16,32", "--seeds", 0],
     ["simulate", "--n", 10, "--m", 5, "--trials", 0]])
 def test_zero_seeds_or_trials_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "o"
@@ -361,8 +373,8 @@ def test_zero_seeds_or_trials_exits_2(tmp_path, capsys, argv):
 MALFORMED = [
     (["density", "--c", 1, "--grid", "0:1"], "expected a:b:count"),
     (["density", "--c", 1, "--grid", "0:1:x"], "expected a:b:count"),
-    (["compare", "--c", 0.5, "--grid", "0:1:10", "--dims", "16,x"],
-     "expected integers n1,n2,..., got '16,x'"),
+    (["verify", "convergence", "--c", 0.5, "--grid", "0:1:10", "--dims",
+      "16,x"], "expected integers n1,n2,..., got '16,x'"),
     (["verify", "quadform", "--dims", "16,x"],
      "expected integers n1,n2,..., got '16,x'"),
     # a check is a subcommand of verify, not the value of a flag
@@ -417,6 +429,11 @@ MALFORMED = [
     (["verify", "counting-var", "--n", 4, "--m", 2, "--trials", 3,
       "--h0", "diag:-1,-1,1,1", "--interval=-0.5,0.5", "--sigma",
       "atoms:1e300:1"], "inertia eigensolve returned non-finite eigenvalues"),
+    # the Gram side of m > n vectors would cost an m x m eigensolve
+    (["verify", "gram", "--n", 100, "--m", 1500],
+     "--m must be at least 1 and at most --n, got --m 1500 with --n 100"),
+    (["verify", "gram", "--n", 4, "--m", 0],
+     "--m must be at least 1 and at most --n, got --m 0 with --n 4"),
 ]
 
 
@@ -429,10 +446,17 @@ def test_malformed_flag_value_exits_2(tmp_path, capsys, monkeypatch, argv,
     monkeypatch.setattr(cli, "eigenvalues_sym", no_spectrum)
     monkeypatch.setattr(verify, "eigenvalues_sym", no_spectrum)
     monkeypatch.setattr(ensemble, "eigenvalues_sym", no_spectrum)
+    drawn = []
+    draw = ensemble._draw_components
+    monkeypatch.setattr(ensemble, "_draw_components",
+                        lambda cfg, trial: drawn.append(trial)
+                        or draw(cfg, trial))
     out = tmp_path / "o"
     assert exit_code(argv + ["--out", out]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+    # only the overflow of an inertia matrix needs drawn trials to show
+    assert drawn == [] or "inertia" in message
 
 
 # Each asks for 2^61 bytes or more in one array, which numpy refuses
@@ -496,8 +520,8 @@ TEMPLATES = {"--sigma": ["atoms:{}:1", "atoms:1:{}"],
 SWEEP = [
     ["density", "--c", "1", "--grid", "0.5:3.5:5"],
     ["simulate", "--n", "4", "--m", "2", "--trials", "2", "--bins", "5"],
-    ["compare", "--c", "0.25", "--grid", "0.01:2.3:5", "--dims", "4,8",
-     "--seeds", "2"],
+    ["verify", "convergence", "--c", "0.25", "--grid", "0.01:2.3:5",
+     "--dims", "4,8", "--seeds", "2"],
     ["verify", "counting-var", "--n", "4", "--m", "2", "--trials", "3"],
     ["verify", "stieltjes-var", "--n", "4", "--m", "2", "--trials", "3"],
     ["verify", "gram", "--n", "4", "--m", "2"],
@@ -525,10 +549,6 @@ def sweep_cases():
         for flag in declared_flags(base):
             for template in TEMPLATES.get(flag, ["{}"]):
                 for value in SWEEP_VALUES:
-                    # compare makes m = round(c * n) for each dimension
-                    if base[0] == "compare" and flag == "--c" and value in (
-                            "inf", "1e300"):
-                        continue
                     text = template.format(value)
                     argv = list(base)
                     if flag in argv:
@@ -662,6 +682,8 @@ VERIFY_RUNS = {
     "quadform": ["--dims", "16,32", "--samples", 200],
     "tail": ["--n", 16, "--samples", 200],
     "isotropy": ["--n", 8, "--samples", 200],
+    "convergence": ["--c", 0.5, "--grid", "0.02:3.2:50", "--dims", "16,32",
+                    "--seeds", 2],
 }
 # a value each verify flag accepts
 VERIFY_VALUES = {"n": 20, "m": 10, "sigma": "atoms:1:1", "h0": "zero",
@@ -772,7 +794,7 @@ def test_help_text_of_every_parser(capsys, argv):
     out = capsys.readouterr().out
     assert out.startswith(" ".join(["usage: rank1spec", *argv, "[-h]"]))
     if not argv:
-        assert "{density,simulate,compare,verify}" in out
+        assert "{density,simulate,verify}" in out
     if argv == ["verify"]:
         assert "{" + ",".join(cli.VERIFY_CHECKS) + "}" in out
     if argv[:1] != ["verify"] or len(argv) < 2:
@@ -891,10 +913,10 @@ def test_measure_json_bytes_are_those_of_json_dumps(tmp_path, atoms):
 # test_density_manifest_hashes_verify covers density
 @pytest.mark.parametrize("argv", [
     ["simulate", "--n", 12, "--m", 6, "--trials", 2, "--bins", 5],
-    ["compare", "--c", 0.5, "--grid", "0.02:3.2:50", "--dims", "16,32",
-     "--seeds", 2],
+    ["verify", "convergence", "--c", 0.5, "--grid", "0.02:3.2:50", "--dims",
+     "16,32", "--seeds", 2],
     ["verify", "gram", "--n", 20, "--m", 10]],
-    ids=["simulate", "compare", "verify"])
+    ids=["simulate", "convergence", "verify"])
 def test_manifest_hashes_are_those_of_the_files_on_disk(tmp_path, argv):
     out = tmp_path / "o"
     assert run(argv + ["--out", out]) in (0, 3)
@@ -909,10 +931,9 @@ def test_manifest_hashes_are_those_of_the_files_on_disk(tmp_path, argv):
 @pytest.mark.parametrize("argv", [
     ["density", "--c", 0.5, "--grid", "0.02:3.2:30"],
     ["simulate", "--n", 12, "--m", 6, "--trials", 2, "--bins", 5],
-    ["compare", "--c", 0.5, "--grid", "0.02:3.2:800", "--dims", "32,64",
-     "--seeds", 2, "--law", "sphere", "--seed", 0],
+    CONVERGENCE,
     ["verify", "gram", "--n", 20, "--m", 10]],
-    ids=["density", "simulate", "compare", "verify"])
+    ids=["density", "simulate", "convergence", "verify"])
 def test_every_output_goes_through_one_writer(tmp_path, monkeypatch, argv):
     def refuse(self, data):
         raise AssertionError(f"Path.write_bytes({self})")
@@ -929,8 +950,10 @@ def test_every_output_goes_through_one_writer(tmp_path, monkeypatch, argv):
 # determinism, error paths
 # ---------------------------------------------------------------------------
 
-def test_reruns_byte_identical(tmp_path):
-    args = ["density", "--c", 0.25, "--grid", "0.01:3.99:60"]
+@pytest.mark.parametrize("args", [
+    ["density", "--c", 0.25, "--grid", "0.01:3.99:60"], CONVERGENCE],
+    ids=["density", "convergence"])
+def test_reruns_byte_identical(tmp_path, args):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run(args + ["--out", out1]) == 0
     assert run(args + ["--out", out2]) == 0

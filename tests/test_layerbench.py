@@ -80,3 +80,19 @@ def test_sweep_count_check_holds(tmp_path, monkeypatch, argv_name):
     assert diag["iterations"] == iterations.tolist()
     assert sum(stage.updates for stage in stages) == iterations.sum()
     assert diag["max_residual"] <= solver.TOL
+
+
+@pytest.mark.parametrize("name,iterations", [
+    ("density-mp", 2), ("density-signed", 2), ("ensemble", 1)])
+def test_every_workload_passes_its_correctness_gates(tmp_path, name,
+                                                      iterations):
+    # the gates the benchmark applies: density-mp against the closed form
+    # and density-signed against its stored reference (1e-3), a density
+    # rerun that reproduces the first run's outputs, and the ensemble's
+    # KS and variance gates
+    workload = load("workloads").WORKLOADS[name](0, tmp_path)
+    workload.warm_up()
+    for _ in range(iterations):
+        failed = [(op, why) for op, why in workload.check(workload.iterate())
+                  if why is not None]
+        assert failed == []

@@ -15,12 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rank1spec import ensemble
+from rank1spec import cli, ensemble
 from rank1spec.ensemble import (EnsembleConfig, H0Diagonal, H0Zero,
                                 build_matrix, counting_fractions, gram_matrix,
                                 resolvent_traces)
-from rank1spec.measures import AmplitudeLaw
+from rank1spec.measures import AmplitudeLaw, SpectralMeasure
 from rank1spec.samplers import VectorLaw
+from rank1spec.solver import ModelSpec
+from rank1spec.verify import convergence_study
 
 LAWS = ["sphere", "gauss", "cgauss", "lp:1.5"]
 TRIALS = 8
@@ -166,6 +168,22 @@ def test_a_loop_over_given_trials_draws_none_past_them(draw_threads, entry,
     # from the worker
     assert [t for t, main in draw_threads if not main] == [
         t for i, t in enumerate(trials) if i >= 2 and trials[i - 2] == t - 2]
+
+
+def test_the_convergence_study_draws_each_trial_once(draw_threads):
+    model = ModelSpec(c=0.5, sigma=AmplitudeLaw([(1.0, 1.0)]),
+                      n0=SpectralMeasure(atoms=[(0.0, 1.0)]))
+    convergence_study(VectorLaw.parse("sphere"), model, [32, 64], 3, 0,
+                      np.linspace(0.02, 3.2, 50))
+    assert ensemble._slot[3] is None
+    assert [t for t, _ in draw_threads] == [0, 1, 2, 0, 1, 2]
+
+
+def test_simulate_draws_each_trial_once(draw_threads, tmp_path):
+    assert cli.main(["simulate", "--n", "12", "--m", "5", "--trials", "3",
+                     "--out", str(tmp_path / "s")]) == 0
+    assert ensemble._slot[3] is None
+    assert [t for t, _ in draw_threads] == [0, 1, 2]
 
 
 def test_concurrent_callers_get_their_own_draws():

@@ -314,8 +314,9 @@ def test_predicted_ladder_matches_halving_ladder_on_mp(c):
 
 @pytest.mark.parametrize("grid,eps_final", [
     (np.linspace(0.01, (1.0 + 0.5 ** 0.5) ** 2 + 1.0, 300), 1e-8),
-    # the convergence study's grid, as `compare` solves it
-    (np.linspace(0.02, 3.2, 3000), 1e-5)], ids=["mp-1e-8", "compare-3000"])
+    # the convergence study's grid, as `verify convergence` solves it
+    (np.linspace(0.02, 3.2, 3000), 1e-5)],
+    ids=["mp-1e-8", "convergence-3000"])
 def test_predicted_ladder_matches_halving_ladder_near_the_axis(grid,
                                                                eps_final):
     # the predictor stages stop early, so low heights and fine grids are
