@@ -8,9 +8,8 @@ convergence and concentration.
 
 from .ensemble import (EnsembleConfig, H0Diagonal, H0File, H0Zero,
                        assemble_matrix, build_matrix, counting_measure,
-                       eigenvalues_sym, gram_counting_relation, gram_matrix,
-                       parse_h0, read_spectrum_csv, resolve_h0,
-                       write_spectrum_csv)
+                       eigenvalues_sym, gram_counting_relation, parse_h0,
+                       read_spectrum_csv, resolve_h0, write_spectrum_csv)
 from .errors import (EigensolveFailed, EmptySpectrum, H0Mismatch,
                      InvalidDimension, InvalidP, MassDeficit, NonConvergence,
                      PoleHit, Rank1SpecError, RealAxisEvaluation,
@@ -38,7 +37,7 @@ __all__ = [
     "SpectralMeasure", "UnsupportedOrder", "VectorLaw",
     "assemble_matrix", "build_matrix", "cdf", "cdf_left", "convergence_study",
     "counting_measure", "eigenvalues_sym", "gram_counting_relation",
-    "gram_matrix", "isotropy_estimate", "ks_distance", "limit_density",
+    "isotropy_estimate", "ks_distance", "limit_density",
     "lp_ball_points", "lp_scale", "moment", "mp_closed_form",
     "mp_limit_measure", "mp_stieltjes_oracle", "parse_h0", "read_spectrum_csv", "resolve_h0", "sample_tau", "sample_vectors",
     "save_measure_json", "solve_mpe_at", "solve_mpe_grid",

@@ -25,25 +25,24 @@ or eigensolving H. `counting_fractions` counts the eigenvalues of H in
 file base is read once per `EnsembleConfig` (`EnsembleConfig.h0_array`),
 not once per trial.
 
-Every trial draw (`build_matrix`, `build_matrices`, `gram_matrix` and
-the variance checks' loops) goes through `_trial_draws`, which keeps a
-one-trial readahead slot: after trial t of a config is drawn in sequence
-(the previous draw was trial t - 1 of the same config object), the one
-worker thread of a `concurrent.futures.ThreadPoolExecutor` draws trial
-t + 1 while the caller works on trial t, and the next draw takes it. The
-loops over a given sequence of trials (`build_matrices`,
-`counting_fractions`, `resolvent_traces`; every trial loop of the
-package goes through one of them) read ahead only when trial t + 1 is
-the next one in it, so none draws past its last trial; `build_matrix`
-and `gram_matrix` cannot know the caller's next trial and always read
-ahead in sequence. Since a draw is a pure function of (config, trial),
-the bits are those of `_draw_components` on the calling thread. It reads
-ahead only when a core would otherwise sit idle, that is when the BLAS
-thread caps in the environment are all below the CPUs this process may
-use (`_spare_core`), and only for blocks of at most
-`_READAHEAD_MAX_BYTES`; its memory cost is one trial's block. The
-worker is not a daemon thread, so the interpreter's exit waits for the
-readahead still pending, at most one trial's draw.
+Every trial draw (`build_matrix`, `build_matrices` and the variance
+checks' loops) goes through `_trial_draws`, which keeps a one-trial
+readahead slot: after trial t of a config is drawn in sequence (the
+previous draw was trial t - 1 of the same config object), the one worker
+thread of a `concurrent.futures.ThreadPoolExecutor` draws trial t + 1
+while the caller works on trial t, and the next draw takes it. The loops
+over a given sequence of trials (`build_matrices`, `counting_fractions`,
+`resolvent_traces`; every trial loop of the package goes through one of
+them) read ahead only when trial t + 1 is the next one in it, so none
+draws past its last trial; `build_matrix` cannot know the caller's next
+trial and always reads ahead in sequence. Since a draw is a pure
+function of (config, trial), the bits are those of `_draw_components`
+on the calling thread. It reads ahead only when a core would otherwise
+sit idle, that is when the BLAS thread caps in the environment are all
+below the CPUs this process may use (`_spare_core`), and only for blocks
+of at most `_READAHEAD_MAX_BYTES`; its memory cost is one trial's block.
+The worker is not a daemon thread, so the interpreter's exit waits for
+the readahead still pending, at most one trial's draw.
 """
 
 from __future__ import annotations
@@ -513,13 +512,6 @@ def resolvent_traces(config: EnsembleConfig, z: complex, trials) -> np.ndarray:
             np.eye(t.size) + t[:, None] * a, t[:, None] * b))
         out[i] = (base - correction) / config.n
     return out
-
-
-def gram_matrix(config: EnsembleConfig, trial: int = 0) -> np.ndarray:
-    """Gram matrix of the trial's vectors (same streams as build_matrix)."""
-    vectors, _ = _trial_draws(config, trial)
-    gram = vectors.conj().T @ vectors
-    return 0.5 * (gram + gram.conj().T)
 
 
 def gram_counting_relation(gram_spectrum: EmpiricalSpectrum,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .ensemble import (EnsembleConfig, H0Zero, build_matrices, build_matrix,
                        counting_fractions, eigenvalues_sym,
-                       gram_counting_relation, gram_matrix, resolvent_traces)
+                       gram_counting_relation, resolvent_traces)
 from .errors import RealAxisEvaluation
 from .measures import EmpiricalSpectrum, ks_distance
 from .samplers import RngStream, VectorLaw, as_generator, sample_vectors
@@ -45,8 +45,9 @@ GRAM_TOL = 1e-8
 # a covariance entry may deviate by this many of its standard errors
 ISOTROPY_RATIO_BOUND = 5.0
 
-# vectors drawn per block by isotropy_estimate, bounding its memory
-ISOTROPY_BATCH = 20_000
+# vectors drawn per block by quadform, tail and isotropy, bounding their
+# memory
+VECTOR_BATCH = 20_000
 
 
 @dataclass
@@ -155,9 +156,11 @@ def verify_gram_duality(config: EnsembleConfig) -> Report:
     if not 1 <= config.m <= config.n:
         raise ValueError(f"--m must be at least 1 and at most --n, got "
                          f"--m {config.m} with --n {config.n}")
+    matrix = build_matrix(config, trial=0)
     # the dense solve keeps the Gram side an independent check
-    full = eigenvalues_sym(build_matrix(config, trial=0).array)
-    gram = eigenvalues_sym(gram_matrix(config, trial=0))
+    full = eigenvalues_sym(matrix.array)
+    gram = matrix.vectors.conj().T @ matrix.vectors
+    gram = eigenvalues_sym(0.5 * (gram + gram.conj().T))
     discrepancy = gram_counting_relation(gram, full, config.n, config.m)
     return Report(
         kind="gram",
@@ -167,14 +170,12 @@ def verify_gram_duality(config: EnsembleConfig) -> Report:
         passed=discrepancy <= GRAM_TOL)
 
 
-def _quadform_values(law: VectorLaw, n: int, samples: int,
-                     matrix: str, rng) -> np.ndarray:
-    block = sample_vectors(law, n, samples, rng)
-    sq = np.abs(block) ** 2
-    if matrix == "identity":
-        return sq.sum(axis=1)
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    return sq @ signs
+def _vector_blocks(law: VectorLaw, n: int, samples: int,
+                   gen: np.random.Generator):
+    """`samples` vectors of `law` drawn from `gen`, as `sample_vectors`
+    blocks of at most VECTOR_BATCH rows."""
+    for start in range(0, samples, VECTOR_BATCH):
+        yield sample_vectors(law, n, min(VECTOR_BATCH, samples - start), gen)
 
 
 def verify_quadratic_form(law: VectorLaw, dims, samples: int,
@@ -186,7 +187,11 @@ def verify_quadratic_form(law: VectorLaw, dims, samples: int,
     largest slope. A matrix whose variances all sit below 1e-20
     concentrates exactly: its slope is None and it passes by convention;
     when both do, the estimate is None too. Each row is [matrix, n,
-    variance, variance_se].
+    variance, variance_se], the identity rows first.
+
+    The vectors of the i-th dimension are drawn once, from stream
+    (master_seed, i), in blocks of at most VECTOR_BATCH; both matrices
+    read the same draws.
     """
     if samples < 2:
         raise ValueError(f"a variance needs at least 2 samples, got {samples}")
@@ -194,14 +199,22 @@ def verify_quadratic_form(law: VectorLaw, dims, samples: int,
     if len(set(dims)) < 2:
         raise ValueError(f"a decay slope needs at least 2 distinct "
                          f"dimensions, got {dims}")
+    values = np.empty((len(QUADFORM_MATRICES), len(dims), samples))
+    for i, n in enumerate(dims):
+        stop = 0
+        gen = RngStream(master_seed, i).generator()
+        for block in _vector_blocks(law, n, samples, gen):
+            start, stop = stop, stop + len(block)
+            sq = np.abs(block) ** 2
+            values[0, i, start:stop] = sq.sum(axis=1)
+            sq[:, 1::2] *= -1.0  # A = diag(+-1) on the same draws
+            values[1, i, start:stop] = sq.sum(axis=1)
     rows = []
     slopes: dict = {}
     exact: dict = {}
-    for j, matrix in enumerate(QUADFORM_MATRICES):
+    for matrix, matrix_values in zip(QUADFORM_MATRICES, values):
         variances = []
-        for i, n in enumerate(dims):
-            rng = RngStream(master_seed, j * 1_000_000 + i).generator()
-            vals = _quadform_values(law, n, samples, matrix, rng)
+        for n, vals in zip(dims, matrix_values):
             variances.append(float(np.var(vals, ddof=1)))
             rows.append([matrix, n, variances[-1], _variance_se(vals)])
         exact[matrix] = bool(np.all(np.less(variances, EXACT_VARIANCE_FLOOR)))
@@ -237,8 +250,9 @@ def verify_norm_tail(law: VectorLaw, n: int, samples: int, master_seed: int,
             raise ValueError(f"--t-values must be finite, got {t!r}")
         if t <= 0.0:
             raise ValueError(f"--t-values must be positive, got {t!r}")
-    rng = RngStream(master_seed, 0).generator()
-    norms = np.linalg.norm(sample_vectors(law, n, samples, rng), axis=1)
+    gen = RngStream(master_seed, 0).generator()
+    norms = np.concatenate([np.linalg.norm(block, axis=1) for block in
+                            _vector_blocks(law, n, samples, gen)])
     scale = 2.0 * float(np.median(norms))
     rows = []
     for t in t_values:
@@ -276,19 +290,10 @@ def isotropy_estimate(law, n: int, samples: int,
     """
     if samples < 2:
         raise ValueError(f"isotropy needs at least 2 samples, got {samples}")
-    gen = as_generator(rng)
-
-    def draw(count: int) -> np.ndarray:
-        block = sample_vectors(law, n, count, gen)
+    s1 = s2 = s4 = None
+    for block in _vector_blocks(law, n, samples, as_generator(rng)):
         if np.iscomplexobj(block):
             block = np.concatenate([block.real, block.imag], axis=1)
-        return block
-
-    s1 = s2 = s4 = None
-    done = 0
-    while done < samples:
-        take = min(ISOTROPY_BATCH, samples - done)
-        block = draw(take)
         if s1 is None:
             d = block.shape[1]
             s1 = np.zeros(d)
@@ -298,7 +303,6 @@ def isotropy_estimate(law, n: int, samples: int,
         s2 += block.T @ block
         sq = block * block
         s4 += sq.T @ sq
-        done += take
     mean = s1 / samples
     second = s2 / samples
     cov = second - np.outer(mean, mean)

@@ -12,15 +12,14 @@ import numpy as np
 
 from rank1spec.cli import main as cli_main
 from rank1spec.ensemble import (EnsembleConfig, H0Zero, build_matrix,
-                                eigenvalues_sym, gram_counting_relation,
-                                gram_matrix, resolvent_traces)
+                                eigenvalues_sym, resolvent_traces)
 from rank1spec.measures import AmplitudeLaw, SpectralMeasure
 from rank1spec.samplers import RngStream, VectorLaw, sample_vectors
 from rank1spec.solver import (ModelSpec, SolverOptions, limit_density,
                               mp_stieltjes_oracle, solve_mpe_at, solve_mpe_grid)
 from rank1spec.verify import (convergence_study, isotropy_estimate,
-                              verify_counting_variance, verify_quadratic_form,
-                              verify_stieltjes_variance)
+                              verify_counting_variance, verify_gram_duality,
+                              verify_quadratic_form, verify_stieltjes_variance)
 
 UNIT_SIGMA = AmplitudeLaw([(1.0, 1.0)])
 DELTA0 = SpectralMeasure(atoms=[(0.0, 1.0)])
@@ -192,9 +191,8 @@ def test_criterion_09_gram_duality(criterion):
                       "Gram companion agree to 1e-8 at n=300, m=150"):
         cfg = EnsembleConfig(n=300, m=150, law=VectorLaw.parse("gauss"),
                              sigma=UNIT_SIGMA, h0=H0Zero(), seed=3)
-        full = eigenvalues_sym(build_matrix(cfg, trial=0).array)
-        gram = eigenvalues_sym(gram_matrix(cfg, trial=0))
-        assert gram_counting_relation(gram, full, 300, 150) <= 1e-8
+        rep = verify_gram_duality(cfg)
+        assert rep.passed and rep.estimate <= 1e-8
 
 
 def test_criterion_10_deterministic_cli(criterion, tmp_path):

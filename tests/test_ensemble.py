@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from rank1spec import ensemble
+from rank1spec import ensemble, verify
 from rank1spec.ensemble import (EnsembleConfig, H0Diagonal, H0File, H0Zero,
                                 _draw_components, _gram_factor,
                                 assemble_matrix, build_matrix,
                                 counting_fractions, counting_measure,
                                 eigenvalues_sym,
-                                gram_counting_relation, gram_matrix, parse_h0,
+                                gram_counting_relation, parse_h0,
                                 read_h0_file, read_spectrum_csv, resolve_h0,
                                 resolvent_traces, write_spectrum_csv)
 from rank1spec.errors import (EigensolveFailed, H0Mismatch,
@@ -315,20 +315,37 @@ def layout_guard_cases(tmp):
     ]
 
 
-def layout_sensitive_outputs(cfg):
+def gram_duality_spectra(cfg, monkeypatch):
+    """The full and the Gram spectra that `verify_gram_duality` compares."""
+    spectra = []
+    solve = verify.eigenvalues_sym
+
+    def recorded(matrix):
+        spectrum = solve(matrix)
+        spectra.append(spectrum.eigenvalues)
+        return spectrum
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "eigenvalues_sym", recorded)
+        verify.verify_gram_duality(cfg)
+    return spectra
+
+
+def layout_sensitive_outputs(cfg, monkeypatch):
     """Every output computed from a trial's vectors, as arrays."""
     return [eigenvalues_sym(build_matrix(cfg, trial=1)).eigenvalues,
             eigenvalues_sym(build_matrix(cfg, trial=1).array).eigenvalues,
             counting_fractions(cfg, (0.25, 1.5), [0, 1, 2]),
             resolvent_traces(cfg, 0.5 + 0.2j, [0, 1, 2]),
-            gram_matrix(cfg, trial=2)]
+            *(gram_duality_spectra(cfg, monkeypatch) if cfg.m <= cfg.n
+              else [])]
 
 
 def test_outputs_do_not_depend_on_the_vector_layout(tmp_path, monkeypatch):
     # the draws hand out a transposed (F-ordered) view; a C-ordered copy of
     # the same values must give the same bits everywhere downstream
     configs = layout_guard_cases(tmp_path)
-    want = [layout_sensitive_outputs(cfg) for cfg in configs]
+    want = [layout_sensitive_outputs(cfg, monkeypatch) for cfg in configs]
     draw = ensemble._draw_components
 
     def c_ordered(config, trial):
@@ -338,7 +355,9 @@ def test_outputs_do_not_depend_on_the_vector_layout(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ensemble, "_draw_components", c_ordered)
     for cfg, outputs in zip(configs, want):
-        for got, expected in zip(layout_sensitive_outputs(cfg), outputs):
+        got = layout_sensitive_outputs(cfg, monkeypatch)
+        assert len(got) == len(outputs)
+        for got, expected in zip(got, outputs):
             assert np.array_equal(got, expected)
 
 
@@ -529,23 +548,29 @@ def test_counting_fractions_fall_back_at_a_base_eigenvalue(monkeypatch,
 # gram duality
 # ---------------------------------------------------------------------------
 
+def gram_spectrum(cfg, trial=0):
+    """Eigenvalues of the m x m Gram matrix V^H V of a trial's vectors."""
+    vectors = build_matrix(cfg, trial).vectors
+    return eigenvalues_sym(vectors.conj().T @ vectors)
+
+
 def test_gram_single_direction_unit_norm():
     cfg = sphere_config(10, 1)
-    ev = eigenvalues_sym(gram_matrix(cfg)).eigenvalues
+    ev = gram_spectrum(cfg).eigenvalues
     assert np.allclose(ev, [1.0], atol=1e-12)
 
 
 def test_gram_counting_relation_clean():
     cfg = sphere_config(60, 30, seed=1, law="gauss")
     full = eigenvalues_sym(build_matrix(cfg).array)
-    gram = eigenvalues_sym(gram_matrix(cfg))
+    gram = gram_spectrum(cfg)
     assert gram_counting_relation(gram, full, 60, 30) < 1e-12
 
 
 def test_gram_counting_relation_detects_corruption():
     cfg = sphere_config(30, 10, seed=1, law="gauss")
     full = eigenvalues_sym(build_matrix(cfg).array)
-    gram = eigenvalues_sym(gram_matrix(cfg))
+    gram = gram_spectrum(cfg)
     bad = gram.eigenvalues.copy()
     bad[3] += 0.1
     assert gram_counting_relation(EmpiricalSpectrum(bad), full, 30, 10) >= 0.05
@@ -554,14 +579,14 @@ def test_gram_counting_relation_detects_corruption():
 def test_gram_square_case_multisets_agree():
     cfg = sphere_config(40, 40, seed=2, law="gauss")
     fe = eigenvalues_sym(build_matrix(cfg).array).eigenvalues
-    ge = eigenvalues_sym(gram_matrix(cfg)).eigenvalues
+    ge = gram_spectrum(cfg).eigenvalues
     assert np.max(np.abs(np.sort(fe) - np.sort(ge))) < 1e-8
 
 
 def test_gram_relation_validates_shapes():
     cfg = sphere_config(20, 10)
     full = eigenvalues_sym(build_matrix(cfg).array)
-    gram = eigenvalues_sym(gram_matrix(cfg))
+    gram = gram_spectrum(cfg)
     with pytest.raises(ShapeMismatch):
         gram_counting_relation(gram, full, 10, 20)   # needs n >= m
     with pytest.raises(ShapeMismatch):

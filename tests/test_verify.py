@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from rank1spec import ensemble
+from rank1spec import ensemble, verify
+from rank1spec.cli import main as cli_main
 from rank1spec.ensemble import EnsembleConfig, H0Diagonal, H0File, H0Zero
 from rank1spec.errors import RealAxisEvaluation
 from rank1spec.measures import AmplitudeLaw, SpectralMeasure
-from rank1spec.samplers import VectorLaw
+from rank1spec.samplers import RngStream, VectorLaw
 from rank1spec.solver import ModelSpec, SolverOptions
 from rank1spec.verify import (KS_LARGEST_N_THRESHOLD, _snap_structural_zeros,
                               _variance_se, convergence_study,
-                              verify_counting_variance,
-                              verify_norm_tail, verify_quadratic_form,
-                              verify_stieltjes_variance)
+                              isotropy_estimate, verify_counting_variance,
+                              verify_gram_duality, verify_norm_tail,
+                              verify_quadratic_form, verify_stieltjes_variance)
 
 UNIT_SIGMA = AmplitudeLaw([(1.0, 1.0)])
 
@@ -126,6 +127,70 @@ def test_variance_se_gaussian_sanity():
     gen = np.random.default_rng(0)
     se = _variance_se(gen.normal(size=4000))
     assert 0.5 * np.sqrt(2 / 4000) < se < 2.0 * np.sqrt(2 / 4000)
+
+
+# ---------------------------------------------------------------------------
+# gram duality
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("via", ["function", "cli"])
+def test_gram_duality_draws_trial_0_once(tmp_path, monkeypatch, via):
+    trials = []
+    draw = ensemble._draw_components
+
+    def recorded(config, trial):
+        trials.append(trial)
+        return draw(config, trial)
+
+    monkeypatch.setattr(ensemble, "_draw_components", recorded)
+    if via == "cli":
+        assert cli_main(["verify", "gram", "--n", "40", "--m", "20",
+                         "--out", str(tmp_path / "v")]) == 0
+    else:
+        assert verify_gram_duality(config(40, 20)).passed
+    assert trials == [0]
+
+
+# ---------------------------------------------------------------------------
+# vector blocks of quadform, tail and isotropy
+# ---------------------------------------------------------------------------
+
+VECTOR_CHECKS = {
+    "quadform": lambda law: verify_quadratic_form(law, (16, 32), 20, 3),
+    "tail": lambda law: verify_norm_tail(law, 16, 20, 3),
+    "isotropy": lambda law: isotropy_estimate(law, 16, 20, RngStream(3, 0)),
+}
+
+
+@pytest.mark.parametrize("check", list(VECTOR_CHECKS))
+def test_vector_checks_draw_bounded_blocks(monkeypatch, check):
+    blocks = []
+    sample = verify.sample_vectors
+
+    def recorded(law, n, count, gen):
+        blocks.append((n, count))
+        return sample(law, n, count, gen)
+
+    monkeypatch.setattr(verify, "VECTOR_BATCH", 7)
+    monkeypatch.setattr(verify, "sample_vectors", recorded)
+    VECTOR_CHECKS[check](VectorLaw.parse("gauss"))
+    dims = (16, 32) if check == "quadform" else (16,)
+    # 20 vectors per dimension, in blocks of at most 7
+    assert blocks == [(n, count) for n in dims for count in (7, 7, 6)]
+
+
+@pytest.mark.parametrize("law", ["sphere", "gauss", "cube", "laplace"])
+def test_block_split_leaves_single_stream_reports_unchanged(monkeypatch,
+                                                            law):
+    # these laws draw each block's raw variates from one stream in turn,
+    # so splitting the draws into blocks changes no bit of a report
+    def reports():
+        return [VECTOR_CHECKS[check](VectorLaw.parse(law)).to_dict()
+                for check in ("quadform", "tail")]
+
+    want = reports()
+    monkeypatch.setattr(verify, "VECTOR_BATCH", 7)
+    assert reports() == want
 
 
 # ---------------------------------------------------------------------------
