@@ -9,7 +9,7 @@ convergence and concentration.
 from .ensemble import (EnsembleConfig, H0Diagonal, H0File, H0Zero,
                        assemble_matrix, build_matrix, counting_measure,
                        eigenvalues_sym, gram_counting_relation, parse_h0,
-                       read_spectrum_csv, resolve_h0, write_spectrum_csv)
+                       read_spectrum_csv, write_spectrum_csv)
 from .errors import (EigensolveFailed, EmptySpectrum, H0Mismatch,
                      InvalidDimension, InvalidP, MassDeficit, NonConvergence,
                      PoleHit, Rank1SpecError, RealAxisEvaluation,
@@ -39,7 +39,7 @@ __all__ = [
     "counting_measure", "eigenvalues_sym", "gram_counting_relation",
     "isotropy_estimate", "ks_distance", "limit_density",
     "lp_ball_points", "lp_scale", "moment", "mp_closed_form",
-    "mp_limit_measure", "mp_stieltjes_oracle", "parse_h0", "read_spectrum_csv", "resolve_h0", "sample_tau", "sample_vectors",
+    "mp_limit_measure", "mp_stieltjes_oracle", "parse_h0", "read_spectrum_csv", "sample_tau", "sample_vectors",
     "save_measure_json", "solve_mpe_at", "solve_mpe_grid",
     "stieltjes_of_measure", "verify_counting_variance", "verify_norm_tail",
     "verify_quadratic_form", "verify_stieltjes_variance", "write_density_csv",

@@ -21,9 +21,9 @@ s W^H W with W = V |T|^(1/2), and the other n - k are exactly zero.
 Woodbury side, as a rank-m update of (H0 - z)^(-1), without assembling
 or eigensolving H. `counting_fractions` counts the eigenvalues of H in
 (a, b] the same way, from the inertia of one m x m matrix per endpoint
-(Haynsworth's inertia additivity). Both diagonalize H0 once per call; a
-file base is read once per `EnsembleConfig` (`EnsembleConfig.h0_array`),
-not once per trial.
+(Haynsworth's inertia additivity). Both read H0 = Q diag(d) Q^T from
+`EnsembleConfig.h0_eigen`, found once per config (a file base is read
+and eigensolved once); a diagonal base is never made dense there.
 
 Every trial draw (`build_matrix`, `build_matrices` and the variance
 checks' loops) goes through `_trial_draws`, which keeps a one-trial
@@ -135,23 +135,7 @@ def read_h0_file(path) -> np.ndarray:
                          f"{float(mat[i, j])!r}, not finite")
     if np.max(np.abs(mat - mat.T), initial=0.0) > HERMITIAN_TOL:
         raise H0Mismatch(f"{path}: matrix is not symmetric within {HERMITIAN_TOL}")
-    upper = np.triu(mat)
-    return upper + np.triu(mat, 1).T
-
-
-def resolve_h0(h0: H0Spec, n: int) -> np.ndarray:
-    if isinstance(h0, H0Zero):
-        return np.zeros((n, n))
-    if isinstance(h0, H0Diagonal):
-        if len(h0.entries) != n:
-            raise H0Mismatch(f"diagonal has {len(h0.entries)} entries, order is {n}")
-        return np.diag(np.asarray(h0.entries, dtype=float))
-    if isinstance(h0, H0File):
-        mat = read_h0_file(h0.path)
-        if mat.shape[0] != n:
-            raise H0Mismatch(f"file matrix order {mat.shape[0]} != {n}")
-        return mat
-    raise TypeError(f"unsupported h0 spec {h0!r}")
+    return np.triu(mat) + np.triu(mat, 1).T
 
 
 @dataclass(frozen=True)
@@ -171,11 +155,34 @@ class EnsembleConfig:
         if (not isinstance(self.seed, (int, np.integer))
                 or not 0 <= self.seed < 2 ** 64):
             raise ValueError("seed must be an integer in [0, 2^64)")
+        if not isinstance(self.h0, (H0Zero, H0Diagonal, H0File)):
+            raise TypeError(f"unsupported h0 spec {self.h0!r}")
+
+    @cached_property
+    def h0_eigen(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(d, q) with H0 = Q diag(d) Q^T, read-only and found once; q is
+        None unless the base is a file, which costs one eigensolve."""
+        if isinstance(self.h0, H0File):
+            d, q = np.linalg.eigh(self.h0_array)
+            q.flags.writeable = False
+        elif isinstance(self.h0, H0Diagonal):
+            if len(self.h0.entries) != self.n:
+                raise H0Mismatch(f"diagonal has {len(self.h0.entries)} entries, order is {self.n}")
+            d, q = np.asarray(self.h0.entries, dtype=float), None
+        else:
+            d, q = np.zeros(self.n), None
+        d.flags.writeable = False
+        return d, q
 
     @cached_property
     def h0_array(self) -> np.ndarray:
-        """H0 as a read-only dense array, resolved (and a file read) once."""
-        mat = resolve_h0(self.h0, self.n)
+        """H0 as a read-only dense array, built (and a file read) once."""
+        if isinstance(self.h0, H0File):
+            mat = read_h0_file(self.h0.path)
+            if mat.shape[0] != self.n:
+                raise H0Mismatch(f"file matrix order {mat.shape[0]} != {self.n}")
+        else:
+            mat = np.diag(self.h0_eigen[0])
         mat.flags.writeable = False
         return mat
 
@@ -403,22 +410,8 @@ def eigenvalues_sym(matrix) -> EmpiricalSpectrum:
 
 def counting_measure(spectrum: EmpiricalSpectrum, a: float, b: float) -> float:
     """Fraction of eigenvalues in the half-open interval (a, b]."""
-    ev = spectrum.eigenvalues
-    hi = np.searchsorted(ev, b, side="right")
-    lo = np.searchsorted(ev, a, side="right")
-    return (hi - lo) / ev.size
-
-
-def _h0_eigen(config: EnsembleConfig):
-    """(d, q) with H0 = Q diag(d) Q^T, and q None when H0 is diagonal.
-
-    Free for zero and diagonal bases; a file base costs one eigensolve.
-    """
-    if isinstance(config.h0, H0Zero):
-        return np.zeros(config.n), None
-    if isinstance(config.h0, H0File):
-        return np.linalg.eigh(config.h0_array)
-    return np.diagonal(config.h0_array), None
+    lo, hi = np.searchsorted(spectrum.eigenvalues, (a, b), side="right")
+    return (hi - lo) / spectrum.n
 
 
 def _near_base_eigenvalue(d: np.ndarray, x: float) -> bool:
@@ -458,7 +451,7 @@ def counting_fractions(config: EnsembleConfig, interval, trials) -> np.ndarray:
     nonzero = atoms[atoms != 0.0]
     gram = isinstance(config.h0, H0Zero) and (
         np.all(nonzero > 0.0) or np.all(nonzero < 0.0))
-    d, q = (None, None) if gram else _h0_eigen(config)
+    d, q = config.h0_eigen
     if gram or _near_base_eigenvalue(d, a) or _near_base_eigenvalue(d, b):
         return np.array([counting_measure(eigenvalues_sym(matrix), a, b)
                          for matrix in build_matrices(config, trials)])
@@ -486,9 +479,9 @@ def counting_fractions(config: EnsembleConfig, interval, trials) -> np.ndarray:
 def resolvent_traces(config: EnsembleConfig, z: complex, trials) -> np.ndarray:
     """g(z) = Tr(H - z)^(-1) / n for each trial index in `trials`.
 
-    H0 = Q D Q^H is diagonalized once (an eigensolve only for a file
-    base). With R0 = (D - z)^(-1), U = Q^H V over the k columns of
-    nonzero amplitude and T their amplitudes, the Woodbury identity gives
+    H0 = Q D Q^H is `config.h0_eigen` (one eigensolve per config, for a
+    file base only). With R0 = (D - z)^(-1), U = Q^H V over the k columns
+    of nonzero amplitude and T their amplitudes, the Woodbury identity gives
 
         n g = sum R0 - tr[(I + T A)^(-1) T B],  A = U^H R0 U,  B = U^H R0^2 U,
 
@@ -500,7 +493,7 @@ def resolvent_traces(config: EnsembleConfig, z: complex, trials) -> np.ndarray:
     if not (np.isfinite(z) and z.imag != 0.0):
         raise RealAxisEvaluation(
             f"the resolvent trace needs a finite z with Im z != 0, got {z}")
-    d, q = _h0_eigen(config)
+    d, q = config.h0_eigen
     r0 = 1.0 / (d - z)
     base = r0.sum()
     out = np.empty(len(trials), dtype=complex)

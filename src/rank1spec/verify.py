@@ -237,14 +237,16 @@ def verify_norm_tail(law: VectorLaw, n: int, samples: int, master_seed: int,
     """Empirical P{|Y| >= C t} against exp(-t sqrt(n)), C = 2 median|Y|.
 
     Rows are [t, empirical, envelope, binomial_se]; the estimate is the
-    largest excess of an empirical tail over its envelope. A t that is
-    not finite, or not positive, raises ValueError before any draw: at
-    t <= 0 the envelope is at least 1, so the check would pass whatever
-    the law.
+    largest excess of an empirical tail over its envelope. No t at all,
+    or a t that is not finite or not positive, raises ValueError before
+    any draw: the check would pass whatever the law, with no rows or at
+    t <= 0, where the envelope is at least 1.
     """
     if samples < 1:
         raise ValueError(f"the tail check needs at least 1 sample, "
                          f"got {samples}")
+    if len(t_values) == 0:
+        raise ValueError("the tail check needs at least 1 t value")
     for t in t_values:
         if not math.isfinite(t):
             raise ValueError(f"--t-values must be finite, got {t!r}")
@@ -266,8 +268,8 @@ def verify_norm_tail(law: VectorLaw, n: int, samples: int, master_seed: int,
                     "checked against the sharp envelope exp(-t sqrt(n)); "
                     "weaker forms of the same bound divide the exponent by "
                     "an absolute constant")},
-        estimate=max((p - env for _, p, env, _ in rows), default=0.0),
-        bound=0.0, se=max((row[3] for row in rows), default=0.0),
+        estimate=max(p - env for _, p, env, _ in rows),
+        bound=0.0, se=max(row[3] for row in rows),
         passed=all(p <= env + 3.0 * se for _, p, env, se in rows),
         detail={"rows": rows})
 
@@ -344,9 +346,10 @@ def convergence_study(law: VectorLaw, model: ModelSpec, dims, seeds: int,
     m = round(c * n) per dimension; seed index s runs the ensemble's
     trial s. The ensembles use H0 = h0_factory(n); without a factory they
     use H0 = 0, whose limit needs model.n0 to be the unit atom at zero,
-    and any other n0 raises ValueError. With c = 0 the limit is the base
-    measure itself and is used exactly (no smoothing), which keeps
-    deterministic spectra at KS = 0.
+    and any other n0 raises ValueError, as does an empty `dims`, both
+    before the solve. With c = 0 the limit is the base measure itself
+    and is used exactly (no smoothing), which keeps deterministic
+    spectra at KS = 0.
 
     Each row of `detail["rows"]` is [n, m, seeds, mean_ks, std_ks]. The
     estimate is the mean KS at the largest n and `se` its standard error;
@@ -357,13 +360,16 @@ def convergence_study(law: VectorLaw, model: ModelSpec, dims, seeds: int,
     if seeds < 1:
         raise ValueError(f"a convergence study needs at least 1 seed, "
                          f"got {seeds}")
+    dims = [int(d) for d in dims]
+    if not dims:
+        raise ValueError("a convergence study needs at least 1 dimension")
     if h0_factory is None and not model.n0.is_point_mass_at(0.0):
         raise ValueError("without an h0_factory the ensembles have H0 = 0, "
                          "so n0 must be the unit atom at zero")
     reference = (model.n0 if model.c == 0.0 else
                  limit_density(model, grid, solve_mpe_grid(grid, model, opts).f))
     rows = []
-    for n in [int(d) for d in dims]:
+    for n in dims:
         m = int(round(model.c * n))
         h0 = h0_factory(n) if h0_factory is not None else H0Zero()
         config = EnsembleConfig(n=n, m=m, law=law, sigma=model.sigma,

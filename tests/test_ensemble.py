@@ -8,7 +8,7 @@ from rank1spec.ensemble import (EnsembleConfig, H0Diagonal, H0File, H0Zero,
                                 counting_fractions, counting_measure,
                                 eigenvalues_sym,
                                 gram_counting_relation, parse_h0,
-                                read_h0_file, read_spectrum_csv, resolve_h0,
+                                read_h0_file, read_spectrum_csv,
                                 resolvent_traces, write_spectrum_csv)
 from rank1spec.errors import (EigensolveFailed, H0Mismatch,
                               RealAxisEvaluation, ShapeMismatch)
@@ -39,12 +39,13 @@ def test_parse_h0_variants():
         parse_h0("identity")
 
 
-def test_resolve_h0_shapes():
-    assert np.array_equal(resolve_h0(H0Zero(), 3), np.zeros((3, 3)))
-    assert np.array_equal(resolve_h0(H0Diagonal((1.0, 2.0)), 2),
-                          np.diag([1.0, 2.0]))
-    with pytest.raises(H0Mismatch):
-        resolve_h0(H0Diagonal((1.0, 2.0)), 3)
+def test_h0_array_shapes():
+    assert np.array_equal(sphere_config(3, 1).h0_array, np.zeros((3, 3)))
+    assert np.array_equal(
+        sphere_config(2, 1, h0=H0Diagonal((1.0, 2.0))).h0_array,
+        np.diag([1.0, 2.0]))
+    with pytest.raises(H0Mismatch, match="diagonal has 2 entries, order is 3"):
+        sphere_config(3, 1, h0=H0Diagonal((1.0, 2.0))).h0_array
 
 
 def test_h0_file_roundtrip(tmp_path):
@@ -53,9 +54,15 @@ def test_h0_file_roundtrip(tmp_path):
     path.write_text("2\n1.0 0.25\n0.25 -2.0\n")
     got = read_h0_file(path)
     assert np.array_equal(got, mat)
-    assert np.array_equal(resolve_h0(H0File(str(path)), 2), mat)
-    with pytest.raises(H0Mismatch):
-        resolve_h0(H0File(str(path)), 5)
+    assert np.array_equal(sphere_config(2, 1, h0=H0File(str(path))).h0_array,
+                          mat)
+    with pytest.raises(H0Mismatch, match="file matrix order 2 != 5"):
+        sphere_config(5, 1, h0=H0File(str(path))).h0_array
+
+
+def test_config_rejects_an_unsupported_h0_spec():
+    with pytest.raises(TypeError, match="unsupported h0 spec"):
+        sphere_config(2, 1, h0="zero")
 
 
 def test_h0_file_rejects_asymmetry(tmp_path):
@@ -103,6 +110,46 @@ def test_h0_array_is_resolved_once_and_read_only(tmp_path, monkeypatch):
     assert len(reads) == 1
     with pytest.raises(ValueError):
         cfg.h0_array[0, 0] = 5.0
+
+
+def test_h0_eigen_of_each_kind(tmp_path):
+    entries = (1.5, -0.25, 0.0, -0.0)
+    diag = sphere_config(4, 1, h0=H0Diagonal(entries)).h0_eigen
+    zero = sphere_config(4, 1).h0_eigen
+    path = tmp_path / "h0.txt"
+    write_h0_file(path, np.array([[1.0, 0.25], [0.25, -2.0]]))
+    cfg = sphere_config(2, 1, h0=H0File(str(path)))
+    d, q = cfg.h0_eigen
+    want_d, want_q = np.linalg.eigh(cfg.h0_array)
+    assert diag[0].tolist() == list(entries) and diag[1] is None
+    assert np.array_equal(zero[0], np.zeros(4)) and zero[1] is None
+    assert np.array_equal(d, want_d) and np.array_equal(q, want_q)
+    assert cfg.h0_eigen is cfg.h0_eigen
+    for arr in (diag[0], zero[0], d, q):
+        with pytest.raises(ValueError):
+            arr[0] = 5.0
+
+
+def test_m_side_checks_leave_a_diagonal_base_undensified():
+    cfg = sphere_config(40, 6, law="gauss", sigma=SIGNED_WITH_ZERO,
+                        h0=parse_h0("diag:" + ",".join(["-1", "1"] * 20)))
+    resolvent_traces(cfg, 0.5 + 0.5j, range(2))
+    assert "h0_array" not in cfg.__dict__
+    counting_fractions(cfg, (-0.5, 0.5), range(2))
+    assert "h0_array" not in cfg.__dict__
+
+
+def test_m_side_checks_eigensolve_a_file_base_once(tmp_path, monkeypatch):
+    cfg = sphere_config(12, 4, law="gauss", sigma=SIGNED_WITH_ZERO,
+                        h0=file_base(tmp_path / "h0.txt", 12))
+    solves = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: solves.append(a.shape) or eigh(a))
+    resolvent_traces(cfg, 0.5 + 0.5j, range(2))
+    resolvent_traces(cfg, -0.3 + 0.1j, range(2))
+    counting_fractions(cfg, (-0.45, 0.35), range(2))
+    assert solves == [(12, 12)]
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +291,7 @@ def test_dense_path_outside_gram_conditions(cfg):
 ], ids=["zero-base", "cgauss-signed", "diag-base"])
 def test_factored_array_equals_assembled(cfg):
     vectors, taus = _draw_components(cfg, 2)
-    want = assemble_matrix(resolve_h0(cfg.h0, cfg.n), taus, vectors)
+    want = assemble_matrix(cfg.h0_array, taus, vectors)
     assert np.array_equal(build_matrix(cfg, trial=2).array, want)
 
 

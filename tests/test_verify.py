@@ -280,6 +280,12 @@ def test_norm_tail_needs_a_sample():
         verify_norm_tail(VectorLaw.parse("sphere"), 16, 0, 0)
 
 
+def test_norm_tail_needs_a_t_value():
+    # with no t there are no rows, and the check would pass vacuously
+    with pytest.raises(ValueError, match="at least 1 t value"):
+        verify_norm_tail(VectorLaw.parse("sphere"), 16, 20, 0, t_values=())
+
+
 # ---------------------------------------------------------------------------
 # convergence study
 # ---------------------------------------------------------------------------
@@ -334,6 +340,18 @@ def test_convergence_needs_a_seed():
     with pytest.raises(ValueError, match="at least 1 seed"):
         convergence_study(VectorLaw.parse("sphere"), model, (16, 32), 0, 0,
                           np.linspace(0.02, 3.2, 50))
+
+
+def test_convergence_needs_a_dimension_before_the_solve(monkeypatch):
+    model = ModelSpec(c=0.5, sigma=UNIT_SIGMA,
+                      n0=SpectralMeasure(atoms=[(0.0, 1.0)]))
+    solves = []
+    monkeypatch.setattr(verify, "solve_mpe_grid",
+                        lambda *args: solves.append(args))
+    with pytest.raises(ValueError, match="at least 1 dimension"):
+        convergence_study(VectorLaw.parse("sphere"), model, [], 2, 0,
+                          np.linspace(0.02, 3.2, 50))
+    assert solves == []
 
 
 def test_convergence_without_factory_needs_unit_atom_base():
